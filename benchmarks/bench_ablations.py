@@ -10,7 +10,7 @@
 
 import pytest
 
-from repro.core.adaptive_bind import AdaptiveBindScheduler
+from repro.core import make_scheduler
 from repro.dynpar import make_model
 from repro.gpu.config import CacheConfig
 from repro.gpu.engine import Engine
@@ -75,11 +75,11 @@ def test_ablation_fixed_backup(benchmark, workload):
 
     def run():
         rows = []
-        for fixed in (True, False):
-            scheduler = AdaptiveBindScheduler(fixed_backup=fixed)
+        for label, name in (("fixed", "adaptive-bind"), ("re-scan", "pri=level,bind=smx,steal=rescan")):
+            scheduler = make_scheduler(name)
             engine = Engine(experiment_config(), scheduler, make_model("dtbl"), [spec])
             stats = engine.run()
-            rows.append(("fixed" if fixed else "re-scan", f"{stats.ipc:.3f}",
+            rows.append((label, f"{stats.ipc:.3f}",
                          f"{stats.l1_hit_rate:.3f}", f"{stats.child_same_smx_fraction:.2f}", scheduler.steals))
         return rows
 

@@ -128,7 +128,7 @@ def _provenance() -> dict:
     }
 
 
-def _measure_scheduler(scheduler: str, spec, rounds: int, backend: str = "scalar") -> dict:
+def _measure_scheduler(scheduler: str, spec, rounds: int) -> dict:
     """Best-of-N wall time of one full Engine.run(); returns throughput."""
     import time
 
@@ -138,9 +138,7 @@ def _measure_scheduler(scheduler: str, spec, rounds: int, backend: str = "scalar
     # one untimed warm-up run pays the trace-coalescing memoization and
     # any lazy imports so the timed rounds measure the steady state
     for i in range(rounds + 1):
-        engine = Engine(
-            config, make_scheduler(scheduler), make_model("dtbl"), [spec], backend=backend
-        )
+        engine = Engine(config, make_scheduler(scheduler), make_model("dtbl"), [spec])
         t0 = time.perf_counter()
         result = engine.run()
         dt = time.perf_counter() - t0
@@ -175,13 +173,6 @@ def main(argv=None) -> int:
         default=["rr", "tb-pri", "smx-bind", "adaptive-bind", "adaptive-bind+throttle"],
     )
     parser.add_argument(
-        "--vector-schedulers",
-        nargs="+",
-        # same-host scalar-vs-vector comparison rows, keyed "<name>@vector"
-        default=["rr", "adaptive-bind"],
-        help="schedulers also measured under the vector engine backend",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         help="previously generated JSON to embed under 'baseline' (adds speedup)",
@@ -212,22 +203,6 @@ def main(argv=None) -> int:
         print(
             f"{sched:>14}: {report['schedulers'][sched]['cycles_per_sec']:>12,.1f} cycles/sec"
             f"  ({report['schedulers'][sched]['best_ms']} ms best of {args.rounds})",
-            file=sys.stderr,
-        )
-    # vector-backend rows: same workload, same host, same best-of-N —
-    # "vs_scalar" is the apples-to-apples backend throughput ratio
-    for sched in args.vector_schedulers:
-        row = _measure_scheduler(sched, spec, args.rounds, backend="vector")
-        scalar_row = report["schedulers"].get(sched)
-        if scalar_row:
-            row["vs_scalar"] = round(
-                row["cycles_per_sec"] / scalar_row["cycles_per_sec"], 3
-            )
-        key = f"{sched}@vector"
-        report["schedulers"][key] = row
-        ratio = f"  ({row['vs_scalar']:.2f}x vs scalar)" if "vs_scalar" in row else ""
-        print(
-            f"{key:>24}: {row['cycles_per_sec']:>12,.1f} cycles/sec{ratio}",
             file=sys.stderr,
         )
     report["phases"] = {

@@ -64,9 +64,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--schedulers",
         nargs="+",
-        default=["adaptive-bind", "adaptive-bind@vector"],
-        help="schedulers to gate on; '<name>@vector' rows gate the vector "
-        "engine backend (default: adaptive-bind, adaptive-bind@vector)",
+        default=["adaptive-bind"],
+        help="schedulers to gate on (default: adaptive-bind)",
     )
     parser.add_argument(
         "--update-baseline",

@@ -188,9 +188,7 @@ def main(argv=None) -> int:
                 violations.append(f"/metrics is missing {needle!r}")
 
         # -- phase 3: SIGTERM drains before exit ----------------------------
-        final = client.submit(
-            "join-uniform", "rr", scale="tiny", seed=3, backend=""
-        )
+        final = client.submit("join-uniform", "rr", scale="tiny", seed=3)
         proc.send_signal(signal.SIGTERM)
         exit_code = proc.wait(timeout=120)
         report["drain"] = {"exit_code": exit_code, "final_job": final["id"]}

@@ -29,10 +29,8 @@ from repro.analysis import (
 from repro.core import (
     NAMED_COMPOSITIONS,
     SCHEDULER_ORDER,
-    SCHEDULERS,
     ComposedScheduler,
     SchedulerSpec,
-    ThrottledScheduler,
     canonical_scheduler_name,
     make_scheduler,
     parse_spec,
@@ -74,11 +72,9 @@ __all__ = [
     "OccupancyTimeline",
     "ResultCache",
     "RunSpec",
-    "SCHEDULERS",
     "SCHEDULER_ORDER",
     "SchedulerSpec",
     "SimStats",
-    "ThrottledScheduler",
     "Workload",
     "analyze_footprint",
     "canonical_scheduler_name",

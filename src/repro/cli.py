@@ -182,7 +182,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             args.model,
             scale=args.scale,
             seed=args.seed,
-            backend=args.backend,
         )
         if args.profile:
             return _profiled_run(spec, args.profile_out)
@@ -206,7 +205,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.model,
         config,
         telemetry=timeline,
-        backend=args.backend or None,
     )
     print(stats.summary())
     print(timeline.render(samples=72))
@@ -460,7 +458,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         args.model,
         scale=args.scale,
         seed=args.seed,
-        backend=args.backend,
         deadline=args.deadline,
     )
     print(f"submitted {job['id']} ({job['state']})", file=sys.stderr)
@@ -514,11 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("-s", "--scheduler", default="adaptive-bind")
     run_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
     run_p.add_argument("--timeline", action="store_true", help="print an SMX occupancy heatmap")
-    run_p.add_argument(
-        "--backend", choices=("scalar", "vector"), default="",
-        help="engine implementation; both simulate identical results "
-        "(default: scalar)",
-    )
     run_p.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print the top-20 cumulative functions "
@@ -653,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
     submit_p.add_argument("--host", default="127.0.0.1")
     submit_p.add_argument("--port", type=int, default=8642)
-    submit_p.add_argument(
-        "--backend", choices=("scalar", "vector"), default="",
-        help="engine implementation (default: server's default)",
-    )
     submit_p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-job execution deadline",

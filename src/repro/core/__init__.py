@@ -5,7 +5,6 @@ stealing, admission) hosted by :class:`ComposedScheduler`; see
 :mod:`repro.core.components` for the axes and the spec grammar.
 """
 
-from repro.core.adaptive_bind import AdaptiveBindScheduler
 from repro.core.base import TBScheduler
 from repro.core.components import (
     NAMED_COMPOSITIONS,
@@ -17,24 +16,13 @@ from repro.core.components import (
 )
 from repro.core.composed import ComposedScheduler
 from repro.core.queues import Entry, MultiLevelQueue
-from repro.core.rr import RoundRobinScheduler
-from repro.core.smx_bind import SMXBindScheduler
-from repro.core.tb_pri import TBPriScheduler
-from repro.core.throttle import ThrottledScheduler
-
-SCHEDULERS = {
-    "rr": RoundRobinScheduler,
-    "tb-pri": TBPriScheduler,
-    "smx-bind": SMXBindScheduler,
-    "adaptive-bind": AdaptiveBindScheduler,
-}
 
 #: the paper's ordering for figures: baseline first, then LaPerm variants
 SCHEDULER_ORDER = ["rr", "tb-pri", "smx-bind", "adaptive-bind"]
 
 #: composed policies the spec grammar unlocks beyond the paper's four,
 #: in report order (used by ``repro list`` and the benchmark grid)
-COMPOSED_ORDER = [name for name in NAMED_COMPOSITIONS if name not in SCHEDULERS]
+COMPOSED_ORDER = [name for name in NAMED_COMPOSITIONS if name not in SCHEDULER_ORDER]
 
 
 def make_scheduler(name: str) -> TBScheduler:
@@ -47,27 +35,18 @@ def make_scheduler(name: str) -> TBScheduler:
     (Section IV-F / [12]) into the policy.
     """
     canonical, spec = resolve_scheduler(name)
-    preset = SCHEDULERS.get(canonical)
-    if preset is not None:
-        return preset()
     return ComposedScheduler(spec, name=canonical)
 
 
 __all__ = [
-    "AdaptiveBindScheduler",
     "COMPOSED_ORDER",
     "ComposedScheduler",
     "Entry",
     "MultiLevelQueue",
     "NAMED_COMPOSITIONS",
-    "RoundRobinScheduler",
-    "SCHEDULERS",
     "SCHEDULER_ORDER",
-    "SMXBindScheduler",
     "SchedulerSpec",
-    "TBPriScheduler",
     "TBScheduler",
-    "ThrottledScheduler",
     "canonical_scheduler_name",
     "describe_components",
     "make_scheduler",

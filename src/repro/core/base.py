@@ -5,10 +5,9 @@ once per cycle by the engine; it may place at most one TB on one SMX per
 cycle (the dispatch-stage bandwidth of the baseline hardware, Section
 II-B). Every shipped policy is a composition of components hosted by
 :class:`~repro.core.composed.ComposedScheduler`; the paper's four
-schedulers are the named presets :class:`~repro.core.rr.RoundRobinScheduler`,
-:class:`~repro.core.tb_pri.TBPriScheduler`,
-:class:`~repro.core.smx_bind.SMXBindScheduler`, and
-:class:`~repro.core.adaptive_bind.AdaptiveBindScheduler` (full LaPerm).
+schedulers are the named compositions ``rr``, ``tb-pri``, ``smx-bind``
+and ``adaptive-bind`` (full LaPerm) of
+:data:`~repro.core.components.NAMED_COMPOSITIONS`.
 """
 
 from __future__ import annotations

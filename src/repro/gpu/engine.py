@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.gpu.config import GPUConfig
@@ -75,24 +74,14 @@ class Engine:
         max_cycles: Optional[int] = None,
         telemetry: TelemetrySink = NULL_SINK,
         telemetry_sample_interval: int = 2048,
-        backend: Optional[str] = None,
     ) -> None:
         if not host_kernels:
             raise ValueError("need at least one host kernel")
-        # backend selection: explicit argument, else $REPRO_BACKEND, else
-        # scalar. Both backends simulate bit-identically (ENGINE_VERSION
-        # is unchanged); "vector" swaps in the numpy cache tag stores and
-        # the batched warp-issue fast path (docs/simulator.md, Backends).
-        if backend is None:
-            backend = os.environ.get("REPRO_BACKEND", "") or "scalar"
-        if backend not in ("scalar", "vector"):
-            raise ValueError(f"unknown engine backend {backend!r}; expected scalar or vector")
-        self.backend = backend
         self.config = config
         self.scheduler = scheduler
         self.dynpar = dynpar
         self.max_cycles = max_cycles
-        self.memory = MemoryHierarchy(config, backend=backend)
+        self.memory = MemoryHierarchy(config)
         self.smxs = [SMX(i, config) for i in range(config.num_smx)]
         self.kdu = KDU(config.kdu_entries)
         self.kmu = KMU(self.kdu, prioritized=scheduler.prioritized_kmu)
@@ -301,19 +290,6 @@ class Engine:
         scheduler = self.scheduler
         dispatch_pure = scheduler.idle_dispatch_pure
         dispatch_dirty = True
-        # vector backend: in dispatch-quiet windows an SMX may burst —
-        # issue across consecutive cycles locally (SMX.issue_burst) up to
-        # the earliest event it does not own. The bound is lexicographic
-        # (cycle, smx_id) because the wake sweep orders same-cycle visits
-        # by ascending id; cycle-only events (retires, deliveries, the
-        # telemetry sample, max_cycles) carry id -1 so they always bound
-        # exclusively. Schedulers that opt out of dispatch-skip (e.g.
-        # throttled admission) keep dispatch_dirty True, which disables
-        # bursting and preserves their every-cycle dispatch semantics.
-        # issue_burst inlines the GTO warp policy; LRR/TL machines take
-        # the ordinary per-visit path under either backend.
-        bursting = self.backend == "vector" and self.config.warp_scheduler == "gto"
-        big = (1 << 62)
         while self._live_tbs > 0 or dynpar_pending or kmu_pending:
             if sampling and now >= next_sample:
                 self._emit_sample(now)
@@ -346,49 +322,7 @@ class Engine:
                 smx = smxs[sid]
                 if smx.wake_at != t:  # stale calendar entry
                     continue
-                if bursting and not dispatch_dirty:
-                    # earliest event this SMX does not own, lexicographic
-                    # (cycle, id); stale calendar tops are popped here —
-                    # the lazy-invalidation pop they would get anyway
-                    limit_cycle, limit_sid = big, -1
-                    while wake_heap:
-                        wt, wsid = wake_heap[0]
-                        if smxs[wsid].wake_at != wt:
-                            heappop(wake_heap)
-                            continue
-                        limit_cycle, limit_sid = wt, wsid
-                        break
-                    if retire_heap and retire_heap[0][0] <= limit_cycle:
-                        limit_cycle, limit_sid = retire_heap[0][0], -1
-                    if dynpar_pending and dynpar_pending[0][0] <= limit_cycle:
-                        limit_cycle, limit_sid = dynpar_pending[0][0], -1
-                    if sampling and next_sample <= limit_cycle:
-                        limit_cycle, limit_sid = next_sample, -1
-                    if max_cycles is not None and max_cycles < limit_cycle:
-                        limit_cycle, limit_sid = max_cycles + 1, -1
-                    local, flag = smx.issue_burst(now, self, limit_cycle, sid < limit_sid)
-                    if local != now:
-                        # the burst advanced the clock: cycles before
-                        # `local` are fully simulated (this SMX was the
-                        # only live actor), so the per-cycle flags must
-                        # describe `local` alone — exactly what the
-                        # scalar loop would hold at that cycle
-                        now = local
-                        placed_tb = None
-                        retired = False
-                        issued = flag != 0
-                    elif flag:
-                        issued = True
-                    if flag == 1:
-                        # issued, no completion: the issuing warp is still
-                        # resident and the port gates every candidate, so
-                        # the SMX's next event is exactly port_free_at —
-                        # skip the generic re-arm walk below
-                        nxt = smx.port_free_at
-                        smx.wake_at = nxt
-                        heappush(wake_heap, (nxt, sid))
-                        continue
-                elif smx.try_issue(now, self):
+                if smx.try_issue(now, self):
                     issued = True
                 # SMX.next_event_time, inlined (one call per visit adds up;
                 # kept in sync with smx.py). The `current.done` guard is
@@ -402,9 +336,9 @@ class Engine:
                     nxt = current.ready_at if current.ready_at > floor else floor
                 if smx._ready and (nxt is None or floor < nxt):
                     nxt = floor
-                stalled = smx._stalled
-                if stalled:
-                    st = stalled[0][0]
+                smx_stalled = smx._stalled
+                if smx_stalled:
+                    st = smx_stalled[0][0]
                     if st < floor:
                         st = floor
                     if nxt is None or st < nxt:

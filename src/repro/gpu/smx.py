@@ -330,165 +330,6 @@ class SMX:
                     self._park(warp, warp.ready_at, now)
         return True
 
-    def issue_burst(
-        self, now: int, engine: "Engine", limit_cycle: int, limit_tie: bool
-    ) -> tuple[int, bool]:
-        """Vector-backend fast path: issue across consecutive quiet cycles.
-
-        Called by the engine instead of :meth:`try_issue` when the window
-        ahead is provably private to this SMX: dispatch is idle-skipped
-        and no delivery, retire, telemetry sample or other SMX wake can
-        act before the lexicographic bound — this SMX may act at cycle
-        ``c`` iff ``c < limit_cycle``, or ``c == limit_cycle`` and
-        ``limit_tie`` (our id sorts before the bounding event's id, so we
-        issue first at that cycle just as the engine's ascending-id sweep
-        would). Only called under the GTO warp scheduler (the engine
-        checks); the loop below is :meth:`try_issue` + :meth:`_pick_warp`
-        + :meth:`next_event_time` inlined and specialized for GTO, so
-        simulated state stays bit-identical while each covered cycle
-        costs a few dozen bytecodes instead of three method calls plus
-        the engine loop's heap traffic, due-checks and dispatch gate.
-
-        Two GTO facts carry the specialization: the two-level active set
-        is never populated (ready-heap tiers are always 0, ``_park``
-        never demotes), and after any successful issue the next event
-        time is exactly ``port_free_at`` — the port gates every ready or
-        waking warp, and the issuing warp itself is resident, so the
-        calendar walk of :meth:`next_event_time` collapses to one load.
-
-        A LAUNCH or a warp completion ends the burst immediately: both
-        create a new future event (a delivery, a retire) that may fall
-        inside the current bound, so the engine must recompute it.
-
-        Returns ``(last_cycle_visited, flag)``. Cycles before the last
-        visited one always issued (the burst only advances after a
-        successful issue); the flag tells the engine how to continue:
-
-        * ``0`` — nothing issued at the returned cycle (re-arm via the
-          full :meth:`next_event_time` walk, as after a failed
-          :meth:`try_issue`),
-        * ``1`` — issued, and the SMX's next event time is exactly
-          ``port_free_at`` (the issuing warp is still resident and the
-          port gates everything, so the engine can re-arm with one load),
-        * ``2`` — issued and a warp completed (``_ready``/``_stalled``
-          may both be behind the port now, or empty: full re-arm).
-        """
-        local = now
-        if self.port_free_at > local:
-            return local, 0
-        current = self._current
-        ready = self._ready
-        stalled = self._stalled
-        if current is None and not ready and not stalled:
-            return local, 0
-        op_compute = _OP_COMPUTE
-        op_load = _OP_LOAD
-        issued = 0
-        try:
-            while True:
-                # wake warps whose stall elapsed (tier 0: GTO never tiers)
-                while stalled and stalled[0][0] <= local:
-                    e = _heappop(stalled)
-                    _heappush(ready, (0, e[1], e[2]))
-                # _pick_warp, GTO-specialized: greedy warp while ready,
-                # else demote it and take the oldest ready warp
-                if current is None or current.ready_at > local:
-                    if current is not None:
-                        _heappush(stalled, (current.ready_at, current.age, current))
-                        current = None
-                    if not ready:
-                        self._current = None
-                        return local, 0
-                    current = _heappop(ready)[2]
-                ops = current.ops
-                pc = current.pc
-                if current.outstanding > local and ops[pc] != op_load:
-                    # next instruction uses in-flight load data: park until
-                    # the slowest outstanding load returns, repick this cycle
-                    telemetry = engine.telemetry
-                    if telemetry.enabled:
-                        telemetry.emit(
-                            WarpStall(
-                                time=local,
-                                smx_id=self.smx_id,
-                                tb_id=current.tb.tb_id,
-                                cycles=current.outstanding - local,
-                            )
-                        )
-                    current.ready_at = current.outstanding
-                    _heappush(stalled, (current.outstanding, current.age, current))
-                    current = None
-                    continue
-                op = ops[pc]
-                arg = current.args[pc]
-                current.pc = pc + 1
-                if op == op_compute:
-                    done = local + arg
-                    issued += arg
-                elif op == op_load:
-                    mem = self._mem_access
-                    if mem is None:
-                        mem = self._mem_access = engine.memory.accessor(self.smx_id)
-                    off = current.offs[pc]
-                    mdone = mem(current.lines, off, off + arg, local)
-                    if mdone > current.outstanding:
-                        current.outstanding = mdone
-                    done = local + 1
-                    issued += 1
-                elif op == _OP_STORE:
-                    mem = self._mem_access
-                    if mem is None:
-                        mem = self._mem_access = engine.memory.accessor(self.smx_id)
-                    off = current.offs[pc]
-                    mem(current.lines, off, off + arg, local, True)
-                    done = local + 1
-                    issued += 1
-                else:  # Op.LAUNCH: new delivery event -> burst must end
-                    engine.handle_launch(current.tb, current.launches[arg], local)
-                    done = local + 1
-                    issued += 1
-                    current.ready_at = done
-                    self.port_free_at = done
-                    if current.pc >= current.n:  # warp retired
-                        self._current = None
-                        tb = current.tb
-                        tb.active_warps -= 1
-                        if tb.active_warps == 0:
-                            out = current.outstanding
-                            engine.schedule_retire(tb, done if done >= out else out)
-                        return local, 2
-                    self._current = current  # GTO keeps it: ready_at=local+1
-                    return local, 1
-                current.ready_at = done
-                self.port_free_at = done
-                if current.pc >= current.n:  # warp retired
-                    self._current = None
-                    tb = current.tb
-                    tb.active_warps -= 1
-                    if tb.active_warps == 0:
-                        out = current.outstanding
-                        engine.schedule_retire(tb, done if done >= out else out)
-                    return local, 2
-                if done > limit_cycle or (done == limit_cycle and not limit_tie):
-                    if done > local + 1:
-                        # multi-cycle compute: park the greedy warp, it
-                        # wakes (and is repicked) when the port frees
-                        _heappush(stalled, (done, current.age, current))
-                        self._current = None
-                    else:
-                        self._current = current
-                    return local, 1
-                if done > local + 1 and (ready or (stalled and stalled[0][0] <= done)):
-                    # a competitor may outrank the parked warp at wake-up:
-                    # take the real park/wake path. With no competitor the
-                    # push/pop round trip is skipped — the warp would be
-                    # the only candidate at `done` anyway.
-                    _heappush(stalled, (done, current.age, current))
-                    current = None
-                local = done
-        finally:
-            self.issued_instructions += issued
-
     def next_event_time(self, now: int) -> Optional[int]:
         """Earliest future cycle (> ``now``) at which this SMX could issue
         again, or None when no resident warp can ever become issueable

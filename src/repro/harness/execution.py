@@ -87,13 +87,6 @@ class RunSpec:
     normalizes to the canonical label at construction time, so
     ``"pri=level,bind=smx,steal=backup"`` and ``"adaptive-bind"`` denote
     the same spec and share one cache address.
-
-    ``backend`` selects the engine implementation (``""`` = engine
-    default, i.e. ``$REPRO_BACKEND`` or ``scalar``). Backends are
-    bit-for-bit equivalent, so the field is carried in the wire format
-    (:meth:`to_dict`) but excluded from :meth:`cache_key` and from the
-    identity recorded in cache records: scalar and vector runs of the
-    same experiment share one cache address.
     """
 
     benchmark: str
@@ -103,16 +96,11 @@ class RunSpec:
     seed: int = 7
     config_json: str = ""
     max_cycles: Optional[int] = DEFAULT_MAX_CYCLES
-    backend: str = ""
 
     def __post_init__(self) -> None:
         canonical = canonical_scheduler_name(self.scheduler)
         if canonical != self.scheduler:
             object.__setattr__(self, "scheduler", canonical)
-        if self.backend not in ("", "scalar", "vector"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}: expected 'scalar' or 'vector'"
-            )
         if not self.config_json:
             from repro.harness.registry import experiment_config
 
@@ -131,7 +119,6 @@ class RunSpec:
         seed: int = 7,
         config: Optional[GPUConfig] = None,
         max_cycles: Optional[int] = DEFAULT_MAX_CYCLES,
-        backend: str = "",
     ) -> "RunSpec":
         """Build a spec from a real :class:`GPUConfig` (None = standard)."""
         config_json = "" if config is None else canonical_json(config_to_obj(config))
@@ -143,7 +130,6 @@ class RunSpec:
             seed=seed,
             config_json=config_json,
             max_cycles=max_cycles,
-            backend=backend,
         )
 
     @classmethod
@@ -155,7 +141,6 @@ class RunSpec:
         config: Optional[GPUConfig] = None,
         *,
         max_cycles: Optional[int] = DEFAULT_MAX_CYCLES,
-        backend: str = "",
     ) -> "RunSpec":
         """Spec for an existing workload instance (name, scale and seed)."""
         return cls.create(
@@ -166,7 +151,6 @@ class RunSpec:
             seed=workload.seed,
             config=config,
             max_cycles=max_cycles,
-            backend=backend,
         )
 
     def gpu_config(self) -> GPUConfig:
@@ -211,7 +195,6 @@ class RunSpec:
                 else canonical_json(config_to_obj(config))
             ),
             max_cycles=self.max_cycles if max_cycles is ... else max_cycles,
-            backend=self.backend,
         )
 
     @property
@@ -224,18 +207,6 @@ class RunSpec:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         if out["max_cycles"] is None:
             out["max_cycles"] = _UNLIMITED
-        return out
-
-    def identity_dict(self) -> dict:
-        """The result-determining subset of :meth:`to_dict`.
-
-        Drops ``backend``: every backend simulates the same machine to
-        byte-identical stats (the equivalence suite pins this), so cache
-        records written under one backend answer the other — and records
-        written before the field existed stay valid.
-        """
-        out = self.to_dict()
-        del out["backend"]
         return out
 
     @classmethod
@@ -253,10 +224,9 @@ class RunSpec:
         """Content hash addressing this run in a :class:`ResultCache`.
 
         Includes :data:`ENGINE_VERSION`, so results simulated under older
-        engine semantics are never returned for current specs. Built from
-        :meth:`identity_dict`, so backends share cache addresses.
+        engine semantics are never returned for current specs.
         """
-        payload = {"engine_version": ENGINE_VERSION, "spec": self.identity_dict()}
+        payload = {"engine_version": ENGINE_VERSION, "spec": self.to_dict()}
         return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
     def label(self) -> str:
@@ -366,7 +336,6 @@ def run_spec(spec: RunSpec, telemetry: TelemetrySink = NULL_SINK) -> SimStats:
         [kernel_for(spec.benchmark, spec.scale, spec.seed)],
         max_cycles=spec.max_cycles,
         telemetry=telemetry,
-        backend=spec.backend or None,
     )
     return engine.run()
 
@@ -476,7 +445,7 @@ class Executor:
         if (
             record is None
             or record.get("engine_version") != ENGINE_VERSION
-            or record.get("spec") != spec.identity_dict()
+            or record.get("spec") != spec.to_dict()
             or not isinstance(record.get("stats"), dict)
         ):
             self.misses += 1
@@ -497,7 +466,7 @@ class Executor:
             return
         record = {
             "engine_version": ENGINE_VERSION,
-            "spec": spec.identity_dict(),
+            "spec": spec.to_dict(),
             "stats": stats_to_obj(stats),
         }
         summary = self.telemetry.get(spec)

@@ -49,15 +49,12 @@ def simulate(
     *,
     max_cycles: Optional[int] = 500_000_000,
     telemetry: TelemetrySink = NULL_SINK,
-    backend: Optional[str] = None,
 ) -> SimStats:
     """Run one kernel under one scheduler and launch model.
 
     ``telemetry`` attaches a :class:`~repro.telemetry.events.TelemetrySink`
     (e.g. a :class:`~repro.telemetry.chrome_trace.ChromeTraceSink`) to the
     engine; the default null sink records nothing and costs nothing.
-    ``backend`` picks the engine implementation (``"scalar"``/``"vector"``,
-    simulated results are identical); ``None`` uses the engine default.
     """
     config = config or experiment_config()
     engine = Engine(
@@ -67,7 +64,6 @@ def simulate(
         [spec],
         max_cycles=max_cycles,
         telemetry=telemetry,
-        backend=backend,
     )
     return engine.run()
 

@@ -1,9 +1,12 @@
 """The GPU memory hierarchy: per-SMX L1s, a shared L2, and DRAM.
 
-``access_warp`` is the single entry point used by the SMX pipeline: it
-coalesces a warp's lane addresses, walks each resulting transaction through
-L1 -> L2 -> DRAM, and returns the cycle at which the slowest transaction
-completes (the warp's wake-up time).
+The SMX pipeline walks memory through :meth:`MemoryHierarchy.accessor`:
+a per-SMX closure that takes a span of coalesced line addresses, walks
+each line through L1 -> L2 -> DRAM, and returns the cycle at which the
+slowest transaction completes (the warp's wake-up time).
+:meth:`MemoryHierarchy.access_warp` is the readable reference for the
+same walk — it coalesces lane addresses itself and reports per-access
+hit counts — and tests pin the two together state for state.
 
 Store policy follows Kepler: global stores are write-through and do not
 allocate in L1 (they invalidate nothing in this model because we do not
@@ -14,14 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING
 
 from repro.gpu.config import CacheConfig, GPUConfig
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.coalescer import coalesce
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpu.trace import Instr
 
 #: in-flight fill (MSHR) entries kept before the oldest-completion fills
 #: are evicted; large enough that real workloads never reach it
@@ -54,13 +53,10 @@ class MemoryHierarchy:
     L2 miss (the data was not resident) but consumes no DRAM bandwidth.
     """
 
-    def __init__(self, config: GPUConfig, *, backend: str = "scalar") -> None:
+    def __init__(self, config: GPUConfig) -> None:
         from repro.memory.dram import DRAM  # local import avoids cycle in docs builds
 
-        if backend not in ("scalar", "vector"):
-            raise ValueError(f"unknown memory backend {backend!r}; expected scalar or vector")
         self.config = config
-        self.backend = backend
         # one L1 per *cluster* (= per SMX when smxs_per_cluster == 1);
         # SMXs of the same cluster share it (paper Section IV-B, [25])
         clusters = [Cache(config.l1, name=f"L1[cluster {c}]") for c in range(config.num_clusters)]
@@ -92,66 +88,53 @@ class MemoryHierarchy:
         self.mshr_limit = MSHR_TABLE_LIMIT
         self.mshr_merges = 0
         self.mshr_dropped = 0
-        # immutable-config scalars and per-SMX L1 internals, prefetched so
-        # the per-instruction fast path does not re-derive them on every
-        # access (the config and cache objects never change after init)
-        self._line_bytes = config.line_bytes
-        self._merging = config.mshr_merging
-        self._parts = parts
-        self._l1_lat = config.l1_hit_latency
-        self._l2_lat = config.l2_hit_latency
-        self._l1_fast = [(l1._sets, l1.num_sets, l1.associativity, l1.stats) for l1 in self.l1s]
-        self._l2_fast = [(c._sets, c.num_sets, c.associativity, c.stats) for c in self.l2_parts]
         self._accessors: dict[int, object] = {}
-        # vector backend: numpy tag/stamp mirrors of the monolithic-L2 set
-        # state (memory/vectorized.py). Partitioned L2 configurations are
-        # not mirrored — their accessors fall back to the scalar walk.
-        self._vec_l1s: list = []
-        self._vec_l2 = None
-        if backend == "vector" and parts == 1:
-            from repro.memory.vectorized import (
-                DEFAULT_BATCH_THRESHOLD,
-                VectorCacheState,
-            )
-
-            vec_clusters = [VectorCacheState(c) for c in clusters]
-            self._vec_l1s = [vec_clusters[config.cluster_of(i)] for i in range(config.num_smx)]
-            self._vec_cluster_l1s = vec_clusters
-            self._vec_l2 = VectorCacheState(self.l2)
-            self.vector_batch_threshold = DEFAULT_BATCH_THRESHOLD
 
     def accessor(self, smx_id: int):
         """A per-SMX bound fast accessor, ``fn(lines, begin, end, now,
-        is_write=False) -> complete_at``.
+        is_write=False) -> complete_at``, built once per SMX and cached.
 
-        The closure specializes :meth:`access_lines` for one SMX: every
-        per-call constant (set lists, associativities, latencies, the
-        bound DRAM service method) is frozen into default arguments, so
-        the per-access prologue collapses to local-variable loads. All
-        referenced structures are mutated in place and never rebound
-        (cache sets via ``invalidate_all``, the MSHR dict via
-        ``_mshr_insert``), so the bindings cannot go stale. Partitioned
-        L2 configurations delegate to the generic walk — the per-line
-        partition re-binding would erase the specialization win.
+        ``lines`` is any indexable of line addresses (a
+        :class:`~repro.gpu.compiled.CompiledBody` line pool); the walk
+        covers ``lines[begin:end]``, so no per-access list is allocated.
         """
         fn = self._accessors.get(smx_id)
         if fn is None:
-            if self._parts > 1:
-                # partitioned L2 (scalar AND vector backends): generic walk
-                def fn(lines, begin, end, now, is_write=False, _self=self, _sid=smx_id):
-                    return _self.access_lines(_sid, lines, begin, end, now, is_write=is_write)
-            elif self._vec_l2 is not None:
-                from repro.memory.vectorized import make_vector_accessor
-
-                fn = make_vector_accessor(self, smx_id)
-            else:
-                fn = self._make_accessor(smx_id)
-            self._accessors[smx_id] = fn
+            fn = self._accessors[smx_id] = self._make_accessor(smx_id)
         return fn
 
     def _make_accessor(self, smx_id: int):
-        l1_sets, l1_num_sets, l1_assoc, l1_stats = self._l1_fast[smx_id]
-        l2_sets, l2_num_sets, l2_assoc, l2_stats = self._l2_fast[0]
+        """Build the walk closure for one SMX.
+
+        Every per-call constant (set lists, associativities, latencies,
+        the bound DRAM service method) is frozen into default arguments,
+        so the per-access prologue collapses to local-variable loads. All
+        referenced structures are mutated in place and never rebound
+        (cache sets via ``invalidate_all``, the MSHR dict via
+        ``_mshr_insert``), so the bindings cannot go stale.
+
+        Both cache levels are walked inline with a single open-addressed
+        probe per set (``dict.pop`` with a sentinel: hit-test and
+        LRU-unlink in one hash lookup). Only hits and evictions are
+        counted per line; accesses, misses and write counts follow from
+        the span length and ``is_write`` (one call is all loads or all
+        stores) and are flushed once per call. A partitioned L2 rebinds
+        the L2 defaults to partition ``line % P`` for every line that
+        reaches it, settling the previous line's counters on the
+        partition that served it; the monolithic L2 pays one flag test.
+
+        The walk updates the same cache/DRAM/MSHR state as the readable
+        :meth:`_access_lines` reference but skips the per-access hit
+        bookkeeping and the :class:`AccessResult` allocation; tests pin
+        the two together.
+        """
+        l1 = self.l1s[smx_id]
+        l2_fast = [
+            (part._sets, part.num_sets, part.associativity, part.stats, dram.service)
+            for part, dram in zip(self.l2_parts, self.drams)
+        ]
+        l2_sets, l2_num_sets, l2_assoc, l2_stats, dram_service = l2_fast[0]
+        config = self.config
 
         def access(
             lines,
@@ -159,38 +142,44 @@ class MemoryHierarchy:
             end,
             now,
             is_write=False,
-            _l1_sets=l1_sets,
-            _l1_num_sets=l1_num_sets,
-            _l1_assoc=l1_assoc,
-            _l1_stats=l1_stats,
+            _l1_sets=l1._sets,
+            _l1_num_sets=l1.num_sets,
+            _l1_assoc=l1.associativity,
+            _l1_stats=l1.stats,
             _l2_sets=l2_sets,
             _l2_num_sets=l2_num_sets,
             _l2_assoc=l2_assoc,
             _l2_stats=l2_stats,
-            _dram_service=self.drams[0].service,
+            _dram_service=dram_service,
+            _parts=config.l2_partitions,
+            _multi=config.l2_partitions > 1,
+            _l2_fast=l2_fast,
             _inflight=self._inflight,
             _inflight_get=self._inflight.get,
-            _cfg_merging=self._merging,
-            _l1_lat=self._l1_lat,
-            _l2_lat=self._l2_lat,
+            _cfg_merging=config.mshr_merging,
+            _l1_lat=config.l1_hit_latency,
+            _l2_lat=config.l2_hit_latency,
             _miss=_MISS,
             _hier=self,
         ):
-            # state-identical to access_lines (pinned by the golden
-            # equivalence suite); see that method for the commentary
             complete_at = now
+            # ``merging`` folds in dict emptiness: an empty MSHR table
+            # cannot merge anything, so the per-line fill probe is skipped
+            # entirely (state-identical — ``get`` on an empty dict returns
+            # the default)
             merging = _cfg_merging and bool(_inflight)
-            l1_hit = l1_miss = l1_evict = l1_wacc = l1_whit = 0
-            l2_hit = l2_miss = l2_evict = l2_wacc = l2_whit = 0
+            l1_hit = l1_evict = 0
+            l2_acc = l2_hit = l2_evict = 0
             for k in range(begin, end):
                 line = lines[k]
                 cache_set = _l1_sets[line % _l1_num_sets]
                 if cache_set.pop(line, _miss) is not _miss:
-                    cache_set[line] = None
+                    cache_set[line] = None  # reinsert at MRU position
                     l1_hit += 1
                     if not is_write:
                         fill = _inflight_get(line, 0) if merging else 0
                         if fill > now:
+                            # the line's fill has not landed yet: wait for it
                             _hier.mshr_merges += 1
                             if fill > complete_at:
                                 complete_at = fill
@@ -199,26 +188,37 @@ class MemoryHierarchy:
                             if done > complete_at:
                                 complete_at = done
                         continue
-                    l1_wacc += 1
-                    l1_whit += 1
-                else:
-                    l1_miss += 1
-                    if is_write:
-                        l1_wacc += 1
-                    else:
-                        if len(cache_set) >= _l1_assoc:
-                            del cache_set[next(iter(cache_set))]
-                            l1_evict += 1
-                        cache_set[line] = None
+                    # write hit: write-through still goes to L2 below
+                elif not is_write:
+                    # stores are write-through / no-allocate at L1
+                    if len(cache_set) >= _l1_assoc:
+                        del cache_set[next(iter(cache_set))]
+                        l1_evict += 1
+                    cache_set[line] = None
+                if _multi:
+                    if l2_acc:
+                        _l2_stats.accesses += 1
+                        _l2_stats.hits += l2_hit
+                        _l2_stats.misses += 1 - l2_hit
+                        _l2_stats.evictions += l2_evict
+                        if is_write:
+                            _l2_stats.write_accesses += 1
+                            _l2_stats.write_hits += l2_hit
+                    l2_acc = 1
+                    l2_hit = l2_evict = 0
+                    _l2_sets, _l2_num_sets, _l2_assoc, _l2_stats, _dram_service = (
+                        _l2_fast[line % _parts]
+                    )
+                # L2 allocates on both loads and stores (tag at miss time)
                 l2_set = _l2_sets[line % _l2_num_sets]
                 if l2_set.pop(line, _miss) is not _miss:
                     l2_set[line] = None
                     l2_hit += 1
-                    if is_write:
-                        l2_wacc += 1
-                        l2_whit += 1
                     fill = _inflight_get(line, 0) if merging else 0
                     if fill > now:
+                        # the tag is resident but the fill is still in
+                        # flight: this request merges into the outstanding
+                        # miss (MSHR) and sees the data-arrival time
                         _hier.mshr_merges += 1
                         if fill > complete_at:
                             complete_at = fill
@@ -227,35 +227,36 @@ class MemoryHierarchy:
                         if done > complete_at:
                             complete_at = done
                 else:
-                    l2_miss += 1
-                    if is_write:
-                        l2_wacc += 1
                     if len(l2_set) >= _l2_assoc:
                         del l2_set[next(iter(l2_set))]
                         l2_evict += 1
                     l2_set[line] = None
                     done = _dram_service(now)
                     if not is_write and _cfg_merging:
+                        # only loads put a fill in flight to merge into
                         _hier._mshr_insert(line, done, now)
-                        merging = True
+                        merging = True  # the table is non-empty from here on
                     if done > complete_at:
                         complete_at = done
-            _l1_stats.accesses += l1_hit + l1_miss
+            n = end - begin
+            _l1_stats.accesses += n
             _l1_stats.hits += l1_hit
-            _l1_stats.misses += l1_miss
+            _l1_stats.misses += n - l1_hit
             if l1_evict:
                 _l1_stats.evictions += l1_evict
-            if l1_wacc:
-                _l1_stats.write_accesses += l1_wacc
-                _l1_stats.write_hits += l1_whit
-            _l2_stats.accesses += l2_hit + l2_miss
+            if not _multi:
+                # every line reaches L2 except the L1 read hits
+                l2_acc = n if is_write else n - l1_hit
+            _l2_stats.accesses += l2_acc
             _l2_stats.hits += l2_hit
-            _l2_stats.misses += l2_miss
+            _l2_stats.misses += l2_acc - l2_hit
             if l2_evict:
                 _l2_stats.evictions += l2_evict
-            if l2_wacc:
-                _l2_stats.write_accesses += l2_wacc
-                _l2_stats.write_hits += l2_whit
+            if is_write:
+                _l1_stats.write_accesses += n
+                _l1_stats.write_hits += l1_hit
+                _l2_stats.write_accesses += l2_acc
+                _l2_stats.write_hits += l2_hit
             return complete_at
 
         return access
@@ -272,162 +273,6 @@ class MemoryHierarchy:
         """Issue one warp memory instruction; return timing and hit counts."""
         lines = coalesce(addresses, self.config.line_bytes)
         return self._access_lines(smx_id, lines, now, is_write, bypass_l1)
-
-    def access_instr(
-        self, smx_id: int, instr: "Instr", now: int, *, is_write: bool = False
-    ) -> int:
-        """Issue one traced memory instruction and return the cycle at
-        which its slowest transaction completes (compatibility wrapper
-        over :meth:`access_lines` for callers holding ``Instr`` objects).
-        """
-        lines = instr.coalesced(self._line_bytes)
-        return self.access_lines(smx_id, lines, 0, len(lines), now, is_write=is_write)
-
-    def access_lines(
-        self,
-        smx_id: int,
-        lines,
-        begin: int,
-        end: int,
-        now: int,
-        *,
-        is_write: bool = False,
-    ) -> int:
-        """Walk the coalesced lines ``lines[begin:end]`` through
-        L1 → L2 → DRAM and return the slowest completion cycle.
-
-        This is the SMX pipeline's hot path, fed directly from a
-        :class:`~repro.gpu.compiled.CompiledBody` line pool — ``lines``
-        is any indexable of line addresses and the slice bounds avoid
-        per-access list allocation. Both cache levels are walked inline
-        with a single open-addressed probe per set (``dict.pop`` with a
-        sentinel: hit-test and LRU-unlink in one hash lookup) and L1 hit
-        counters batched into locals, flushed once per call. The walk
-        updates the same cache/DRAM/MSHR state as the readable
-        :meth:`_access_lines` reference but skips the per-access hit
-        bookkeeping and the :class:`AccessResult` allocation; the two
-        loops must stay state-identical — the golden equivalence suite
-        pins them together.
-        """
-        complete_at = now
-        parts = self._parts
-        inflight = self._inflight
-        inflight_get = inflight.get
-        # ``merging`` folds in dict emptiness: an empty MSHR table cannot
-        # merge anything, so the per-line fill probe is skipped entirely
-        # (state-identical — ``get`` on an empty dict returns the default)
-        merging = self._merging and bool(inflight)
-        l2_fast = self._l2_fast
-        drams = self.drams
-        l1_hit_latency = self._l1_lat
-        l2_hit_latency = self._l2_lat
-        l1_sets, l1_num_sets, l1_assoc, l1_stats = self._l1_fast[smx_id]
-        # the monolithic-L2 common case binds its one partition up front
-        multi_part = parts > 1
-        l2_sets, l2_num_sets, l2_assoc, l2_stats = l2_fast[0]
-        dram = drams[0]
-        miss = _MISS
-        l1_acc = l1_hit = l1_miss = l1_evict = l1_wacc = l1_whit = 0
-        l2_acc = l2_hit = l2_miss = l2_evict = l2_wacc = l2_whit = 0
-        for k in range(begin, end):
-            line = lines[k]
-            cache_set = l1_sets[line % l1_num_sets]
-            l1_acc += 1
-            if cache_set.pop(line, miss) is not miss:
-                cache_set[line] = None  # reinsert at MRU position
-                l1_hit += 1
-                if not is_write:
-                    fill = inflight_get(line, 0) if merging else 0
-                    if fill > now:
-                        self.mshr_merges += 1
-                        if fill > complete_at:
-                            complete_at = fill
-                    else:
-                        done = now + l1_hit_latency
-                        if done > complete_at:
-                            complete_at = done
-                    continue
-                l1_wacc += 1
-                l1_whit += 1
-            else:
-                l1_miss += 1
-                if is_write:
-                    l1_wacc += 1
-                else:
-                    if len(cache_set) >= l1_assoc:
-                        del cache_set[next(iter(cache_set))]
-                        l1_evict += 1
-                    cache_set[line] = None
-            # L2 (allocates on both loads and stores), inlined like L1
-            if multi_part:
-                part = line % parts
-                l2_sets, l2_num_sets, l2_assoc, l2_stats = l2_fast[part]
-                dram = drams[part]
-            l2_set = l2_sets[line % l2_num_sets]
-            if multi_part:
-                l2_stats.accesses += 1
-            else:
-                l2_acc += 1
-            if l2_set.pop(line, miss) is not miss:
-                l2_set[line] = None
-                if multi_part:
-                    l2_stats.hits += 1
-                    if is_write:
-                        l2_stats.write_accesses += 1
-                        l2_stats.write_hits += 1
-                else:
-                    l2_hit += 1
-                    if is_write:
-                        l2_wacc += 1
-                        l2_whit += 1
-                fill = inflight_get(line, 0) if merging else 0
-                if fill > now:
-                    self.mshr_merges += 1
-                    if fill > complete_at:
-                        complete_at = fill
-                else:
-                    done = now + l2_hit_latency
-                    if done > complete_at:
-                        complete_at = done
-            else:
-                if multi_part:
-                    l2_stats.misses += 1
-                    if is_write:
-                        l2_stats.write_accesses += 1
-                else:
-                    l2_miss += 1
-                    if is_write:
-                        l2_wacc += 1
-                if len(l2_set) >= l2_assoc:
-                    del l2_set[next(iter(l2_set))]
-                    if multi_part:
-                        l2_stats.evictions += 1
-                    else:
-                        l2_evict += 1
-                l2_set[line] = None
-                done = dram.service(now)
-                if not is_write and self._merging:
-                    self._mshr_insert(line, done, now)
-                    merging = True  # the table is non-empty from here on
-                if done > complete_at:
-                    complete_at = done
-        l1_stats.accesses += l1_acc
-        l1_stats.hits += l1_hit
-        l1_stats.misses += l1_miss
-        if l1_evict:
-            l1_stats.evictions += l1_evict
-        if l1_wacc:
-            l1_stats.write_accesses += l1_wacc
-            l1_stats.write_hits += l1_whit
-        if l2_acc:
-            l2_stats.accesses += l2_acc
-            l2_stats.hits += l2_hit
-            l2_stats.misses += l2_miss
-            l2_stats.evictions += l2_evict
-            if l2_wacc:
-                l2_stats.write_accesses += l2_wacc
-                l2_stats.write_hits += l2_whit
-        return complete_at
 
     def _mshr_insert(self, line: int, done: int, now: int) -> None:
         """Record an in-flight fill, expiring landed entries lazily and —

@@ -85,7 +85,6 @@ class ServiceClient:
         scale: str = "small",
         seed: int = 7,
         max_cycles: Optional[int] = ...,
-        backend: str = "",
         deadline: Optional[float] = None,
     ) -> dict:
         """Submit one run; returns the job dict (state may already be done)."""
@@ -95,7 +94,6 @@ class ServiceClient:
             "model": model,
             "scale": scale,
             "seed": seed,
-            "backend": backend,
         }
         if max_cycles is not ...:
             body["max_cycles"] = -1 if max_cycles is None else max_cycles

@@ -209,7 +209,6 @@ class Job:
                 "scale": spec.scale,
                 "seed": spec.seed,
                 "max_cycles": spec.max_cycles,
-                "backend": spec.backend,
                 "config_fingerprint": spec.config_fingerprint,
             },
             "cache_key": spec.cache_key(),

@@ -48,7 +48,7 @@ class Array:
         return self.base + index * self.elem_bytes
 
     def addrs(self, indices: Iterable[int]) -> list[int]:
-        """Byte addresses of many elements (one vectorized bounds check)."""
+        """Byte addresses of many elements (one numpy bounds check for the batch)."""
         idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64)
         if idx.size == 0:
             return []

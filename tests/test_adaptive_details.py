@@ -2,7 +2,8 @@
 ordering (Fig 6) — exercised through the component seams of the composed
 scheduler (``placement`` queues, ``steal`` victim scan)."""
 
-from repro.core.adaptive_bind import AdaptiveBindScheduler
+from repro.core import make_scheduler
+from repro.core.composed import ComposedScheduler
 from repro.core.queues import Entry
 from repro.dynpar import make_model
 from repro.gpu.config import CacheConfig, GPUConfig
@@ -51,7 +52,7 @@ class TestStageOrdering:
     (cursor advanced) identifies the winning stage."""
 
     def test_own_queue_beats_global(self):
-        scheduler = AdaptiveBindScheduler()
+        scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
         own = make_entry()
         scheduler.placement.queues[0].push(own)
@@ -61,7 +62,7 @@ class TestStageOrdering:
         assert (own.cursor, host.cursor) == (1, 0)
 
     def test_global_beats_backup(self):
-        scheduler = AdaptiveBindScheduler()
+        scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
         host = make_entry(level=0)
         scheduler.placement.global_queue.append(host)
@@ -72,7 +73,7 @@ class TestStageOrdering:
         assert scheduler.steals == 0
 
     def test_backup_used_when_all_else_empty(self):
-        scheduler = AdaptiveBindScheduler()
+        scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
         victim_entry = make_entry()
         scheduler.placement.queues[2].push(victim_entry)
@@ -83,7 +84,7 @@ class TestStageOrdering:
 
 class TestBackupRecording:
     def test_backup_is_recorded_and_reused(self):
-        scheduler = AdaptiveBindScheduler()
+        scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
         first = make_entry(n=1)
         scheduler.placement.queues[1].push(first)
@@ -97,7 +98,7 @@ class TestBackupRecording:
         assert scheduler.steal._victim_entry(0) == (first, 1)
 
     def test_backup_cleared_when_drained(self):
-        scheduler = AdaptiveBindScheduler()
+        scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
         entry = make_entry(n=1)
         scheduler.placement.queues[1].push(entry)
@@ -109,7 +110,7 @@ class TestBackupRecording:
         assert scheduler.steal._backup[0] == 2
 
     def test_rescan_mode_ignores_recording(self):
-        scheduler = AdaptiveBindScheduler(fixed_backup=False)
+        scheduler = ComposedScheduler("pri=level,bind=smx,steal=rescan")
         attach_scheduler(scheduler)
         assert scheduler.steal.name == "rescan"
         scheduler.placement.queues[1].push(make_entry(n=2))
@@ -120,6 +121,6 @@ class TestBackupRecording:
         assert scheduler.steal._victim_entry(0) is not None
 
     def test_no_backup_available(self):
-        scheduler = AdaptiveBindScheduler()
+        scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
         assert scheduler.steal._victim_entry(0) is None

@@ -46,25 +46,13 @@ def test_main_end_to_end(gate, tmp_path, capsys):
     base_path = tmp_path / "base.json"
     base_path.write_text(
         json.dumps(
-            _report(
-                **{
-                    "adaptive-bind": 100_000.0,
-                    "adaptive-bind@vector": 100_000.0,
-                    "rr": 50_000.0,
-                }
-            )
+            _report(**{"adaptive-bind": 100_000.0, "rr": 50_000.0})
         )
     )
 
     fresh_path.write_text(
         json.dumps(
-            _report(
-                **{
-                    "adaptive-bind": 90_000.0,
-                    "adaptive-bind@vector": 95_000.0,
-                    "rr": 10_000.0,
-                }
-            )
+            _report(**{"adaptive-bind": 90_000.0, "rr": 10_000.0})
         )
     )
     assert gate.main([str(fresh_path), "--baseline", str(base_path)]) == 0
@@ -81,21 +69,19 @@ def test_main_end_to_end(gate, tmp_path, capsys):
 
 
 def test_committed_baseline_is_gateable(gate):
-    """The checked-in BENCH_simulator.json must satisfy the gate's shape,
-    including the vector-backend row the default gate now watches."""
+    """The checked-in BENCH_simulator.json must satisfy the gate's shape
+    for the row the default gate watches."""
     baseline = json.loads((Path(__file__).parent.parent / "BENCH_simulator.json").read_text())
-    assert gate.check(baseline, baseline, ["adaptive-bind", "adaptive-bind@vector"], 0.25) == []
+    assert gate.check(baseline, baseline, ["adaptive-bind"], 0.25) == []
 
 
 def test_update_baseline_overwrites_and_never_fails(gate, tmp_path, capsys):
     """--update-baseline is the bench-refresh flow: report, overwrite, exit 0."""
     fresh_path = tmp_path / "fresh.json"
     base_path = tmp_path / "base.json"
-    base_path.write_text(
-        json.dumps(_report(**{"adaptive-bind": 100_000.0, "adaptive-bind@vector": 100_000.0}))
-    )
+    base_path.write_text(json.dumps(_report(**{"adaptive-bind": 100_000.0})))
     # a drop far past tolerance: the gate would fail, the refresher must not
-    fresh = _report(**{"adaptive-bind": 10_000.0, "adaptive-bind@vector": 10_000.0})
+    fresh = _report(**{"adaptive-bind": 10_000.0})
     fresh_path.write_text(json.dumps(fresh))
     assert (
         gate.main([str(fresh_path), "--baseline", str(base_path), "--update-baseline"]) == 0

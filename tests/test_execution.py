@@ -101,6 +101,16 @@ class TestRunSpec:
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == len(variants) + 1
 
+    def test_cache_key_is_stable(self):
+        # a literal address: any change to the spec's fields or their
+        # encoding sends every stored result cold, so it must be deliberate
+        spec = RunSpec(
+            benchmark="bfs-citation", scheduler="adaptive-bind", model="dtbl", scale="tiny", seed=7
+        )
+        assert spec.cache_key() == (
+            "54f1263cce691f335a1caff1482224a4f9be2aabe6cf8ba47e84e3bbfef35bf6"
+        )
+
 
 class TestResultCache:
     def test_store_load_roundtrip(self, tmp_path):

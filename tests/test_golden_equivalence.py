@@ -9,26 +9,23 @@ tiny workload, bit-for-bit, across every performance refactor:
 * ``l2-bind`` and ``adaptive-bind+throttle`` were generated by the
   event-driven engine before the trace-compilation layer (flat
   ``array('q')`` instruction columns; see ``repro/gpu/compiled.py``)
-  replaced per-``Instr`` interpretation.
+  replaced per-``Instr`` interpretation,
+* the machine-variant pins in ``tests/golden_variants.json`` (keys
+  carry a fourth ``|field=value`` component: a partitioned L2 and the
+  LRR/two-level warp schedulers) were generated while a second engine
+  backend still existed, before the partitioned L2 walk was folded into
+  the per-SMX accessor closure. They live in their own file because
+  ``golden_equivalence.json`` keys stay ``benchmark|scheduler|model`` on
+  the default machine, the form ``benchmarks/suite/run.py`` replays.
 
 The current engine must reproduce every statistic bit-for-bit: these
 optimizations are pure performance work and must not change any
 simulated result.
 
 Regenerate the fixture ONLY for an intentional semantic change (and bump
-``ENGINE_VERSION`` when you do):
+``ENGINE_VERSION`` when you do)::
 
-    PYTHONPATH=src python - <<'PY'
-    import json
-    from repro.harness.execution import run_spec, RunSpec
-    out = {}
-    for sched in ("rr", "tb-pri", "smx-bind", "adaptive-bind",
-                  "l2-bind", "adaptive-bind+throttle"):
-        spec = RunSpec(benchmark="bfs-citation", scheduler=sched,
-                       model="dtbl", scale="tiny", seed=7)
-        out[f"bfs-citation|{spec.scheduler}|dtbl"] = run_spec(spec).to_dict()
-    json.dump(out, open("tests/golden_equivalence.json", "w"), indent=1)
-    PY
+    PYTHONPATH=src python scripts/regenerate_goldens.py
 """
 
 import json
@@ -39,40 +36,102 @@ import pytest
 from repro.harness.execution import RunSpec, run_spec
 
 FIXTURE = Path(__file__).parent / "golden_equivalence.json"
+VARIANT_FIXTURE = Path(__file__).parent / "golden_variants.json"
 
 #: every golden-pinned policy: the paper's four presets, a composed
 #: +throttle policy, and the L2-cluster binding the spec grammar unlocks
-PINNED_SCHEDULERS = {
-    "rr",
-    "tb-pri",
-    "smx-bind",
+#: (in fixture order)
+PINNED_SCHEDULERS = (
     "adaptive-bind",
+    "rr",
+    "smx-bind",
+    "tb-pri",
     "l2-bind",
     "adaptive-bind+throttle",
-}
+)
 
 
-def load_fixture():
-    return json.loads(FIXTURE.read_text())
+#: machine variants pinned on top of the default machine, as
+#: (scheduler, config field, value): configurations whose fast paths
+#: differ from the default one
+CONFIG_PINS = [
+    ("rr", "l2_partitions", 2),
+    ("adaptive-bind", "l2_partitions", 2),
+    ("adaptive-bind", "warp_scheduler", "lrr"),
+    ("adaptive-bind", "warp_scheduler", "tl"),
+]
 
 
-@pytest.mark.parametrize("key", sorted(load_fixture()))
-def test_stats_match_pre_refactor_engine(key):
-    expected = load_fixture()[key]
-    benchmark, scheduler, model = key.split("|")
+def pinned_keys() -> dict[Path, list[str]]:
+    """Fixture file -> its keys, in the order the regeneration script
+    writes them."""
+    return {
+        FIXTURE: [f"bfs-citation|{sched}|dtbl" for sched in PINNED_SCHEDULERS],
+        VARIANT_FIXTURE: [
+            f"bfs-citation|{sched}|dtbl|{field}={value}" for sched, field, value in CONFIG_PINS
+        ],
+    }
+
+
+def spec_for_key(key: str) -> RunSpec:
+    """``benchmark|scheduler|model[|field=value]`` -> the pinned RunSpec."""
+    benchmark, scheduler, model, *overrides = key.split("|")
     spec = RunSpec(
         benchmark=benchmark, scheduler=scheduler, model=model, scale="tiny", seed=7
     )
-    measured = run_spec(spec).to_dict()
+    if overrides:
+        pairs = (item.split("=", 1) for item in overrides)
+        spec = spec.with_rung(
+            config_overrides={k: int(v) if v.isdigit() else v for k, v in pairs}
+        )
+    return spec
+
+
+def load_fixture():
+    return {
+        key: stats
+        for path in (FIXTURE, VARIANT_FIXTURE)
+        for key, stats in json.loads(path.read_text()).items()
+    }
+
+
+def assert_matches_golden(key):
+    expected = load_fixture()[key]
+    measured = run_spec(spec_for_key(key)).to_dict()
     # compare only the fixture's keys: fields added after the fixture was
     # generated (e.g. mshr_dropped) are new information, not divergence
     assert {k: measured[k] for k in expected} == expected
 
 
+@pytest.mark.parametrize("key", sorted(json.loads(FIXTURE.read_text())))
+def test_stats_match_pre_refactor_engine(key):
+    assert_matches_golden(key)
+
+
+def variant_id(key: str) -> str:
+    """``bfs-citation|rr|dtbl|l2_partitions=2`` -> ``rr|l2_partitions=2``:
+    every variant pin shares the benchmark and model, so the test id keeps
+    only the parts that tell the pins apart."""
+    _, scheduler, _, override = key.split("|")
+    return f"{scheduler}|{override}"
+
+
+@pytest.mark.parametrize(
+    "key", sorted(json.loads(VARIANT_FIXTURE.read_text())), ids=variant_id
+)
+def test_variant_matches_golden(key):
+    assert_matches_golden(key)
+
+
 def test_fixture_covers_all_schedulers():
     keys = load_fixture().keys()
     schedulers = {k.split("|")[1] for k in keys}
-    assert schedulers == PINNED_SCHEDULERS
+    assert schedulers == set(PINNED_SCHEDULERS)
+
+
+def test_fixture_covers_every_pin():
+    for path, keys in pinned_keys().items():
+        assert list(json.loads(path.read_text())) == keys
 
 
 #: the same four policies spelled in the component grammar; the composed

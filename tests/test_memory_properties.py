@@ -1,5 +1,9 @@
 """Property-based invariants of the memory hierarchy timing model."""
 
+import random
+from array import array
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,3 +98,64 @@ def test_hit_rates_bounded(accesses):
         now += 5
     assert 0.0 <= mem.l1_hit_rate <= 1.0
     assert 0.0 <= mem.l2_hit_rate <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the per-SMX fast accessor against the readable reference walk
+# ---------------------------------------------------------------------------
+
+
+def _random_spans(rng: random.Random, num_sets: int):
+    """Typed line spans: wide distinct-set runs, collisions, and writes."""
+    spans = []
+    for _ in range(200):
+        kind = rng.randrange(4)
+        if kind == 0:
+            # contiguous run of <= num_sets lines: distinct L1 sets
+            base = rng.randrange(0, 1 << 16)
+            width = rng.randint(num_sets // 2, num_sets)
+            lines = list(range(base, base + width))
+            is_write = False
+        elif kind == 1:
+            # deliberate same-set collisions: forces LRU evictions
+            base = rng.randrange(0, 1 << 16)
+            lines = [base + i * num_sets for i in range(rng.randint(2, 8))]
+            lines += [base + i for i in range(rng.randint(1, 6))]
+            is_write = False
+        elif kind == 2:
+            lines = sorted(
+                {rng.randrange(0, 1 << 12) for _ in range(rng.randint(1, 24))}
+            )
+            is_write = False
+        else:
+            lines = sorted({rng.randrange(0, 1 << 12) for _ in range(rng.randint(1, 8))})
+            is_write = True
+        spans.append((array("q", lines), is_write))
+    return spans
+
+
+@pytest.mark.parametrize("l2_partitions", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_accessor_matches_reference_walk(seed, l2_partitions):
+    rng = random.Random(seed)
+    config = GPUConfig(
+        num_smx=4,
+        l1=CacheConfig(size_bytes=4 * 1024, associativity=4),
+        l2=CacheConfig(size_bytes=32 * 1024, associativity=8),
+        l2_partitions=l2_partitions,
+    )
+    fast_hier, ref_hier = MemoryHierarchy(config), MemoryHierarchy(config)
+    access = fast_hier.accessor(0)
+    now = 0
+    for lines, is_write in _random_spans(rng, fast_hier.l1s[0].num_sets):
+        fast = access(lines, 0, len(lines), now, is_write)
+        ref = ref_hier._access_lines(0, list(lines), now, is_write, False)
+        assert fast == ref.complete_at, f"completion diverged at t={now} lines={lines.tolist()}"
+        now += rng.randint(0, 40)
+    pairs = [(fast_hier.l1s[0], ref_hier.l1s[0])]
+    pairs += list(zip(fast_hier.l2_parts, ref_hier.l2_parts))
+    for fast_cache, ref_cache in pairs:
+        assert fast_cache.stats == ref_cache.stats, fast_cache.name
+        assert fast_cache.resident_lines() == ref_cache.resident_lines(), fast_cache.name
+    assert fast_hier.mshr_merges == ref_hier.mshr_merges
+    assert fast_hier.dram_transactions() == ref_hier.dram_transactions()

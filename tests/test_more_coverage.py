@@ -140,13 +140,6 @@ class TestMiscEdges:
         assert hist.get("cold", 0) > 0
         assert sum(hist.values()) > 0
 
-    def test_throttled_repr(self):
-        from repro.core.rr import RoundRobinScheduler
-        from repro.core.throttle import ThrottledScheduler
-
-        text = repr(ThrottledScheduler(RoundRobinScheduler()))
-        assert "ThrottledScheduler" in text
-
     def test_functional_kernel_custom_resources(self):
         from repro.functional import run_functional_kernel
 

@@ -4,7 +4,7 @@
 
 import pytest
 
-from repro.core import SCHEDULERS, make_scheduler
+from repro.core import SCHEDULER_ORDER, make_scheduler
 from repro.dynpar import make_model
 from repro.gpu.config import CacheConfig, GPUConfig
 from repro.gpu.engine import Engine
@@ -158,14 +158,14 @@ class TestAdaptiveBind:
 
 
 class TestCommonBehaviour:
-    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_ORDER))
     def test_has_pending_false_after_drain(self, name):
         config = fig4_config()
         engine = Engine(config, make_scheduler(name), make_model("dtbl"), [fig4_kernel()])
         engine.run()
         assert not engine.scheduler.has_pending()
 
-    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_ORDER))
     @pytest.mark.parametrize("model", ["cdp", "dtbl"])
     def test_every_tb_dispatched_exactly_once(self, name, model):
         stats, dispatches = run_fig4(name, model)
@@ -176,7 +176,7 @@ class TestCommonBehaviour:
         with pytest.raises(ValueError):
             make_scheduler("fifo")
 
-    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_ORDER))
     def test_identical_instruction_totals(self, name):
         stats, _ = run_fig4(name)
         reference, _ = run_fig4("rr")

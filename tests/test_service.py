@@ -10,6 +10,7 @@ and kill real worker processes to exercise crash recovery.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 
@@ -346,15 +347,26 @@ class TestServiceHTTP:
     def test_bad_json_is_400(self, service):
         import http.client
 
-        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
-        try:
-            conn.request(
-                "POST", "/v1/jobs", body=b"{nope",
-                headers={"Content-Type": "application/json"},
-            )
-            assert conn.getresponse().status == 400
-        finally:
-            conn.close()
+        bodies = [
+            (b"{nope", "JSON"),
+            # a field RunSpec does not have is refused by name
+            (
+                json.dumps({"benchmark": "amr", "scale": "tiny", "backend": "vector"}).encode(),
+                "backend",
+            ),
+        ]
+        for body, named in bodies:
+            conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+            try:
+                conn.request(
+                    "POST", "/v1/jobs", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 400
+                assert named in json.loads(response.read())["error"]
+            finally:
+                conn.close()
 
     def test_health(self, client):
         out = client.health()

@@ -5,10 +5,6 @@ import pytest
 from repro.core import make_scheduler
 from repro.core.components import ThrottleAdmission
 from repro.core.composed import ComposedScheduler
-from repro.core.rr import RoundRobinScheduler
-from repro.core.smx_bind import SMXBindScheduler
-from repro.core.throttle import ThrottledScheduler
-from repro.core.adaptive_bind import AdaptiveBindScheduler
 from repro.dynpar import make_model
 from repro.gpu.config import CacheConfig, GPUConfig
 from repro.gpu.engine import Engine
@@ -29,6 +25,10 @@ def machine(**overrides):
     )
     base.update(overrides)
     return GPUConfig(**base)
+
+
+#: the baseline policy with the throttle admission component
+RR_THROTTLE = "pri=fifo,bind=any,admit=throttle"
 
 
 def thrashing_kernel(n_tbs=24):
@@ -67,23 +67,23 @@ class TestConstruction:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ThrottledScheduler(RoundRobinScheduler(), interval=0)
+            ComposedScheduler(RR_THROTTLE, interval=0)
         with pytest.raises(ValueError):
-            ThrottledScheduler(RoundRobinScheduler(), low_watermark=0.9, high_watermark=0.1)
+            ComposedScheduler(RR_THROTTLE, low_watermark=0.9, high_watermark=0.1)
 
 
 class TestWrapperForwarding:
-    """The generic wrapper must report the wrapped policy's accounting,
-    not the base class defaults (regression: the wrapper used to shadow
-    these with its own zero-valued attributes)."""
+    """A throttled composition must report its policy's accounting, not
+    the base class defaults: the admission component adds no counters of
+    its own that could shadow the placement's or the steal stage's."""
 
     def test_prioritized_kmu_tracks_inner(self):
-        assert ThrottledScheduler(SMXBindScheduler()).prioritized_kmu is True
-        assert ThrottledScheduler(RoundRobinScheduler()).prioritized_kmu is False
+        assert ComposedScheduler("pri=level,bind=smx,admit=throttle").prioritized_kmu is True
+        assert ComposedScheduler(RR_THROTTLE).prioritized_kmu is False
 
     def test_queue_accounting_forwards(self):
         w = tiny_workload("bfs", "citation")
-        scheduler = ThrottledScheduler(SMXBindScheduler())
+        scheduler = make_scheduler("smx-bind+throttle")
         engine = Engine(
             machine(num_smx=4, max_threads_per_smx=512),
             scheduler,
@@ -91,17 +91,17 @@ class TestWrapperForwarding:
             [w.kernel()],
         )
         stats = engine.run()
-        inner = scheduler.inner
-        assert scheduler.queue_high_water == inner.queue_high_water > 0
-        assert scheduler.overflow_events == inner.overflow_events
-        assert stats.scheduler_queue_high_water == inner.queue_high_water
-        # assignment must be accepted and ignored: inner stays authoritative
+        assert stats.scheduler_queue_high_water == scheduler.queue_high_water > 0
+        assert stats.scheduler_overflow_events == scheduler.overflow_events
+        # assignment must be accepted and ignored: the placement's
+        # counters stay authoritative
+        before = scheduler.overflow_events
         scheduler.overflow_events = 123456
-        assert scheduler.overflow_events == inner.overflow_events
+        assert scheduler.overflow_events == before
 
     def test_steals_forward(self):
         w = tiny_workload("bfs", "citation")
-        scheduler = ThrottledScheduler(AdaptiveBindScheduler())
+        scheduler = make_scheduler("adaptive-bind+throttle")
         engine = Engine(
             machine(num_smx=4, max_threads_per_smx=512),
             scheduler,
@@ -109,17 +109,16 @@ class TestWrapperForwarding:
             [w.kernel()],
         )
         stats = engine.run()
-        assert scheduler.steals == scheduler.inner.steals
-        assert stats.work_steals == scheduler.inner.steals
+        assert stats.work_steals == scheduler.steals
 
     def test_steals_default_zero_for_non_stealing_inner(self):
-        assert ThrottledScheduler(RoundRobinScheduler()).steals == 0
+        assert ComposedScheduler(RR_THROTTLE).steals == 0
 
 
 class TestBehaviour:
     def test_reduces_cap_under_thrashing(self):
-        scheduler = ThrottledScheduler(
-            RoundRobinScheduler(), interval=500, low_watermark=0.5, min_window_accesses=8
+        scheduler = ComposedScheduler(
+            RR_THROTTLE, interval=500, low_watermark=0.5, min_window_accesses=8
         )
         engine = Engine(machine(), scheduler, make_model("dtbl"), [thrashing_kernel()])
         engine.run()
@@ -136,8 +135,8 @@ class TestBehaviour:
     def test_improves_l1_on_thrashing_workload(self):
         spec = thrashing_kernel()
         plain = Engine(machine(), make_scheduler("rr"), make_model("dtbl"), [spec]).run()
-        scheduler = ThrottledScheduler(
-            RoundRobinScheduler(), interval=500, low_watermark=0.5, min_window_accesses=8
+        scheduler = ComposedScheduler(
+            RR_THROTTLE, interval=500, low_watermark=0.5, min_window_accesses=8
         )
         throttled = Engine(machine(), scheduler, make_model("dtbl"), [spec]).run()
         assert throttled.l1_hit_rate > plain.l1_hit_rate
@@ -152,7 +151,7 @@ class TestBehaviour:
             ],
             resources=ResourceReq(threads=32, regs_per_thread=8),
         )
-        scheduler = ThrottledScheduler(RoundRobinScheduler(), interval=500, min_window_accesses=8)
+        scheduler = ComposedScheduler(RR_THROTTLE, interval=500, min_window_accesses=8)
         engine = Engine(machine(), scheduler, make_model("dtbl"), [spec])
         engine.run()
         assert all(smx.dynamic_cap >= 7 for smx in engine.smxs)
