@@ -4,7 +4,7 @@ PYTHON ?= python3
 SCALE ?= small
 JOBS ?= 1
 
-.PHONY: install lint test test-fast bench bench-tiny bench-json bench-refresh perf-smoke serve-smoke figures experiments grid-fast trace-demo tune-fast validate clean
+.PHONY: install lint test test-fast bench bench-tiny bench-json bench-refresh bench-quick perf-smoke serve-smoke figures experiments grid-fast trace-demo tune-fast validate clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -41,6 +41,12 @@ bench-refresh:
 		--baseline BENCH_simulator.json
 	$(PYTHON) scripts/check_bench_regression.py .bench_smoke.json \
 		--baseline BENCH_simulator.json --update-baseline
+
+# the repo benchmark at tiny scale with its output checks (golden replay,
+# cold/warm and service result equality): exits non-zero on any mismatch;
+# its timings are not meaningful (benchmarks/suite/README.md)
+bench-quick:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.suite.run --quick
 
 # CI perf gate: measure fresh throughput and fail if adaptive-bind drops
 # >25% below the committed BENCH_simulator.json baseline (docs/simulator.md)

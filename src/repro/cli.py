@@ -12,7 +12,7 @@
     repro cache prune --max-bytes 64M       # evict oldest cached results and traces
     repro footprint                         # Figure 2 analysis
     repro trace bfs-citation -o trace.json  # Chrome/Perfetto trace export
-    repro snapshot amr -o amr.json.gz       # save a workload spec for reuse
+    repro snapshot amr -o amr.trace         # save a workload spec for reuse
     repro serve --jobs 4                    # long-lived simulation service
     repro submit bfs-citation --follow      # run via the service, stream progress
 
@@ -685,8 +685,15 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot", help="save a benchmark workload spec, or simulate a saved one"
     )
     snap_p.add_argument("benchmark", nargs="?", choices=benchmark_names())
-    snap_p.add_argument("-o", "--output", default="trace.json.gz")
-    snap_p.add_argument("--load", help="simulate a previously saved spec file")
+    snap_p.add_argument(
+        "-o", "--output", default="snapshot.trace",
+        help="binary trace record to write (default: snapshot.trace)",
+    )
+    snap_p.add_argument(
+        "--load", metavar="FILE",
+        help="simulate a previously saved spec file (format 1 gzip-JSON files "
+        "must be re-snapshotted)",
+    )
     snap_p.add_argument("-s", "--scheduler", default="adaptive-bind")
     snap_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
     _add_scale(snap_p)

@@ -30,20 +30,22 @@ from pathlib import Path
 from typing import Optional
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically, safe under concurrent writers.
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically, safe under concurrent writers.
 
     The temp file comes from :func:`tempfile.mkstemp` in the target
     directory, so every concurrent writer — other processes, other
     threads *in the same process* — gets a distinct name (a pid-suffixed
     name is not enough: two threads share a pid and would race each
     other's ``os.replace``). Readers only ever observe complete records;
-    when several writers race the same key, the last rename wins.
+    when several writers race the same key, the last rename wins. On any
+    failure (``ENOSPC`` mid-write included) the temp file is removed and
+    the exception propagates.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -51,6 +53,11 @@ def atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """:func:`atomic_write_bytes` for UTF-8 text."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 class ResultCache:
@@ -94,7 +101,7 @@ class ResultCache:
         """Atomically write ``record`` under ``key`` (overwrites).
 
         Safe under concurrent same-key writers across processes *and*
-        threads: see :func:`atomic_write_text`.
+        threads: see :func:`atomic_write_bytes`.
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)

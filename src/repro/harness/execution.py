@@ -32,7 +32,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core import canonical_scheduler_name, make_scheduler
 from repro.dynpar import make_model
@@ -54,6 +54,9 @@ from repro.harness.workload_cache import (
 )
 from repro.telemetry.events import NULL_SINK, TelemetrySink
 from repro.telemetry.metrics import MetricsSink
+
+if TYPE_CHECKING:
+    from repro.workloads import Workload
 
 #: Version of the simulation semantics. Bump whenever an engine,
 #: scheduler, memory-model or workload-generation change can alter the
@@ -246,18 +249,23 @@ class RunSpec:
 # Worker processes get their own copy of this cache (prepopulated for
 # free under the ``fork`` start method).
 #
+# An entry is either a resolved KernelSpec or a workload registered by
+# ``seed_kernel_cache`` whose trace nobody has asked for yet: it is
+# resolved on the first ``kernel_for``, so a grid answered entirely from
+# the result cache neither builds nor loads a single trace.
+#
 # Below the in-memory layer sits the optional on-disk workload cache
 # (repro.harness.workload_cache): executors built with a result cache
 # activate it at <result-cache-root>/workloads/, after which traces
 # persist across processes and ``repro`` invocations — a warm grid or
 # tune run executes zero datagen steps.
 
-_KERNEL_CACHE: "OrderedDict[tuple[str, str, int], KernelSpec]" = OrderedDict()
+_KERNEL_CACHE: "OrderedDict[tuple[str, str, int], KernelSpec | Workload]" = OrderedDict()
 _KERNEL_CACHE_MAX = 32
 
 
-def _remember_kernel(key: tuple[str, str, int], spec: KernelSpec) -> None:
-    _KERNEL_CACHE[key] = spec
+def _remember_kernel(key: tuple[str, str, int], entry: KernelSpec | Workload) -> None:
+    _KERNEL_CACHE[key] = entry
     _KERNEL_CACHE.move_to_end(key)
     while len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.popitem(last=False)
@@ -278,51 +286,52 @@ def _is_registry_workload(workload) -> bool:
 def seed_kernel_cache(workload) -> None:
     """Register a workload so executors reuse (or cache-load) its trace.
 
-    This also lets :class:`SerialExecutor` run workloads that are not in
-    the Table II registry (e.g. custom :class:`~repro.workloads.Workload`
-    subclasses), which could not be rebuilt by name in a worker process.
-
-    For registry workloads this is also where grid runs meet the on-disk
-    workload cache: an unbuilt workload is answered from disk when a
-    cached trace exists (skipping datagen entirely), and a freshly built
-    or pre-built trace is persisted for future processes.
+    Registration is free: nothing is built or loaded until a simulation
+    asks :func:`kernel_for` for the trace. This also lets
+    :class:`SerialExecutor` run workloads that are not in the Table II
+    registry (e.g. custom :class:`~repro.workloads.Workload` subclasses),
+    which could not be rebuilt by name in a worker process.
     """
-    key = (workload.full_name, workload.scale, workload.seed)
+    _remember_kernel((workload.full_name, workload.scale, workload.seed), workload)
+
+
+def _resolve(key: tuple[str, str, int], workload: Optional[Workload]) -> KernelSpec:
+    """Produce the trace for ``key`` from a registered workload (or, with
+    none, the registry): a custom or already-built workload's own
+    :meth:`~repro.workloads.Workload.kernel` object, else the active disk
+    cache, else a real build. Registry traces are stored back to disk."""
+    if workload is not None and not _is_registry_workload(workload):
+        return workload.kernel()  # never answered from, or stored to, disk
     disk = active_workload_cache()
-    if disk is None or not _is_registry_workload(workload):
-        _remember_kernel(key, workload.kernel())
-        return
-    if workload.is_built:
-        spec = workload.kernel()
-        disk.store(workload.full_name, workload.scale, workload.seed, spec)
-    else:
-        spec = disk.load(workload.full_name, workload.scale, workload.seed)
-        if spec is None:
-            spec = workload.kernel()
-            disk.store(workload.full_name, workload.scale, workload.seed, spec)
-    _remember_kernel(key, spec)
+    if disk is not None and (workload is None or not workload.is_built):
+        spec = disk.load(*key)
+        if spec is not None:
+            return spec
+    if workload is None:
+        from repro.harness.registry import load_benchmark
+
+        workload = load_benchmark(key[0], scale=key[1], seed=key[2])
+    spec = workload.kernel()
+    if disk is not None:
+        disk.store(*key, spec)
+    return spec
 
 
 def kernel_for(benchmark: str, scale: str, seed: int) -> KernelSpec:
-    """The (cached) kernel trace for one registry benchmark.
+    """The (cached) kernel trace for one benchmark.
 
-    Resolution order: in-memory LRU, then the active on-disk workload
-    cache, then a real build (datagen + trace generation), whose result
-    is stored back to both layers.
+    Resolution order: a resolved trace in the in-memory LRU; a pre-built
+    workload registered by :func:`seed_kernel_cache` (its own
+    ``kernel()`` object, so traces the caller already compiled stay
+    compiled); the active on-disk workload cache; then a real build
+    (datagen + trace generation), stored back to both layers.
     """
     key = (benchmark, scale, seed)
-    spec = _KERNEL_CACHE.get(key)
-    if spec is not None:
+    entry = _KERNEL_CACHE.get(key)
+    if isinstance(entry, KernelSpec):
         _KERNEL_CACHE.move_to_end(key)
-        return spec
-    disk = active_workload_cache()
-    spec = disk.load(benchmark, scale, seed) if disk is not None else None
-    if spec is None:
-        from repro.harness.registry import load_benchmark
-
-        spec = load_benchmark(benchmark, scale=scale, seed=seed).kernel()
-        if disk is not None:
-            disk.store(benchmark, scale, seed, spec)
+        return entry
+    spec = _resolve(key, entry)
     _remember_kernel(key, spec)
     return spec
 
@@ -522,13 +531,16 @@ class ParallelExecutor(Executor):
         initializer = None
         initargs = ()
         disk = active_workload_cache()
+        # resolve each distinct workload of the pending specs once up
+        # front (registered ones always, every one with a disk cache):
+        # workers then inherit or load the trace instead of each
+        # regenerating its own copy. Traces no pending spec needs are
+        # never touched.
+        keys = list(dict.fromkeys((s.benchmark, s.scale, s.seed) for s in specs))
+        for key in keys:
+            if disk is not None or key in _KERNEL_CACHE:
+                kernel_for(*key)
         if disk is not None:
-            # build (or disk-load) every distinct workload once up front:
-            # workers then share the stored traces instead of each
-            # regenerating its own copy
-            keys = list(dict.fromkeys((s.benchmark, s.scale, s.seed) for s in specs))
-            for benchmark, scale, seed in keys:
-                kernel_for(benchmark, scale, seed)
             initializer = _worker_init
             initargs = (str(disk.root), keys)
         out: list[SimStats] = []

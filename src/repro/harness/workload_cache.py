@@ -8,15 +8,16 @@ This module caches the *generated artifact* — the complete
 keyed by those inputs plus :data:`TRACE_VERSION`, so a warm ``repro
 grid`` / ``tune`` run never executes a datagen step at all.
 
-Records are the gzip-compressed JSON trace files of
-:mod:`repro.gpu.serialize` (``save_spec`` / ``load_spec``), which
-preserve body sharing: a :class:`~repro.gpu.trace.TBBody` referenced by
-several launches round-trips to a single object, so the flat-array
-lowering (:mod:`repro.gpu.compiled`) is still compiled once per body
-after a cache load. Layout mirrors the result cache, sharded by the
-first two hex digits of the key::
+Records are the binary trace records of :mod:`repro.gpu.serialize`
+(``spec_to_bytes`` / ``spec_from_bytes``: a zlib stream of flat
+``array('q')`` columns), which preserve body sharing: a
+:class:`~repro.gpu.trace.TBBody` referenced by several launches
+round-trips to a single object, so the flat-array lowering
+(:mod:`repro.gpu.compiled`) is still compiled once per body after a
+cache load. Layout mirrors the result cache, sharded by the first two
+hex digits of the key::
 
-    <root>/ab/abcdef0123....trace.json.gz
+    <root>/ab/abcdef0123....trace
 
 The conventional root is ``workloads/`` *inside* the result-cache
 directory (see :func:`repro.harness.execution.kernel_for` and the CLI's
@@ -28,20 +29,28 @@ Like the result cache, invalidation is by going cold, never wrong:
 generation or trace semantics change and old records are simply never
 looked up again. Corrupt or truncated files count as misses and writes
 are atomic, so concurrent processes sharing one cache never observe a
-half-written trace.
+half-written trace. A failed store (a full disk, a read-only directory)
+is counted and reported once on stderr, never raised: the run goes on
+with the trace it holds in memory.
+
+Records of the old gzip-JSON layout (``*.trace.json.gz``) are never
+read, but :meth:`WorkloadCache.record_paths` still lists them, so
+``repro cache stats`` / ``prune`` can reclaim their space.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import struct
+import sys
 import zlib
 from pathlib import Path
 from typing import Optional
 
 from repro.gpu.kernel import KernelSpec
-from repro.gpu.serialize import FORMAT_VERSION, canonical_json, load_spec, save_spec
+from repro.gpu.serialize import FORMAT_VERSION, canonical_json, load_spec, spec_to_bytes
+from repro.harness.cache import atomic_write_bytes
 
 #: Version of workload-generation semantics. Bump whenever a datagen or
 #: trace-building change can alter the KernelSpec a (benchmark, scale,
@@ -49,7 +58,9 @@ from repro.gpu.serialize import FORMAT_VERSION, canonical_json, load_spec, save_
 #: stored traces go cold (never wrong) without manual cleanup.
 TRACE_VERSION = 1
 
-_SUFFIX = ".trace.json.gz"
+_SUFFIX = ".trace"
+#: suffix of format-1 (gzip JSON) records: listed for stats/prune only
+_LEGACY_SUFFIX = ".trace.json.gz"
 
 
 class WorkloadCache:
@@ -64,6 +75,7 @@ class WorkloadCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.store_errors = 0
 
     # -- addressing ------------------------------------------------------------
 
@@ -101,31 +113,34 @@ class WorkloadCache:
         path = self.path_for(self.key_for(benchmark, scale, seed))
         try:
             spec = load_spec(path)
-        except (OSError, EOFError, zlib.error, ValueError, KeyError, TypeError, IndexError):
-            # absent file, truncated gzip, or a record from a foreign/old
-            # format the deserializer rejects: regenerate
+        except (OSError, zlib.error, struct.error, ValueError, KeyError, TypeError, IndexError):
+            # absent file, truncated or corrupt record, or one from a
+            # foreign/old format the decoder rejects: regenerate
             self.misses += 1
             return None
         self.hits += 1
         return spec
 
     def store(self, benchmark: str, scale: str, seed: int, spec: KernelSpec) -> None:
-        """Atomically write this workload's trace (overwrites)."""
+        """Atomically write this workload's trace (overwrites).
+
+        An ``OSError`` (``ENOSPC``, ``EACCES``, ...) leaves no temp file
+        behind, counts in ``store_errors`` and is reported on stderr once
+        per cache; the caller keeps using its in-memory trace.
+        """
         path = self.path_for(self.key_for(benchmark, scale, seed))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # mkstemp (not a pid-suffixed name) so concurrent writers — other
-        # processes or threads in this one — never share a temp path
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        os.close(fd)
         try:
-            save_spec(spec, tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(path, spec_to_bytes(spec))
+        except OSError as exc:
+            self.store_errors += 1
+            if self.store_errors == 1:
+                print(
+                    f"warning: workload trace not cached: cannot write {path} "
+                    f"(errno {exc.errno}: {exc.strerror}); continuing without it",
+                    file=sys.stderr,
+                )
+            return
         self.stores += 1
 
     def __len__(self) -> int:
@@ -135,10 +150,16 @@ class WorkloadCache:
     # -- maintenance (``repro cache stats`` / ``repro cache prune``) -----------
 
     def record_paths(self) -> list[Path]:
-        """Every trace file on disk, in deterministic (sorted) order."""
+        """Every trace file on disk, in deterministic (sorted) order.
+
+        Includes leftover format-1 records, which no key reaches any more,
+        so stats and prune account for them.
+        """
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob(f"*/*{_SUFFIX}"))
+        return sorted(
+            [*self.root.glob(f"*/*{_SUFFIX}"), *self.root.glob(f"*/*{_LEGACY_SUFFIX}")]
+        )
 
     def disk_stats(self) -> dict:
         """Size digest of the cache directory (JSON-safe)."""

@@ -113,11 +113,21 @@ class TestTraceCommand:
 
 class TestSnapshotCommand:
     def test_save_and_load_roundtrip(self, capsys, tmp_path):
-        path = str(tmp_path / "t.json.gz")
+        path = str(tmp_path / "t.trace")
         assert main(["snapshot", "amr", "--scale", "tiny", "-o", path]) == 0
         assert main(["snapshot", "--load", path]) == 0
         out = capsys.readouterr().out
         assert "ipc=" in out
+
+    def test_load_format_1_file_one_line_error(self, capsys, tmp_path):
+        import gzip
+
+        path = tmp_path / "old.json.gz"
+        path.write_bytes(gzip.compress(b'{"version": 1}'))
+        assert main(["snapshot", "--load", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "format 1" in err and "re-snapshot" in err
 
 
 class TestErrorExits:

@@ -1,13 +1,24 @@
 """Kernel-trace serialization round-trips."""
 
+import gzip
+import json
+import struct
+import zlib
+
 import pytest
 
 from repro.core import make_scheduler
 from repro.dynpar import make_model
 from repro.gpu.engine import Engine
 from repro.gpu.kernel import KernelSpec, ResourceReq
-from repro.gpu.serialize import load_spec, save_spec, spec_from_obj, spec_to_obj
-from repro.gpu.trace import LaunchSpec, TBBody, compute, launch, load, store, walk_bodies
+from repro.gpu.serialize import (
+    FORMAT_VERSION,
+    load_spec,
+    save_spec,
+    spec_from_bytes,
+    spec_to_bytes,
+)
+from repro.gpu.trace import LaunchSpec, Op, TBBody, compute, launch, load, store, walk_bodies
 from repro.harness.registry import experiment_config
 from tests.conftest import tiny_workload
 
@@ -40,37 +51,69 @@ def sample_spec():
     )
 
 
+def repack(data: bytes, edit) -> bytes:
+    """Decompress a record's body, apply ``edit`` to it, recompress."""
+    prefix, body = data[:12], zlib.decompress(data[12:])
+    return prefix + zlib.compress(edit(body))
+
+
+def header_of(data: bytes) -> tuple[dict, int]:
+    """The decoded JSON header of a record and the offset just past it."""
+    body = zlib.decompress(data[12:])
+    (length,) = struct.unpack_from("<Q", body)
+    return json.loads(body[8:8 + length]), 8 + length
+
+
 class TestRoundTrip:
     def test_object_round_trip(self):
         spec = sample_spec()
-        rebuilt = spec_from_obj(spec_to_obj(spec))
+        rebuilt = spec_from_bytes(spec_to_bytes(spec))
         assert rebuilt.name == spec.name
         assert rebuilt.resources == spec.resources
         assert traces_equal(spec, rebuilt)
 
+    def test_ops_are_op_members(self):
+        rebuilt = spec_from_bytes(spec_to_bytes(sample_spec()))
+        for body in walk_bodies(rebuilt.bodies):
+            for warp in body.warps:
+                assert all(type(instr.op) is Op for instr in warp)
+
     def test_shared_launch_specs_preserved(self):
         spec = sample_spec()
-        rebuilt = spec_from_obj(spec_to_obj(spec))
+        rebuilt = spec_from_bytes(spec_to_bytes(spec))
         launches = rebuilt.bodies[0].launches()
         assert len(launches) == 2
         assert launches[0] is launches[1]  # sharing preserved, not duplicated
 
+    def test_shared_bodies_preserved(self):
+        body = TBBody(warps=[[compute(1)]])
+        spec = KernelSpec(
+            name="shared-bodies",
+            bodies=[body, body],
+            resources=ResourceReq(threads=32),
+        )
+        rebuilt = spec_from_bytes(spec_to_bytes(spec))
+        assert rebuilt.bodies[0] is rebuilt.bodies[1]
+
+    def test_encoding_is_deterministic(self):
+        assert spec_to_bytes(sample_spec()) == spec_to_bytes(sample_spec())
+
     def test_file_round_trip(self, tmp_path):
         spec = sample_spec()
-        path = str(tmp_path / "trace.json.gz")
+        path = str(tmp_path / "sample.trace")
         save_spec(spec, path)
         assert traces_equal(spec, load_spec(path))
 
     def test_workload_round_trip(self, tmp_path):
         spec = tiny_workload("bfs", "citation").kernel()
-        path = str(tmp_path / "bfs.json.gz")
+        path = str(tmp_path / "bfs.trace")
         save_spec(spec, path)
         rebuilt = load_spec(path)
         assert traces_equal(spec, rebuilt)
 
     def test_rebuilt_trace_simulates_identically(self, tmp_path):
         spec = tiny_workload("amr").kernel()
-        path = str(tmp_path / "amr.json.gz")
+        path = str(tmp_path / "amr.trace")
         save_spec(spec, path)
         rebuilt = load_spec(path)
         config = experiment_config(num_smx=4, max_threads_per_smx=256)
@@ -83,16 +126,49 @@ class TestRoundTrip:
         assert run(spec) == run(rebuilt)
 
     def test_version_check(self):
-        obj = spec_to_obj(sample_spec())
-        obj["version"] = 99
-        with pytest.raises(ValueError):
-            spec_from_obj(obj)
+        data = bytearray(spec_to_bytes(sample_spec()))
+        struct.pack_into("<I", data, 8, 99)
+        with pytest.raises(ValueError, match="version 99"):
+            spec_from_bytes(bytes(data))
+
+    def test_wrong_magic(self):
+        data = b"NOTATRCE" + spec_to_bytes(sample_spec())[8:]
+        with pytest.raises(ValueError, match="magic"):
+            spec_from_bytes(data)
 
     def test_unknown_instruction_kind(self):
-        obj = spec_to_obj(sample_spec())
-        obj["bodies"][obj["roots"][0]][0][0] = ["z", 0]
-        with pytest.raises(ValueError):
-            spec_from_obj(obj)
+        data = spec_to_bytes(sample_spec())
+        header, ops_at = header_of(data)
+        n_bodies, n_warps = header["counts"][:2]
+        ops_at += 8 * (n_bodies + n_warps)
+
+        def bad_op(body: bytes) -> bytes:
+            return body[:ops_at] + bytes([7]) + body[ops_at + 1:]
+
+        with pytest.raises(ValueError, match="unknown op code 7"):
+            spec_from_bytes(repack(data, bad_op))
+
+    def test_out_of_range_body_index(self):
+        data = spec_to_bytes(sample_spec())
+        header, offset = header_of(data)
+        header["roots"] = [99]
+
+        def bad_root(body: bytes) -> bytes:
+            text = json.dumps(header).encode()
+            return struct.pack("<Q", len(text)) + text + body[offset:]
+
+        with pytest.raises(ValueError, match="index"):
+            spec_from_bytes(repack(data, bad_root))
+
+    def test_format_1_file_names_the_format(self, tmp_path):
+        path = tmp_path / "old.json.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as handle:
+            json.dump({"version": 1, "name": "old"}, handle)
+        with pytest.raises(ValueError, match="format 1.*re-snapshot"):
+            load_spec(path)
+
+    def test_current_version(self):
+        assert spec_to_bytes(sample_spec())[8:12] == struct.pack("<I", FORMAT_VERSION)
 
 
 class TestConfigRoundTrip:

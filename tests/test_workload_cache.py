@@ -6,16 +6,27 @@ cold *result* cache) executes **zero** datagen steps, and the simulated
 statistics are bit-for-bit identical to a freshly generated run.
 """
 
+import errno
+import gzip
+import json
+import os
 import shutil
+import struct
+import zlib
 
 import pytest
 
 import repro.harness.registry as registry
+from repro.gpu import serialize
+from repro.gpu.kernel import KernelSpec
+from repro.harness import execution
 from repro.harness import workload_cache as wc
 from repro.harness.cache import ResultCache
 from repro.harness.execution import (
     _KERNEL_CACHE,
+    ParallelExecutor,
     RunSpec,
+    kernel_for,
     make_executor,
     run_spec,
     seed_kernel_cache,
@@ -25,6 +36,7 @@ from repro.harness.registry import load_benchmark
 from repro.harness.runner import run_grid
 from repro.harness.workload_cache import TRACE_VERSION, WorkloadCache
 from repro.gpu.serialize import stats_to_obj
+from tests.test_serialize import traces_equal
 
 BENCH = "join-uniform"
 SPEC = RunSpec(benchmark=BENCH, scheduler="rr", model="dtbl", scale="tiny", seed=7)
@@ -88,6 +100,125 @@ def test_corrupt_record_is_a_miss(tmp_path):
     path = cache.path_for(cache.key_for(BENCH, "tiny", 7))
     path.write_bytes(b"not a gzip trace")
     assert cache.load(BENCH, "tiny", 7) is None
+
+
+def _payload_edit(cut):
+    """Truncate the decompressed body at ``cut(body, header_end)`` and
+    recompress it, so the record is a well-formed zlib stream whose
+    content stops early."""
+
+    def edit(data: bytes) -> bytes:
+        body = zlib.decompress(data[12:])
+        (length,) = struct.unpack_from("<Q", body)
+        return data[:12] + zlib.compress(body[: cut(body, 8 + length)])
+
+    return edit
+
+
+def _flip(data: bytes) -> bytes:
+    middle = 12 + (len(data) - 12) // 2
+    return data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1:]
+
+
+def _format_1(data: bytes) -> bytes:
+    return gzip.compress(json.dumps({"version": 1, "name": BENCH}).encode())
+
+
+RECORD_FAULTS = {
+    "cut-in-magic": lambda data: data[:5],
+    "cut-in-version": lambda data: data[:10],
+    "cut-mid-stream": lambda data: data[: len(data) // 2],
+    "cut-last-byte": lambda data: data[:-1],
+    "cut-in-header": _payload_edit(lambda body, header_end: header_end // 2),
+    "cut-mid-column": _payload_edit(lambda body, header_end: header_end + 13),
+    "cut-last-payload-byte": _payload_edit(lambda body, header_end: len(body) - 1),
+    "flipped-byte": _flip,
+    "wrong-magic": lambda data: b"XXXXXXXX" + data[8:],
+    "format-1-gzip-json": _format_1,
+    "empty": lambda data: b"",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+def test_damaged_record_is_a_miss_that_regenerates(tmp_path, fault):
+    built = load_benchmark(BENCH, scale="tiny", seed=7).kernel()
+    cache = wc.configure_workload_cache(tmp_path)
+    cache.store(BENCH, "tiny", 7, built)
+    path = cache.path_for(cache.key_for(BENCH, "tiny", 7))
+    path.write_bytes(RECORD_FAULTS[fault](path.read_bytes()))
+
+    assert cache.load(BENCH, "tiny", 7) is None
+    assert cache.misses == 1
+    regenerated = kernel_for(BENCH, "tiny", 7)
+    assert traces_equal(regenerated, built)
+    assert cache.stores == 2  # the damaged record was overwritten
+    assert traces_equal(cache.load(BENCH, "tiny", 7), built)
+
+
+def test_struct_error_is_a_miss(tmp_path, monkeypatch):
+    def short_read(path):
+        raise struct.error("unpack requires a buffer of 8 bytes")
+
+    monkeypatch.setattr(wc, "load_spec", short_read)
+    cache = WorkloadCache(tmp_path)
+    assert cache.load(BENCH, "tiny", 7) is None and cache.misses == 1
+
+
+class _FullDiskForTraces:
+    """A file handle whose writes of trace records fail with ENOSPC."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        if bytes(data[:8]) == serialize._MAGIC:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.handle.write(data)
+
+
+def test_failed_trace_store_does_not_fail_the_run(tmp_path, monkeypatch, capsys):
+    grid_args = dict(schedulers=("rr", "adaptive-bind"), models=("dtbl",), scale="tiny")
+    expected = run_grid(
+        [load_benchmark(BENCH, scale="tiny", seed=7)],
+        executor=make_executor(jobs=1, cache=ResultCache(tmp_path / "ok")),
+        **grid_args,
+    )
+    _KERNEL_CACHE.clear()
+    capsys.readouterr()
+
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDiskForTraces(real_fdopen(fd, mode)))
+    executor = make_executor(jobs=1, cache=ResultCache(tmp_path / "full"))
+    failed = run_grid([load_benchmark(BENCH, scale="tiny", seed=7)], executor=executor, **grid_args)
+    kernel_for(BENCH, "tiny", 8)  # a second failed store warns no more
+
+    assert grid_to_json(failed) == grid_to_json(expected)
+    disk = executor.workload_cache
+    assert disk.store_errors == 2 and disk.stores == 0
+    assert list((tmp_path / "full").rglob("*.tmp")) == []
+    assert len(disk) == 0
+    err = capsys.readouterr().err
+    path = disk.path_for(disk.key_for(BENCH, "tiny", 7))
+    assert err.count("warning: workload trace not cached") == 1
+    assert str(path) in err and f"errno {errno.ENOSPC}" in err
+
+
+def test_legacy_records_are_listed_for_stats_and_prune(tmp_path):
+    cache = WorkloadCache(tmp_path)
+    legacy = tmp_path / "ab" / ("ab" + "0" * 62 + ".trace.json.gz")
+    legacy.parent.mkdir()
+    legacy.write_bytes(gzip.compress(b"{}"))
+    size = legacy.stat().st_size
+    assert cache.record_paths() == [legacy]
+    assert cache.disk_stats() == {"root": str(tmp_path), "records": 1, "total_bytes": size}
+    assert cache.prune(0) == (1, size)
+    assert not legacy.exists() and len(cache) == 0
 
 
 def test_disk_stats_and_prune(tmp_path):
@@ -169,7 +300,7 @@ def test_warm_grid_runs_zero_datagen_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(registry, "make_workload", boom)
     executor = make_executor(jobs=1, cache=ResultCache(cache_dir))
     # run_grid with a fresh (unbuilt) workload object: construction is
-    # allowed, build is not — seed_kernel_cache must answer from disk
+    # allowed, build is not — kernel_for must answer from disk
     second = run_grid(
         [type(workloads[0])(workloads[0].input_name, scale="tiny", seed=7)],
         schedulers=("rr", "adaptive-bind"),
@@ -193,7 +324,73 @@ def test_custom_workload_subclass_bypasses_disk_cache(tmp_path):
 
     custom = Custom(base.input_name, scale="tiny", seed=7)
     seed_kernel_cache(custom)
-    assert _KERNEL_CACHE[(BENCH, "tiny", 7)] is custom.kernel()
+    assert not custom.is_built  # registration alone builds nothing
+    assert kernel_for(BENCH, "tiny", 7) is custom.kernel()
+    assert cache.hits == 0 and cache.misses == 0
+
+
+# --- lazy resolution ------------------------------------------------------------
+
+
+def _boom(*args, **kwargs):  # pragma: no cover - failure path
+    raise AssertionError("a trace was resolved on a fully warm grid")
+
+
+def test_fully_warm_grid_loads_and_builds_no_trace(tmp_path, monkeypatch):
+    grid_args = dict(schedulers=("rr", "adaptive-bind"), models=("dtbl",), scale="tiny")
+    first = run_grid(
+        [load_benchmark(BENCH, scale="tiny", seed=7)],
+        executor=make_executor(jobs=1, cache=ResultCache(tmp_path)),
+        **grid_args,
+    )
+    _KERNEL_CACHE.clear()
+    workload = load_benchmark(BENCH, scale="tiny", seed=7)
+    monkeypatch.setattr(WorkloadCache, "load", _boom)
+    monkeypatch.setattr(type(workload), "build", _boom)
+    executor = make_executor(jobs=1, cache=ResultCache(tmp_path))
+    second = run_grid([workload], executor=executor, **grid_args)
+    assert executor.hits == 2 and executor.misses == 0
+    assert grid_to_json(second) == grid_to_json(first)
+    assert not workload.is_built
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_prebuilt_workload_resolves_to_its_own_kernel(tmp_path, cached):
+    workload = load_benchmark(BENCH, scale="tiny", seed=7)
+    kernel = workload.kernel()
+    if cached:  # a stored copy of the trace must not shadow the caller's
+        WorkloadCache(tmp_path / "workloads").store(BENCH, "tiny", 7, kernel)
+    executor = make_executor(jobs=1, cache=ResultCache(tmp_path) if cached else None)
+    run_grid([workload], schedulers=("rr",), models=("dtbl",), scale="tiny", executor=executor)
+    assert kernel_for(BENCH, "tiny", 7) is kernel
+    # the grid's lowering is interned on the caller's own bodies
+    assert all(body._compiled is not None for body in kernel.bodies)
+
+
+def test_parallel_executor_resolves_only_pending_traces(tmp_path, monkeypatch):
+    other = "amr"
+    make_executor(jobs=1, cache=ResultCache(tmp_path)).run([SPEC])  # SPEC now cached
+    _KERNEL_CACHE.clear()
+    seed_kernel_cache(load_benchmark(BENCH, scale="tiny", seed=7))
+    seed_kernel_cache(load_benchmark(other, scale="tiny", seed=7))
+
+    resolved = []
+    original = execution.kernel_for
+
+    def recording(benchmark, scale, seed):
+        resolved.append((benchmark, scale, seed))
+        return original(benchmark, scale, seed)
+
+    monkeypatch.setattr(execution, "kernel_for", recording)
+    pending = [
+        RunSpec(benchmark=other, scheduler=s, model="dtbl", scale="tiny", seed=7)
+        for s in ("rr", "adaptive-bind")
+    ]
+    executor = ParallelExecutor(2, ResultCache(tmp_path))
+    results = executor.run([SPEC, *pending])
+    assert executor.hits == 1 and set(results) == {SPEC, *pending}
+    assert resolved == [(other, "tiny", 7)]  # parent side only; SPEC's trace untouched
+    assert not isinstance(_KERNEL_CACHE[(BENCH, "tiny", 7)], KernelSpec)
 
 
 def test_run_spec_without_active_cache_touches_no_disk(tmp_path):
