@@ -85,6 +85,24 @@ def test_coalescer_throughput(benchmark):
 # measures engine throughput (cycles/sec) per scheduler without pytest, for
 # the `make bench-json` perf-regression harness and the CI artifact.
 
+#: the workload of a plain scheduler row, as (benchmark, scale, model)
+DEFAULT_WORKLOAD = ("bfs-citation", "tiny", "dtbl")
+
+#: a row on another workload, named ``scheduler@benchmark/scale/model``:
+#: sssp-cage15 ``small`` under CDP holds a KMU backlog of hundreds of
+#: device kernels and saturates the DRAM queue, paths bfs-citation
+#: ``tiny`` never reaches
+CDP_ROW = "adaptive-bind@sssp-cage15/small/cdp"
+
+
+def parse_row(row: str) -> tuple[str, tuple[str, str, str]]:
+    """``sched[@benchmark/scale/model]`` -> (scheduler, workload)."""
+    scheduler, _, where = row.partition("@")
+    if not where:
+        return scheduler, DEFAULT_WORKLOAD
+    benchmark, scale, model = where.split("/")
+    return scheduler, (benchmark, scale, model)
+
 
 def _provenance() -> dict:
     """Where and on what this report was measured (JSON-safe).
@@ -128,7 +146,7 @@ def _provenance() -> dict:
     }
 
 
-def _measure_scheduler(scheduler: str, spec, rounds: int) -> dict:
+def _measure_scheduler(scheduler: str, spec, rounds: int, model: str = "dtbl") -> dict:
     """Best-of-N wall time of one full Engine.run(); returns throughput."""
     import time
 
@@ -138,7 +156,7 @@ def _measure_scheduler(scheduler: str, spec, rounds: int) -> dict:
     # one untimed warm-up run pays the trace-coalescing memoization and
     # any lazy imports so the timed rounds measure the steady state
     for i in range(rounds + 1):
-        engine = Engine(config, make_scheduler(scheduler), make_model("dtbl"), [spec])
+        engine = Engine(config, make_scheduler(scheduler), make_model(model), [spec])
         t0 = time.perf_counter()
         result = engine.run()
         dt = time.perf_counter() - t0
@@ -169,8 +187,18 @@ def main(argv=None) -> int:
         "--schedulers",
         nargs="+",
         # the paper's four plus one composed policy (admission control on
-        # top of LaPerm) so the throttle/admission path can't regress silently
-        default=["rr", "tb-pri", "smx-bind", "adaptive-bind", "adaptive-bind+throttle"],
+        # top of LaPerm) so the throttle/admission path can't regress
+        # silently, and the CDP row for the KMU backlog and DRAM queue
+        default=[
+            "rr",
+            "tb-pri",
+            "smx-bind",
+            "adaptive-bind",
+            "adaptive-bind+throttle",
+            CDP_ROW,
+        ],
+        help="rows to measure: a scheduler (bfs-citation tiny/dtbl) or "
+        "scheduler@benchmark/scale/model",
     )
     parser.add_argument(
         "--baseline",
@@ -183,13 +211,17 @@ def main(argv=None) -> int:
 
     # phase 1: workload generation (datagen + trace building), measured
     # separately so engine-loop work and datagen work can't be conflated
+    rows = {row: parse_row(row) for row in args.schedulers}
     t0 = time.perf_counter()
-    w = load_benchmark("bfs-citation", scale="tiny")
-    spec = w.kernel()
+    specs = {
+        (benchmark, scale): load_benchmark(benchmark, scale=scale).kernel()
+        for _, (benchmark, scale, _) in rows.values()
+    }
     datagen_ms = (time.perf_counter() - t0) * 1000
     report = {
         "generated_by": "benchmarks/bench_simulator.py",
-        "workload": "bfs-citation scale=tiny seed=7 model=dtbl",
+        "workload": "bfs-citation scale=tiny seed=7 model=dtbl, "
+        "unless the row names scheduler@benchmark/scale/model",
         "rounds": args.rounds,
         "python": platform.python_version(),
         "host": _provenance(),
@@ -198,8 +230,10 @@ def main(argv=None) -> int:
     # phase 2: engine throughput per scheduler (datagen excluded: each
     # timed window covers exactly one Engine.run())
     t0 = time.perf_counter()
-    for sched in args.schedulers:
-        report["schedulers"][sched] = _measure_scheduler(sched, spec, args.rounds)
+    for sched, (scheduler, (benchmark, scale, model)) in rows.items():
+        report["schedulers"][sched] = _measure_scheduler(
+            scheduler, specs[benchmark, scale], args.rounds, model
+        )
         print(
             f"{sched:>14}: {report['schedulers'][sched]['cycles_per_sec']:>12,.1f} cycles/sec"
             f"  ({report['schedulers'][sched]['best_ms']} ms best of {args.rounds})",

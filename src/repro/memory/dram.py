@@ -27,7 +27,10 @@ class DRAM:
     """Bandwidth-limited fixed-latency DRAM.
 
     ``service(now)`` returns the absolute cycle at which a new line
-    transaction issued at cycle ``now`` completes.
+    transaction issued at cycle ``now`` completes. The monolithic-L2
+    memory walk (``MemoryHierarchy._make_accessor``) inlines the same
+    arithmetic; this method is what the reference walk and a partitioned
+    L2 call.
     """
 
     def __init__(self, latency: int, lines_per_cycle: float) -> None:

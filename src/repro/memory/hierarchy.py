@@ -23,7 +23,10 @@ from repro.memory.cache import Cache, CacheStats
 from repro.memory.coalescer import coalesce
 
 #: in-flight fill (MSHR) entries kept before the oldest-completion fills
-#: are evicted; large enough that real workloads never reach it
+#: are evicted (counted in ``SimStats.mshr_dropped``). Memory-bound inputs
+#: do reach it: sssp-cage15 ``small`` (seed 7) drops 50,668-93,668 of its
+#: 108 K-152 K DRAM fills per run. Raising it changes simulated results,
+#: so it needs regenerated golden pins and a new ``ENGINE_VERSION``.
 MSHR_TABLE_LIMIT = 4096
 
 #: miss sentinel for the single-probe (open-addressed dict) set walk:
@@ -107,11 +110,12 @@ class MemoryHierarchy:
         """Build the walk closure for one SMX.
 
         Every per-call constant (set lists, associativities, latencies,
-        the bound DRAM service method) is frozen into default arguments,
+        the DRAM and its timing constants) is frozen into default arguments,
         so the per-access prologue collapses to local-variable loads. All
         referenced structures are mutated in place and never rebound
-        (cache sets via ``invalidate_all``, the MSHR dict via
-        ``_mshr_insert``), so the bindings cannot go stale.
+        (cache sets via ``invalidate_all``, the MSHR dict and heap by the
+        walks), so the bindings cannot go stale; the DRAM's ``stats``,
+        which ``DRAM.reset`` replaces, is looked up at flush time.
 
         Both cache levels are walked inline with a single open-addressed
         probe per set (``dict.pop`` with a sentinel: hit-test and
@@ -123,10 +127,22 @@ class MemoryHierarchy:
         reaches it, settling the previous line's counters on the
         partition that served it; the monolithic L2 pays one flag test.
 
+        On the monolithic L2, a miss is serviced inside the walk rather
+        than through :meth:`DRAM.service` and :meth:`_mshr_insert`: the
+        DRAM bus-free time is read into a local at call start and written
+        back only if the call reached DRAM, with the same float arithmetic
+        as ``DRAM.service``; the DRAM's transaction, latency and queue-delay
+        counters are flushed once per call like the cache counters; and a
+        load's fill is inserted into the MSHR table, landed fills expired
+        and the table capacity-evicted in place, reading ``mshr_limit`` on
+        every insert. A partitioned L2 still calls ``DRAM.service`` of the
+        partition's channel.
+
         The walk updates the same cache/DRAM/MSHR state as the readable
-        :meth:`_access_lines` reference but skips the per-access hit
+        :meth:`_access_lines` reference (which keeps using
+        ``DRAM.service`` and ``_mshr_insert``) but skips the per-access hit
         bookkeeping and the :class:`AccessResult` allocation; tests pin
-        the two together.
+        the two together state for state.
         """
         l1 = self.l1s[smx_id]
         l2_fast = [
@@ -151,11 +167,17 @@ class MemoryHierarchy:
             _l2_assoc=l2_assoc,
             _l2_stats=l2_stats,
             _dram_service=dram_service,
+            _dram=self.dram,
+            _dram_lat=self.dram.latency,
+            _dram_cpl=self.dram.cycles_per_line,
             _parts=config.l2_partitions,
             _multi=config.l2_partitions > 1,
             _l2_fast=l2_fast,
             _inflight=self._inflight,
             _inflight_get=self._inflight.get,
+            _heap=self._inflight_heap,
+            _heappush=heappush,
+            _heappop=heappop,
             _cfg_merging=config.mshr_merging,
             _l1_lat=config.l1_hit_latency,
             _l2_lat=config.l2_hit_latency,
@@ -170,6 +192,10 @@ class MemoryHierarchy:
             merging = _cfg_merging and bool(_inflight)
             l1_hit = l1_evict = 0
             l2_acc = l2_hit = l2_evict = 0
+            # monolithic DRAM: bus-free time, and the transactions and the
+            # sum of their completion times this call
+            bus = _dram._bus_free
+            dram_n = dram_done_sum = 0
             for k in range(begin, end):
                 line = lines[k]
                 cache_set = _l1_sets[line % _l1_num_sets]
@@ -231,10 +257,30 @@ class MemoryHierarchy:
                         del l2_set[next(iter(l2_set))]
                         l2_evict += 1
                     l2_set[line] = None
-                    done = _dram_service(now)
+                    if _multi:
+                        done = _dram_service(now)
+                    else:
+                        # DRAM.service: start = max(float(now), bus)
+                        start = bus if bus > now else float(now)
+                        bus = start + _dram_cpl
+                        done = int(start) + _dram_lat
+                        dram_n += 1
+                        dram_done_sum += done
                     if not is_write and _cfg_merging:
-                        # only loads put a fill in flight to merge into
-                        _hier._mshr_insert(line, done, now)
+                        # only loads put a fill in flight to merge into:
+                        # _mshr_insert, inlined
+                        _inflight[line] = done
+                        _heappush(_heap, (done, line))
+                        # fills that have landed can never merge again
+                        while _heap and _heap[0][0] <= now:
+                            t, ln = _heappop(_heap)
+                            if _inflight_get(ln) == t:
+                                del _inflight[ln]
+                        while len(_inflight) > _hier.mshr_limit:
+                            t, ln = _heappop(_heap)
+                            if _inflight_get(ln) == t:
+                                del _inflight[ln]
+                                _hier.mshr_dropped += 1
                         merging = True  # the table is non-empty from here on
                     if done > complete_at:
                         complete_at = done
@@ -257,6 +303,16 @@ class MemoryHierarchy:
                 _l1_stats.write_hits += l1_hit
                 _l2_stats.write_accesses += l2_acc
                 _l2_stats.write_hits += l2_hit
+            if dram_n:
+                _dram._bus_free = bus
+                dram_stats = _dram.stats
+                dram_stats.transactions += dram_n
+                dram_stats.total_latency += dram_done_sum - dram_n * now
+                # start times only grow within a call, so the last
+                # transaction waited longest
+                delay = int(start) - now
+                if delay > dram_stats.max_queue_delay:
+                    dram_stats.max_queue_delay = delay
             return complete_at
 
         return access
@@ -279,7 +335,9 @@ class MemoryHierarchy:
         only if every entry is still genuinely in flight — evicting the
         oldest-completing fills deterministically. Eviction loses merge
         *timing* for those lines, never correctness, and is counted in
-        ``mshr_dropped`` (surfaced as ``SimStats.mshr_dropped``)."""
+        ``mshr_dropped`` (surfaced as ``SimStats.mshr_dropped``). The
+        monolithic-L2 accessor inlines the same steps; this copy serves
+        the reference walk."""
         inflight = self._inflight
         heap = self._inflight_heap
         inflight[line] = done

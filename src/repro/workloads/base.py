@@ -41,21 +41,39 @@ class Array:
     def end(self) -> int:
         return self.base + self.nbytes
 
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(f"{self.name}[{index}] out of range (length {self.length})")
+
     def addr(self, index: int) -> int:
         """Byte address of element ``index`` (bounds-checked)."""
         if not 0 <= index < self.length:
-            raise IndexError(f"{self.name}[{index}] out of range (length {self.length})")
+            raise self._out_of_range(index)
         return self.base + index * self.elem_bytes
 
     def addrs(self, indices: Iterable[int]) -> list[int]:
-        """Byte addresses of many elements (one numpy bounds check for the batch)."""
+        """Byte addresses of many elements (one bounds check for the batch).
+
+        A unit-step ``range`` (every ``load_range``/``store_range``) is
+        checked at its two ends and expanded with no numpy round trip;
+        any other input takes one numpy check. Both raise the same
+        ``IndexError`` naming the first out-of-range index.
+        """
+        if type(indices) is range and indices.step == 1:
+            start, stop = indices.start, indices.stop
+            if start >= stop:
+                return []
+            if not 0 <= start < self.length:
+                raise self._out_of_range(start)
+            if stop > self.length:
+                raise self._out_of_range(self.length)
+            eb = self.elem_bytes
+            return list(range(self.base + start * eb, self.base + stop * eb, eb))
         idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64)
         if idx.size == 0:
             return []
         bad = (idx < 0) | (idx >= self.length)
         if bad.any():
-            index = int(idx[bad][0])
-            raise IndexError(f"{self.name}[{index}] out of range (length {self.length})")
+            raise self._out_of_range(int(idx[bad][0]))
         return (self.base + idx * self.elem_bytes).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

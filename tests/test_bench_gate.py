@@ -70,9 +70,12 @@ def test_main_end_to_end(gate, tmp_path, capsys):
 
 def test_committed_baseline_is_gateable(gate):
     """The checked-in BENCH_simulator.json must satisfy the gate's shape
-    for the row the default gate watches."""
+    for the rows ``make perf-smoke`` watches."""
     baseline = json.loads((Path(__file__).parent.parent / "BENCH_simulator.json").read_text())
-    assert gate.check(baseline, baseline, ["adaptive-bind"], 0.25) == []
+    rows = ["adaptive-bind", "adaptive-bind@sssp-cage15/small/cdp"]
+    assert gate.check(baseline, baseline, rows, 0.25) == []
+    makefile = (Path(__file__).parent.parent / "Makefile").read_text()
+    assert " ".join(rows) in makefile
 
 
 def test_update_baseline_overwrites_and_never_fails(gate, tmp_path, capsys):

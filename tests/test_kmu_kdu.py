@@ -1,5 +1,7 @@
 """Kernel management: KDU capacity and KMU admission policies."""
 
+import random
+
 import pytest
 
 from repro.gpu.kdu import KDU
@@ -115,3 +117,56 @@ class TestKMUPrioritized:
         for i in range(4):
             kmu.submit(make_kernel(name=str(i)), 0)
         assert kmu.pending_high_water == 3
+
+
+def reference_pick(pending, prioritized):
+    """Linear-scan admission choice over ``(priority, seq, kernel)``
+    entries: the earliest arrival under FCFS, else the highest priority,
+    earliest arrival within a level."""
+    if not prioritized:
+        return min(range(len(pending)), key=lambda i: pending[i][1])
+    return min(range(len(pending)), key=lambda i: (-pending[i][0], pending[i][1]))
+
+
+@pytest.mark.parametrize("prioritized", [False, True], ids=["fcfs", "prioritized"])
+@pytest.mark.parametrize("seed", range(6))
+def test_heap_admission_matches_linear_scan(prioritized, seed):
+    """Random submit/retire/fill sequences with mixed priorities admit
+    kernels in exactly the order a linear scan of the backlog picks."""
+    rng = random.Random(seed)
+    kdu = KDU(rng.randint(1, 4))
+    kmu = KMU(kdu, prioritized=prioritized)
+    admitted = []
+    kmu.on_admit = lambda k, now: admitted.append(k)
+    # the reference model: its own backlog and KDU occupancy
+    ref_pending, ref_resident, expected = [], [], []
+    arrivals = 0
+
+    def ref_fill():
+        while ref_pending and len(ref_resident) < kdu.capacity:
+            _, _, kernel = ref_pending.pop(reference_pick(ref_pending, prioritized))
+            ref_resident.append(kernel)
+            expected.append(kernel)
+
+    for step in range(400):
+        action = rng.random()
+        if action < 0.55:
+            kernel = make_kernel(priority=rng.randrange(5), name=f"k{arrivals}")
+            ref_pending.append((kernel.priority, arrivals, kernel))
+            arrivals += 1
+            kmu.submit(kernel, step)
+            ref_fill()
+        elif action < 0.9 and kdu.kernels:
+            victim = rng.choice(kdu.kernels)
+            kdu.retire(victim)
+            ref_resident.remove(victim)
+            if rng.random() < 0.7:
+                kmu.fill_kdu(step)
+                ref_fill()
+        else:
+            kmu.fill_kdu(step)
+            ref_fill()
+        assert admitted == expected
+        assert kmu.pending_count == len(ref_pending)
+        assert kmu.drained == (not ref_pending)
+    assert len(admitted) > 50

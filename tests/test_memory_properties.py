@@ -134,9 +134,10 @@ def _random_spans(rng: random.Random, num_sets: int):
     return spans
 
 
-@pytest.mark.parametrize("l2_partitions", [1, 2])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_accessor_matches_reference_walk(seed, l2_partitions):
+def check_accessor_against_reference(seed, l2_partitions, *, mshr_limit=None, lines_per_cycle=None):
+    """Drive the per-SMX accessor and the ``_access_lines`` reference
+    with the same random spans; every completion time and every piece of
+    cache, DRAM and MSHR state must agree."""
     rng = random.Random(seed)
     config = GPUConfig(
         num_smx=4,
@@ -144,7 +145,11 @@ def test_accessor_matches_reference_walk(seed, l2_partitions):
         l2=CacheConfig(size_bytes=32 * 1024, associativity=8),
         l2_partitions=l2_partitions,
     )
+    if lines_per_cycle is not None:
+        config = config.with_overrides(dram_lines_per_cycle=lines_per_cycle)
     fast_hier, ref_hier = MemoryHierarchy(config), MemoryHierarchy(config)
+    if mshr_limit is not None:
+        fast_hier.mshr_limit = ref_hier.mshr_limit = mshr_limit
     access = fast_hier.accessor(0)
     now = 0
     for lines, is_write in _random_spans(rng, fast_hier.l1s[0].num_sets):
@@ -157,5 +162,30 @@ def test_accessor_matches_reference_walk(seed, l2_partitions):
     for fast_cache, ref_cache in pairs:
         assert fast_cache.stats == ref_cache.stats, fast_cache.name
         assert fast_cache.resident_lines() == ref_cache.resident_lines(), fast_cache.name
+    for fast_dram, ref_dram in zip(fast_hier.drams, ref_hier.drams):
+        assert fast_dram.stats == ref_dram.stats
+        assert fast_dram._bus_free == ref_dram._bus_free
     assert fast_hier.mshr_merges == ref_hier.mshr_merges
+    assert fast_hier.mshr_dropped == ref_hier.mshr_dropped
+    assert fast_hier._inflight == ref_hier._inflight
     assert fast_hier.dram_transactions() == ref_hier.dram_transactions()
+    return fast_hier
+
+
+@pytest.mark.parametrize("l2_partitions", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_accessor_matches_reference_walk(seed, l2_partitions):
+    check_accessor_against_reference(seed, l2_partitions)
+
+
+@pytest.mark.parametrize("lines_per_cycle", [0.5, 3.0])
+@pytest.mark.parametrize("l2_partitions", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_accessor_matches_reference_walk_with_full_mshr(seed, l2_partitions, lines_per_cycle):
+    """An 8-entry MSHR table makes the walk capacity-evict fills, and a
+    fractional DRAM rate exercises the float bus-free arithmetic."""
+    hier = check_accessor_against_reference(
+        seed, l2_partitions, mshr_limit=8, lines_per_cycle=lines_per_cycle
+    )
+    assert hier.mshr_dropped > 0
+    assert max(d.stats.max_queue_delay for d in hier.drams) > 0

@@ -143,6 +143,50 @@ class TestSharedHelpers:
         with pytest.raises(IndexError):
             arr.addr(10)
 
+    @pytest.mark.parametrize(
+        "indices",
+        [range(0, 10), range(3, 7), range(9, 10), range(0, 1)],
+        ids=["whole", "middle", "last", "first"],
+    )
+    def test_range_addrs_match_list_path(self, indices):
+        from repro.workloads.base import AddressSpace
+
+        space = AddressSpace()
+        space.alloc("pad", 3, elem_bytes=1)
+        arr = space.alloc("a", 10, elem_bytes=8)
+        assert arr.addrs(indices) == arr.addrs(list(indices))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [range(-2, 4), range(-1, 0), range(7, 12), range(10, 11), range(12, 15)],
+        ids=["negative-start", "negative-only", "past-end", "at-end", "beyond-end"],
+    )
+    def test_range_addrs_raise_like_list_path(self, indices):
+        from repro.workloads.base import AddressSpace
+
+        arr = AddressSpace().alloc("a", 10)
+        with pytest.raises(IndexError) as from_list:
+            arr.addrs(list(indices))
+        with pytest.raises(IndexError) as from_range:
+            arr.addrs(indices)
+        assert str(from_range.value) == str(from_list.value)
+
+    def test_empty_range_addrs(self):
+        from repro.workloads.base import AddressSpace
+
+        arr = AddressSpace().alloc("a", 10)
+        assert arr.addrs(range(4, 4)) == []
+        assert arr.addrs(range(20, 5)) == []
+
+    def test_strided_range_addrs_use_numpy_path(self):
+        from repro.workloads.base import AddressSpace
+
+        arr = AddressSpace().alloc("a", 10, elem_bytes=4)
+        assert arr.addrs(range(0, 10, 3)) == [arr.addr(i) for i in (0, 3, 6, 9)]
+        assert arr.addrs(range(9, -1, -4)) == [arr.addr(i) for i in (9, 5, 1)]
+        with pytest.raises(IndexError, match=r"a\[10\]"):
+            arr.addrs(range(2, 12, 4))
+
     def test_warp_trace_chunks_wide_accesses(self):
         from repro.workloads.base import AddressSpace, WarpTrace
 
