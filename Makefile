@@ -49,15 +49,16 @@ bench-quick:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.suite.run --quick
 
 # CI perf gate: measure fresh throughput and fail if adaptive-bind (on
-# bfs-citation tiny/dtbl, and on sssp-cage15 small/cdp, whose KMU backlog
-# and DRAM queue the tiny row never reaches) drops >25% below the committed
-# BENCH_simulator.json baseline (docs/simulator.md)
+# bfs-citation tiny/dtbl, on sssp-cage15 small/cdp, whose KMU backlog and
+# DRAM queue the tiny row never reaches, and on the cold path of
+# clr-graph500 small/dtbl: build, trace store and first run) drops >25%
+# below the committed BENCH_simulator.json baseline (docs/simulator.md)
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_simulator.py -o .bench_smoke.json \
 		--baseline BENCH_simulator.json
 	$(PYTHON) scripts/check_bench_regression.py .bench_smoke.json \
 		--baseline BENCH_simulator.json --max-regression 0.25 \
-		--schedulers adaptive-bind adaptive-bind@sssp-cage15/small/cdp
+		--schedulers adaptive-bind adaptive-bind@sssp-cage15/small/cdp cold:adaptive-bind@clr-graph500/small/dtbl
 
 # end-to-end smoke of the job service: spawns `repro serve` on a scratch
 # cache, drives it with concurrent clients, checks the zero-work warm

@@ -94,10 +94,16 @@ DEFAULT_WORKLOAD = ("bfs-citation", "tiny", "dtbl")
 #: ``tiny`` never reaches
 CDP_ROW = "adaptive-bind@sssp-cage15/small/cdp"
 
+#: a row prefixed ``cold:`` times the cold path as a first ``repro grid``
+#: cell pays it: datagen and trace build, the trace store into an empty
+#: workload cache, and the first engine run of that trace
+COLD_ROW = "cold:adaptive-bind@clr-graph500/small/dtbl"
+COLD_PREFIX = "cold:"
+
 
 def parse_row(row: str) -> tuple[str, tuple[str, str, str]]:
-    """``sched[@benchmark/scale/model]`` -> (scheduler, workload)."""
-    scheduler, _, where = row.partition("@")
+    """``[cold:]sched[@benchmark/scale/model]`` -> (scheduler, workload)."""
+    scheduler, _, where = row.removeprefix(COLD_PREFIX).partition("@")
     if not where:
         return scheduler, DEFAULT_WORKLOAD
     benchmark, scale, model = where.split("/")
@@ -172,6 +178,37 @@ def _measure_scheduler(scheduler: str, spec, rounds: int, model: str = "dtbl") -
     }
 
 
+def _measure_cold(scheduler: str, workload: tuple[str, str, str], rounds: int) -> dict:
+    """Best-of-N wall time of build + trace store + first Engine.run().
+
+    Every round builds a fresh workload object into a fresh workload
+    cache, so no trace, lowering or record survives from the last one.
+    """
+    import tempfile
+    import time
+
+    from repro.harness.workload_cache import WorkloadCache
+
+    benchmark, scale, model = workload
+    config = experiment_config()
+    best = float("inf")
+    cycles = 0
+    for _ in range(rounds):
+        with tempfile.TemporaryDirectory() as tmp:
+            t0 = time.perf_counter()
+            workload_obj = load_benchmark(benchmark, scale=scale)
+            spec = workload_obj.kernel()
+            WorkloadCache(tmp).store(benchmark, scale, workload_obj.seed, spec)
+            engine = Engine(config, make_scheduler(scheduler), make_model(model), [spec])
+            cycles = engine.run().cycles
+            best = min(best, time.perf_counter() - t0)
+    return {
+        "cycles": cycles,
+        "best_ms": round(best * 1000, 3),
+        "cycles_per_sec": round(cycles / best, 1),
+    }
+
+
 def main(argv=None) -> int:
     import argparse
     import json
@@ -188,7 +225,8 @@ def main(argv=None) -> int:
         nargs="+",
         # the paper's four plus one composed policy (admission control on
         # top of LaPerm) so the throttle/admission path can't regress
-        # silently, and the CDP row for the KMU backlog and DRAM queue
+        # silently, the CDP row for the KMU backlog and DRAM queue, and
+        # the cold row for build, trace store and first run
         default=[
             "rr",
             "tb-pri",
@@ -196,9 +234,11 @@ def main(argv=None) -> int:
             "adaptive-bind",
             "adaptive-bind+throttle",
             CDP_ROW,
+            COLD_ROW,
         ],
-        help="rows to measure: a scheduler (bfs-citation tiny/dtbl) or "
-        "scheduler@benchmark/scale/model",
+        help="rows to measure: a scheduler (bfs-citation tiny/dtbl), "
+        "scheduler@benchmark/scale/model, or cold:scheduler@benchmark/scale/model "
+        "(build + trace store + first run, each round on a fresh cache)",
     )
     parser.add_argument(
         "--baseline",
@@ -215,25 +255,33 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     specs = {
         (benchmark, scale): load_benchmark(benchmark, scale=scale).kernel()
-        for _, (benchmark, scale, _) in rows.values()
+        for row, (_, (benchmark, scale, _)) in rows.items()
+        if not row.startswith(COLD_PREFIX)
     }
     datagen_ms = (time.perf_counter() - t0) * 1000
     report = {
         "generated_by": "benchmarks/bench_simulator.py",
         "workload": "bfs-citation scale=tiny seed=7 model=dtbl, "
-        "unless the row names scheduler@benchmark/scale/model",
+        "unless the row names scheduler@benchmark/scale/model; a cold: row "
+        "times build + trace store + first run on a fresh workload cache",
         "rounds": args.rounds,
         "python": platform.python_version(),
         "host": _provenance(),
         "schedulers": {},
     }
     # phase 2: engine throughput per scheduler (datagen excluded: each
-    # timed window covers exactly one Engine.run())
+    # timed window covers exactly one Engine.run(); a cold row's window
+    # covers its build, store and first run instead)
     t0 = time.perf_counter()
     for sched, (scheduler, (benchmark, scale, model)) in rows.items():
-        report["schedulers"][sched] = _measure_scheduler(
-            scheduler, specs[benchmark, scale], args.rounds, model
-        )
+        if sched.startswith(COLD_PREFIX):
+            report["schedulers"][sched] = _measure_cold(
+                scheduler, (benchmark, scale, model), args.rounds
+            )
+        else:
+            report["schedulers"][sched] = _measure_scheduler(
+                scheduler, specs[benchmark, scale], args.rounds, model
+            )
         print(
             f"{sched:>14}: {report['schedulers'][sched]['cycles_per_sec']:>12,.1f} cycles/sec"
             f"  ({report['schedulers'][sched]['best_ms']} ms best of {args.rounds})",

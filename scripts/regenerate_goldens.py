@@ -5,10 +5,11 @@ Run from the repository root::
 
     PYTHONPATH=src python scripts/regenerate_goldens.py
 
-It rewrites ``tests/golden_stats.json``, ``tests/golden_equivalence.json``
-and ``tests/golden_variants.json``.
+It rewrites ``tests/golden_stats.json``, ``tests/golden_equivalence.json``,
+``tests/golden_variants.json`` and ``tests/trace_digests.json``.
 Review the diff: every changed number should be explainable by the
-change you just made (and bump ``ENGINE_VERSION`` for a semantic change).
+change you just made (and bump ``ENGINE_VERSION`` for a semantic change,
+``TRACE_VERSION`` for a changed trace digest).
 """
 
 import json
@@ -19,6 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from repro.harness.execution import run_spec  # noqa: E402
 from tests.test_golden import COMBOS, GOLDEN_PATH, measure  # noqa: E402
 from tests.test_golden_equivalence import pinned_keys, spec_for_key  # noqa: E402
+from tests.test_trace_digests import DIGEST_PATH, digest_cases  # noqa: E402
+from tests.test_trace_digests import measure as measure_trace  # noqa: E402
 
 
 def main() -> None:
@@ -36,6 +39,12 @@ def main() -> None:
         with open(path, "w") as f:
             json.dump(pins, f, indent=1)
         print(f"wrote {path} ({len(pins)} entries)")
+
+    digests = {f"{name}@{scale}": measure_trace(name, scale) for name, scale in digest_cases()}
+    with open(DIGEST_PATH, "w") as f:
+        json.dump(digests, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {DIGEST_PATH} ({len(digests)} entries)")
 
 
 if __name__ == "__main__":

@@ -28,16 +28,14 @@ COLD = -1
 
 def _line_stream(bodies: Sequence[TBBody], line_bytes: int) -> Iterable[int]:
     for body in bodies:
-        for warp in body.warps:
-            for instr in warp:
-                if instr.addresses:
-                    seen = set()
-                    for a in instr.addresses:
-                        if a >= 0:
-                            line = a // line_bytes
-                            if line not in seen:  # coalesced within the access
-                                seen.add(line)
-                                yield line
+        for _, lanes in body.accesses():
+            seen = set()
+            for a in lanes:
+                if a >= 0:
+                    line = a // line_bytes
+                    if line not in seen:  # coalesced within the access
+                        seen.add(line)
+                        yield line
 
 
 def reuse_distances(bodies: Sequence[TBBody], line_bytes: int = 128) -> Iterable[int]:
@@ -105,17 +103,14 @@ def inter_tb_reuse(bodies: Sequence[TBBody], line_bytes: int = 128) -> InterTBRe
     last_owner: dict[int, int] = {}
     intra = inter = cold = 0
     for tb_idx, body in enumerate(bodies):
-        for warp in body.warps:
-            for instr in warp:
-                if not instr.addresses:
-                    continue
-                for line in {a // line_bytes for a in instr.addresses if a >= 0}:
-                    owner = last_owner.get(line)
-                    if owner is None:
-                        cold += 1
-                    elif owner == tb_idx:
-                        intra += 1
-                    else:
-                        inter += 1
-                    last_owner[line] = tb_idx
+        for _, lanes in body.accesses():
+            for line in {a // line_bytes for a in lanes if a >= 0}:
+                owner = last_owner.get(line)
+                if owner is None:
+                    cold += 1
+                elif owner == tb_idx:
+                    intra += 1
+                else:
+                    inter += 1
+                last_owner[line] = tb_idx
     return InterTBReuse(intra_tb=intra, inter_tb=inter, cold=cold)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.gpu.kernel import KernelSpec, ResourceReq
-from repro.gpu.trace import LaunchSpec, TBBody, compute, launch, load, store
+from repro.gpu.trace import OP_LOAD, OP_STORE, LaunchSpec, TBBody, WarpTrace
 
 WARP = 32
 
@@ -80,26 +80,33 @@ class DeviceArray:
         return len(self.data)
 
 
+#: stand-in bodies of a launch whose children have not run yet
+_PENDING = [TBBody(warps=[WarpTrace().compute(1)])]
+
+
 @dataclass
 class WarpContext:
     """Execution context handed to a warp program.
 
     ``lanes`` are the global thread indices of the (≤32) active lanes.
     All memory helpers operate warp-wide: one call = one coalescable
-    access per 32 indices, with real data movement.
+    access per 32 indices, with real data movement, recorded into
+    ``trace`` as it happens.
     """
 
     lanes: np.ndarray
-    _instrs: list = field(default_factory=list)
+    trace: WarpTrace = field(default_factory=WarpTrace)
+    # (launch spec, child kernel, threads, args): children run once this
+    # warp's program has finished, then fill in their spec's bodies
     _launches: list = field(default_factory=list)
 
     # ----- memory -----------------------------------------------------------
     def _record(self, array: DeviceArray, indices, is_store: bool) -> None:
         idxs = [int(i) for i in np.atleast_1d(indices)]
+        op = OP_STORE if is_store else OP_LOAD
         for chunk_start in range(0, len(idxs), WARP):
             chunk = idxs[chunk_start : chunk_start + WARP]
-            addrs = [array.addr(i) for i in chunk]
-            self._instrs.append(store(addrs) if is_store else load(addrs))
+            self.trace.access(op, [array.addr(i) for i in chunk])
 
     def load(self, array: DeviceArray, indices) -> np.ndarray:
         """Warp-wide load: returns the actual values."""
@@ -115,8 +122,7 @@ class WarpContext:
     def compute(self, cycles: int = 1) -> None:
         """Arithmetic between memory operations (trace-weight only; the
         Python code around this call performs the real arithmetic)."""
-        if cycles > 0:
-            self._instrs.append(compute(int(cycles)))
+        self.trace.compute(int(cycles))
 
     def launch(
         self,
@@ -127,7 +133,13 @@ class WarpContext:
         name: Optional[str] = None,
     ) -> None:
         """Device-side launch of ``kernel`` over ``num_threads`` threads."""
-        self._launches.append((len(self._instrs), kernel, num_threads, args, threads_per_tb, name))
+        spec = LaunchSpec(
+            bodies=_PENDING,
+            threads_per_tb=threads_per_tb,
+            name=name or getattr(kernel, "__name__", "device-kernel"),
+        )
+        self.trace.launch(spec)
+        self._launches.append((spec, kernel, num_threads, args))
 
 
 def _run_kernel_bodies(
@@ -135,7 +147,6 @@ def _run_kernel_bodies(
     num_threads: int,
     args: tuple,
     threads_per_tb: int,
-    name: Optional[str],
     depth: int,
     max_depth: int,
 ) -> list[TBBody]:
@@ -152,19 +163,13 @@ def _run_kernel_bodies(
             w_len = min(WARP, tb_start + tb_threads - w_start)
             ctx = WarpContext(lanes=np.arange(w_start, w_start + w_len))
             kernel(ctx, *args)
-            instrs = list(ctx._instrs)
-            # splice recorded launches in at their trace positions
-            for offset, (pos, child, n, child_args, tpb, child_name) in enumerate(ctx._launches):
-                child_bodies = _run_kernel_bodies(
-                    child, n, child_args, tpb, child_name, depth + 1, max_depth
+            for spec, child, n, child_args in ctx._launches:
+                spec.bodies = _run_kernel_bodies(
+                    child, n, child_args, spec.threads_per_tb, depth + 1, max_depth
                 )
-                spec = LaunchSpec(
-                    bodies=child_bodies,
-                    threads_per_tb=tpb,
-                    name=child_name or getattr(child, "__name__", "device-kernel"),
-                )
-                instrs.insert(pos + offset, launch(spec))
-            warps.append(instrs if instrs else [compute(1)])
+            if not ctx.trace.ops:
+                ctx.trace.compute(1)
+            warps.append(ctx.trace)
         bodies.append(TBBody(warps=warps))
     return bodies
 
@@ -189,7 +194,7 @@ def run_functional_kernel(
     if num_threads < 1:
         raise ValueError("num_threads must be positive")
     bodies = _run_kernel_bodies(
-        kernel, num_threads, args, threads_per_tb, name, depth=0, max_depth=max_depth
+        kernel, num_threads, args, threads_per_tb, depth=0, max_depth=max_depth
     )
     return KernelSpec(
         name=name or getattr(kernel, "__name__", "functional-kernel"),

@@ -13,6 +13,7 @@ from repro.gpu.trace import (
     LaunchSpec,
     Op,
     TBBody,
+    WarpTrace,
     compute,
     launch,
     load,
@@ -40,6 +41,7 @@ __all__ = [
     "TBState",
     "ThreadBlock",
     "WarpContext",
+    "WarpTrace",
     "compute",
     "launch",
     "load",

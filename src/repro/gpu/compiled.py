@@ -1,128 +1,62 @@
-"""Ahead-of-time lowering of warp traces to flat typed arrays.
+"""Re-lowering of thread-block bodies to another cache-line size.
 
-The simulator is trace-driven: every dynamic instruction re-reads a
-static :class:`~repro.gpu.trace.Instr`. Walking dataclass objects in the
-issue loop costs an attribute load per field and a method call per
-memory access (the memoized coalescer), which dominates the interpreter
-time of the hot path. This module performs that structural work once per
-:class:`~repro.gpu.trace.TBBody` — the same compile-once/replay-many
-move the dynamic-parallelism compiler literature applies on real
-hardware — and stores the result as flat parallel ``array('q')``
-columns:
-
-``ops[i]``
-    the instruction's op code (``int(Op.*)``),
-``args[i]``
-    op-specific payload: COMPUTE cycle count, LOAD/STORE coalesced line
-    count, LAUNCH index into the body's launch table,
-``offs[i]``
-    LOAD/STORE start offset into the body-wide coalesced ``lines`` pool
-    (zero for other ops).
-
-All warps of a body share one ``lines`` pool and one ``launches`` table,
-so the thousands of thread blocks replaying the same body (DTBL groups,
-repeated engine runs over one spec) share a single compiled object
-instead of re-memoizing per-instruction state. Compiled bodies are
-interned on the ``TBBody`` itself via :meth:`TBBody.compiled`.
+A :class:`~repro.gpu.trace.TBBody` is stored as its lowering: the flat
+``array('q')`` columns of a :class:`CompiledBody` that the SMX issue
+loop replays, written by :class:`~repro.gpu.trace.WarpTrace` while the
+trace is built at ``LINE_BYTES``-byte lines. :func:`compile_body`
+lowers a body again from its per-lane address pool, coalescing every
+access: :meth:`TBBody.compiled` calls it only for a machine whose line
+size differs from the one the body was built at, and the tests use it
+as the reference the builder's arithmetic lowering must match.
 
 The lowering is purely structural: op codes, latencies and coalesced
-line addresses are exactly what the interpreter would have computed
-instruction by instruction (``tests/test_trace_compile.py`` pins the
-equivalence property, and the golden-equivalence suite pins the engine's
-simulated results bit-for-bit).
+line addresses are exactly what interpreting each instruction would
+have computed (``tests/test_trace_compile.py`` pins the equivalence,
+and the golden-equivalence suite pins the engine's simulated results
+bit-for-bit).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.gpu.trace import Op
+from repro.gpu.trace import OP_COMPUTE, OP_LAUNCH, OP_LOAD, OP_STORE, CompiledBody
+from repro.memory.coalescer import coalesce
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpu.trace import LaunchSpec, TBBody
+    from repro.gpu.trace import TBBody
 
-# plain-int op codes: array('q') hands back ordinary ints, so the issue
-# loop compares against these instead of IntEnum members
-OP_COMPUTE: int = int(Op.COMPUTE)
-OP_LOAD: int = int(Op.LOAD)
-OP_STORE: int = int(Op.STORE)
-OP_LAUNCH: int = int(Op.LAUNCH)
-
-
-class CompiledBody:
-    """One thread-block body lowered to flat instruction columns.
-
-    ``warp_ops[w][i]`` / ``warp_args[w][i]`` / ``warp_offs[w][i]`` are
-    the columns of warp ``w``'s ``i``-th instruction; ``lines`` and
-    ``launches`` are shared across all warps of the body. Instances are
-    immutable after construction and safe to share between thread
-    blocks, engines and (pickled) cache records.
-    """
-
-    __slots__ = ("line_bytes", "warp_ops", "warp_args", "warp_offs", "lines", "launches")
-
-    def __init__(
-        self,
-        line_bytes: int,
-        warp_ops: list[array],
-        warp_args: list[array],
-        warp_offs: list[array],
-        lines: array,
-        launches: list[Optional["LaunchSpec"]],
-    ) -> None:
-        self.line_bytes = line_bytes
-        self.warp_ops = warp_ops
-        self.warp_args = warp_args
-        self.warp_offs = warp_offs
-        self.lines = lines
-        self.launches = launches
-
-    @property
-    def num_warps(self) -> int:
-        return len(self.warp_ops)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        instrs = sum(len(o) for o in self.warp_ops)
-        return (
-            f"CompiledBody(warps={self.num_warps}, instrs={instrs}, "
-            f"pool={len(self.lines)}, line_bytes={self.line_bytes})"
-        )
+__all__ = ["OP_COMPUTE", "OP_LAUNCH", "OP_LOAD", "OP_STORE", "CompiledBody", "compile_body"]
 
 
 def compile_body(body: "TBBody", line_bytes: int) -> CompiledBody:
-    """Lower one :class:`TBBody` into a :class:`CompiledBody`.
+    """Lower ``body`` at ``line_bytes`` from its per-lane addresses.
 
-    Reuses each instruction's memoized coalescing, so compiling a body
-    whose instructions were already issued interpretively costs only the
-    array packing.
+    Op codes, COMPUTE cycles and the launch table are shared with the
+    body's own columns; LOAD/STORE line spans are coalesced afresh.
     """
-    warp_ops: list[array] = []
+    native = body.columns
+    counts, lanes = body.lane_counts, body.lanes
     warp_args: list[array] = []
     warp_offs: list[array] = []
     lines = array("q")
-    launches: list[Optional["LaunchSpec"]] = []
-    op_compute, op_launch = OP_COMPUTE, OP_LAUNCH
-    for warp in body.warps:
-        ops = array("q")
+    access = pos = 0
+    for ops, native_args in zip(native.warp_ops, native.warp_args):
         args = array("q")
         offs = array("q")
-        for instr in warp:
-            op = instr.op
-            ops.append(op)
-            if op == op_compute:
-                args.append(instr.cycles)
-                offs.append(0)
-            elif op == op_launch:
-                args.append(len(launches))
-                offs.append(0)
-                launches.append(instr.launch)
-            else:  # LOAD / STORE
-                coalesced = instr.coalesced(line_bytes)
+        for op, arg in zip(ops, native_args):
+            if op == OP_LOAD or op == OP_STORE:
+                n = counts[access]
+                access += 1
+                coalesced = coalesce(lanes[pos : pos + n].tolist(), line_bytes)
+                pos += n
                 args.append(len(coalesced))
                 offs.append(len(lines))
                 lines.extend(coalesced)
-        warp_ops.append(ops)
+            else:
+                args.append(arg)
+                offs.append(0)
         warp_args.append(args)
         warp_offs.append(offs)
-    return CompiledBody(line_bytes, warp_ops, warp_args, warp_offs, lines, launches)
+    return CompiledBody(line_bytes, native.warp_ops, warp_args, warp_offs, lines, native.launches)

@@ -6,14 +6,18 @@ complete launch tree included — as one binary record and loads it back,
 preserving body sharing (a `TBBody` referenced by several launches
 round-trips to a single object).
 
-Format (``FORMAT_VERSION`` 2): a magic and version prefix, then one zlib
-stream holding a small JSON header (name, resources, launch table, roots)
-and flat ``array('q')`` columns — warps per body, instructions per warp,
-op bytes, per-instruction arguments and one address pool. Bodies and
-launches are referenced by table index, so arbitrarily deep launch trees
-serialize without recursion. Decoding validates every length, op code
-and index and never evaluates the record (no pickle, marshal or eval).
-Format 1 (gzip JSON) files are rejected with a message saying so.
+Format (``FORMAT_VERSION`` 3): a magic and version prefix, then one zlib
+stream holding a small JSON header (name, resources, line size, launch
+table, roots) and the lowered columns every `TBBody` holds, concatenated
+— warps per body, instructions per warp, op codes, arguments, the
+coalesced line pool, and the per-lane address pool with its lane counts.
+Storing a trace is one join and one compression pass; loading one slices
+the columns back, so a loaded trace replays with no coalescing. Bodies
+and launches are referenced by table index, so arbitrarily deep launch
+trees serialize without recursion. Decoding validates every length, op
+code and index and never evaluates the record (no pickle, marshal or
+eval). Format 1 (gzip JSON) and format 2 (per-instruction records)
+files are rejected with a message naming their format.
 
 It also provides the plain-object round trips the execution layer is
 built on: `GPUConfig` and `SimStats` to/from JSON-compatible dicts
@@ -32,13 +36,26 @@ import sys
 import zlib
 from array import array
 
+import numpy as np
+
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelSpec, ResourceReq
 from repro.gpu.stats import SimStats
-from repro.gpu.trace import Instr, LaunchSpec, Op, TBBody
+from repro.gpu.trace import (
+    LINE_BYTES,
+    OP_COMPUTE,
+    OP_LAUNCH,
+    OP_LOAD,
+    OP_STORE,
+    CompiledBody,
+    LaunchSpec,
+    TBBody,
+    WarpTrace,
+)
 
-#: Layout version of the binary trace record. 1 was gzip-compressed JSON.
-FORMAT_VERSION = 2
+#: Layout version of the binary trace record. 1 was gzip-compressed JSON,
+#: 2 one record per instruction (addresses only, coalesced at load).
+FORMAT_VERSION = 3
 
 
 def canonical_json(obj) -> str:
@@ -110,37 +127,44 @@ def _collect(spec: KernelSpec):
 # A record is ``_MAGIC``, the little-endian u32 ``FORMAT_VERSION``, then one
 # zlib stream holding, back to back:
 #
-#   u64 header length, the JSON header (name, resources, launch table,
-#   roots, column lengths), then five flat columns of little-endian int64
-#   (ops: one byte each):
+#   u64 header length, the JSON header (name, resources, line size, launch
+#   table, roots, column lengths), then flat columns of little-endian int64:
 #
-#   body_warps   warps per body                     (one per body)
-#   warp_instrs  instructions per warp              (one per warp)
-#   ops          Op value                           (one byte per instr)
-#   args         COMPUTE: cycles; LOAD/STORE: number of addresses;
-#                LAUNCH: launch-table index         (one per instr)
-#   addrs        every LOAD/STORE address, in trace order
+#   body_warps   warps per body                              (one per body)
+#   warp_instrs  instructions per warp                       (one per warp)
+#   ops          op code                                     (one per instr)
+#   args         COMPUTE: cycles; LOAD/STORE: coalesced line count;
+#                LAUNCH: index into the body's launch list    (one per instr)
+#   lines        every body's coalesced line pool, body after body
+#   lane_counts  lanes per LOAD/STORE, in trace order
+#   lanes        every LOAD/STORE's per-lane byte addresses, in trace order
+#   launch_refs  each body's launch list as launch-table indices
 #
-# Bodies and launches are referenced by table index, so shared bodies and
-# launch specs round-trip to single objects and launch-tree depth never
-# recurses in the decoder.
+# These are the columns a TBBody holds (repro.gpu.trace), concatenated:
+# storing a trace joins them and compresses once, and loading one slices
+# them back without coalescing. Line offsets are not stored; the decoder
+# recomputes them from the line counts. Bodies and launches are referenced
+# by table index, so shared bodies and launch specs round-trip to single
+# objects and launch-tree depth never recurses in the decoder.
 
 _MAGIC = b"REPROTRC"
 _PREFIX = struct.Struct("<8sI")
 _HEADER_LEN = struct.Struct("<Q")
 _GZIP_MAGIC = b"\x1f\x8b"
-_OPS = tuple(Op)
 _ITEM = array("q").itemsize
 _NATIVE_LE = sys.byteorder == "little"
+_N_COLUMNS = 8
 
 
-def _le(column: array) -> array:
-    """``column`` in little-endian byte order (a copy only on big-endian hosts)."""
+def _le(columns: list[array]) -> bytes:
+    """``columns`` joined, as little-endian int64 bytes."""
+    joined = b"".join(columns)
     if _NATIVE_LE:
-        return column
-    swapped = array(column.typecode, column)
+        return joined
+    swapped = array("q")
+    swapped.frombytes(joined)
     swapped.byteswap()
-    return swapped
+    return swapped.tobytes()
 
 
 def spec_to_bytes(spec: KernelSpec) -> bytes:
@@ -148,24 +172,32 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
     bodies, body_ids, launches, launch_ids = _collect(spec)
     body_warps = array("q")
     warp_instrs = array("q")
-    ops = bytearray()
-    args = array("q")
-    addrs = array("q")
-    compute, launch = Op.COMPUTE, Op.LAUNCH
+    launch_refs = array("q")
+    ops: list[array] = []
+    args: list[array] = []
+    lines: list[array] = []
+    lane_counts: list[array] = []
+    lanes: list[array] = []
     for body in bodies:
-        body_warps.append(len(body.warps))
-        for warp in body.warps:
-            warp_instrs.append(len(warp))
-            for instr in warp:
-                op = instr.op
-                ops.append(op)
-                if op == compute:
-                    args.append(instr.cycles)
-                elif op == launch:
-                    args.append(launch_ids[id(instr.launch)])
-                else:
-                    args.append(len(instr.addresses))
-                    addrs.extend(instr.addresses)
+        columns = body.columns
+        body_warps.append(len(columns.warp_ops))
+        warp_instrs.extend([len(warp) for warp in columns.warp_ops])
+        ops += columns.warp_ops
+        args += columns.warp_args
+        lines.append(columns.lines)
+        lane_counts.append(body.lane_counts)
+        lanes.append(body.lanes)
+        launch_refs.extend([launch_ids[id(launch_spec)] for launch_spec in columns.launches])
+    data = [
+        _le([body_warps]),
+        _le([warp_instrs]),
+        _le(ops),
+        _le(args),
+        _le(lines),
+        _le(lane_counts),
+        _le(lanes),
+        _le([launch_refs]),
+    ]
     header = {
         "name": spec.name,
         "resources": [
@@ -173,6 +205,7 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
             spec.resources.regs_per_thread,
             spec.resources.smem_bytes,
         ],
+        "line_bytes": LINE_BYTES,
         "launches": [
             [
                 [body_ids[id(b)] for b in launch_spec.bodies],
@@ -184,23 +217,13 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
             for launch_spec in launches
         ],
         "roots": [body_ids[id(b)] for b in spec.bodies],
-        "counts": [len(body_warps), len(warp_instrs), len(ops), len(addrs)],
+        "counts": [len(column) // _ITEM for column in data],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     compressor = zlib.compressobj(1)
     chunks = [_PREFIX.pack(_MAGIC, FORMAT_VERSION)]
-    # each column goes to zlib through its own buffer: no joined copy of
-    # the uncompressed trace is ever made
-    for part in (
-        _HEADER_LEN.pack(len(header_bytes)),
-        header_bytes,
-        _le(body_warps),
-        _le(warp_instrs),
-        ops,
-        _le(args),
-        _le(addrs),
-    ):
-        chunks.append(compressor.compress(memoryview(part)))
+    for part in (_HEADER_LEN.pack(len(header_bytes)), header_bytes, *data):
+        chunks.append(compressor.compress(part))
     chunks.append(compressor.flush())
     return b"".join(chunks)
 
@@ -230,12 +253,95 @@ def _column(payload: memoryview, offset: int, count: int, what: str) -> tuple[ar
     return column, end
 
 
+def _corrupt(message: str) -> ValueError:
+    return ValueError(f"corrupt trace record: {message}")
+
+
+def _bounds(values: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of ``values`` plus the total (len + 1)."""
+    out = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=out[1:])
+    return out
+
+
+def _check_columns(body_warps, warp_instrs, ops, args, lane_counts, launch_refs, counts, n_launches):
+    """Validate the columns against each other; return the per-instruction
+    line offsets and, per body, its bounds in the warp, line, access,
+    lane and launch-ref columns.
+
+    Every op code, count and index is checked, so a damaged record raises
+    instead of replaying a wrong trace.
+    """
+    n_bodies, n_warps, n_instrs, n_args, n_lines, n_accesses, n_lanes, n_refs = counts
+    if n_args != n_instrs:
+        raise _corrupt("args disagree with ops")
+    bw = np.frombuffer(body_warps, dtype=np.int64)
+    wi = np.frombuffer(warp_instrs, dtype=np.int64)
+    op = np.frombuffer(ops, dtype=np.int64)
+    arg = np.frombuffer(args, dtype=np.int64)
+    lc = np.frombuffer(lane_counts, dtype=np.int64)
+    refs = np.frombuffer(launch_refs, dtype=np.int64)
+    if bw.size and bw.min() < 1 or bw.sum() != n_warps:
+        raise _corrupt("warps per body disagree with warp count")
+    if wi.size and wi.min() < 0 or wi.sum() != n_instrs:
+        raise _corrupt("instrs per warp disagree with instr count")
+    if op.size and (op.min() < OP_COMPUTE or op.max() > OP_LAUNCH):
+        bad = op[(op < OP_COMPUTE) | (op > OP_LAUNCH)][0]
+        raise _corrupt(f"unknown op code {int(bad)}")
+    is_access = (op == OP_LOAD) | (op == OP_STORE)
+    is_launch = op == OP_LAUNCH
+    if np.any(arg[op == OP_COMPUTE] < 1) or np.any(arg[is_access] < 0):
+        raise _corrupt("negative cycle or line count")
+    access_lines = np.where(is_access, arg, 0)
+    if access_lines.sum() != n_lines:
+        raise _corrupt("line counts disagree with the line pool")
+    if int(is_access.sum()) != n_accesses:
+        raise _corrupt("accesses disagree with the lane counts")
+    if lc.size and lc.min() < 0 or lc.sum() != n_lanes:
+        raise _corrupt("lane counts disagree with the lane pool")
+    if int(is_launch.sum()) != n_refs:
+        raise _corrupt("launches disagree with the launch references")
+    if refs.size and (refs.min() < 0 or refs.max() >= n_launches):
+        raise _corrupt("launch reference out of range")
+
+    warp_bounds = _bounds(wi)
+    body_warp_bounds = _bounds(bw)
+    body_instr_bounds = warp_bounds[body_warp_bounds]
+    body_of_instr = np.repeat(np.arange(n_bodies), np.diff(body_instr_bounds))
+
+    def per_body(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (each instruction's exclusive prefix sum within its body, the
+        # bounds of every body in the pool the values count into)
+        total = _bounds(values)
+        body_bounds = total[body_instr_bounds]
+        return total[:-1] - body_bounds[:-1][body_of_instr], body_bounds
+
+    offs, body_line_bounds = per_body(access_lines)
+    launch_index, body_ref_bounds = per_body(is_launch.astype(np.int64))
+    if np.any(arg[is_launch] != launch_index[is_launch]):
+        raise _corrupt("launch index out of order")
+    _, body_access_bounds = per_body(is_access.astype(np.int64))
+    body_lane_bounds = _bounds(lc)[body_access_bounds]
+    offs = np.where(is_access, offs, 0)
+    return (
+        array("q", offs.tobytes()),
+        warp_bounds.tolist(),
+        body_warp_bounds.tolist(),
+        body_line_bounds.tolist(),
+        body_access_bounds.tolist(),
+        body_lane_bounds.tolist(),
+        body_ref_bounds.tolist(),
+    )
+
+
 def spec_from_bytes(data: bytes) -> KernelSpec:
     """Decode a record written by :func:`spec_to_bytes`.
 
     Every length, op code and index is checked, so a truncated, corrupt
     or foreign record raises :class:`ValueError` (or ``zlib.error`` for a
-    damaged compressed body) instead of yielding a wrong trace.
+    damaged compressed body) instead of yielding a wrong trace. Line
+    spans are read as stored (zlib's checksum guards their bytes), never
+    re-coalesced.
     """
     data = memoryview(data)
     if data[:2] == _GZIP_MAGIC:
@@ -248,6 +354,11 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
     magic, version = _PREFIX.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError("not a repro trace record (bad magic)")
+    if version == 2:
+        raise ValueError(
+            "trace file is format 2 (instruction records), which this version no "
+            f"longer reads; re-snapshot it to write format {FORMAT_VERSION}"
+        )
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version}")
     decompressor = zlib.decompressobj()
@@ -264,29 +375,25 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
     header = json.loads(bytes(payload[_HEADER_LEN.size:offset]).decode("utf-8"))
     if not isinstance(header, dict):
         raise ValueError("corrupt trace record: header is not an object")
-    n_bodies, n_warps, n_instrs, n_addrs = _int_fields(header.get("counts"), 4, "counts")
-    body_warps, offset = _column(payload, offset, n_bodies, "body_warps")
-    warp_instrs, offset = _column(payload, offset, n_warps, "warp_instrs")
-    if n_instrs < 0 or offset + n_instrs > len(payload):
-        raise ValueError("corrupt trace record: ops column truncated")
-    ops = payload[offset:offset + n_instrs]
-    offset += n_instrs
-    args, offset = _column(payload, offset, n_instrs, "args")
-    addrs, offset = _column(payload, offset, n_addrs, "addrs")
+    counts = _int_fields(header.get("counts"), _N_COLUMNS, "counts")
+    columns = []
+    for count, what in zip(counts, ("body_warps", "warp_instrs", "ops", "args", "lines",
+                                    "lane_counts", "lanes", "launch_refs")):
+        column, offset = _column(payload, offset, count, what)
+        columns.append(column)
     if offset != len(payload):
         raise ValueError("corrupt trace record: trailing bytes after the columns")
-    if sum(body_warps) != n_warps or min(body_warps, default=1) < 1:
-        raise ValueError("corrupt trace record: warps per body disagree with warp count")
-    if sum(warp_instrs) != n_instrs or min(warp_instrs, default=0) < 0:
-        raise ValueError("corrupt trace record: instrs per warp disagree with instr count")
+    body_warps, warp_instrs, ops, args, lines, lane_counts, lanes, launch_refs = columns
+    n_bodies = counts[0]
+    if header.get("line_bytes") != LINE_BYTES:
+        raise ValueError("corrupt trace record: bad line size")
 
     launch_rows = header.get("launches")
     if not isinstance(launch_rows, list):
         raise ValueError("corrupt trace record: bad launch table")
-    n_launches = len(launch_rows)
-    # launch specs are created first (bodies filled in below), so LAUNCH
-    # instructions can reference any launch regardless of tree depth
-    placeholder = [TBBody(warps=[[Instr(Op.COMPUTE)]])]
+    # launch specs are created first (bodies filled in below), so a body
+    # can reference any launch regardless of tree depth
+    placeholder = [TBBody(warps=[WarpTrace().compute(1)])]
     launch_specs = []
     for row in launch_rows:
         if not isinstance(row, list) or len(row) != 5 or not isinstance(row[4], str):
@@ -304,37 +411,28 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
             )
         )
 
+    offs, warps, body_warps_at, body_lines, body_accesses, body_lanes, body_refs = _check_columns(
+        body_warps, warp_instrs, ops, args, lane_counts, launch_refs, counts, len(launch_specs)
+    )
+    refs = launch_refs.tolist()
     bodies = []
-    warp_index = 0
-    instr_index = 0
-    addr_index = 0
-    compute, load, store, launch = _OPS
-    for n_body_warps in body_warps:
-        warps = []
-        for count in warp_instrs[warp_index:warp_index + n_body_warps]:
-            instrs = []
-            append = instrs.append
-            for k in range(instr_index, instr_index + count):
-                op = ops[k]
-                arg = args[k]
-                if op == 0:
-                    append(Instr(compute, cycles=arg))
-                elif op == 1 or op == 2:
-                    end = addr_index + arg
-                    if arg < 0 or end > n_addrs:
-                        raise ValueError("corrupt trace record: address pool overrun")
-                    append(Instr(load if op == 1 else store, addresses=tuple(addrs[addr_index:end])))
-                    addr_index = end
-                elif op == 3:
-                    append(Instr(launch, launch=launch_specs[_index(arg, n_launches, "launch")]))
-                else:
-                    raise ValueError(f"corrupt trace record: unknown op code {op}")
-            instr_index += count
-            warps.append(instrs)
-        warp_index += n_body_warps
-        bodies.append(TBBody(warps=warps))
-    if addr_index != n_addrs:
-        raise ValueError("corrupt trace record: unused addresses in the pool")
+    for b in range(n_bodies):
+        spans = [(warps[w], warps[w + 1]) for w in range(body_warps_at[b], body_warps_at[b + 1])]
+        compiled = CompiledBody(
+            LINE_BYTES,
+            [ops[i:j] for i, j in spans],
+            [args[i:j] for i, j in spans],
+            [offs[i:j] for i, j in spans],
+            lines[body_lines[b]:body_lines[b + 1]],
+            [launch_specs[r] for r in refs[body_refs[b]:body_refs[b + 1]]],
+        )
+        bodies.append(
+            TBBody.from_columns(
+                compiled,
+                lane_counts[body_accesses[b]:body_accesses[b + 1]],
+                lanes[body_lanes[b]:body_lanes[b + 1]],
+            )
+        )
 
     for launch_spec, row in zip(launch_specs, launch_rows):
         launch_spec.bodies = [bodies[_index(i, n_bodies, "body")] for i in row[0]]

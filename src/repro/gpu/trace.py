@@ -1,7 +1,7 @@
-"""Warp instruction traces.
+"""Warp instruction traces, stored as their lowering.
 
-The simulator is trace-driven: a thread block's behaviour is a list of
-per-warp instruction streams produced ahead of time by a workload
+The simulator is trace-driven: a thread block's behaviour is one
+instruction stream per warp, produced ahead of time by a workload
 generator. Four instruction kinds exist:
 
 ``COMPUTE``
@@ -9,20 +9,36 @@ generator. Four instruction kinds exist:
     counts ``cycles`` executed instructions toward IPC. Used to abstract
     arithmetic between memory operations.
 ``LOAD``
-    A warp-wide global load; ``addresses`` holds one byte address per
-    active lane. The warp stalls until the slowest coalesced transaction
-    returns.
+    A warp-wide global load of one byte address per active lane. The
+    warp stalls until the slowest coalesced transaction returns.
 ``STORE``
     A warp-wide global store; write-through, the warp does not stall
     (fire-and-forget, as on real hardware).
 ``LAUNCH``
     A device-side launch (CDP kernel or DTBL thread-block group). The
     attached :class:`LaunchSpec` describes the child thread blocks.
+
+Traces are built by :class:`WarpTrace`, which lowers every instruction
+as it is appended: it writes the flat columns the SMX issue loop
+replays (a :class:`CompiledBody` at ``LINE_BYTES``-byte lines), so a
+trace is coalesced once, when it is built, and never at place time.
+Ranges of consecutive elements are lowered arithmetically; scattered
+accesses go through the coalescer once. The builder also keeps every
+memory access's per-lane byte addresses in one flat pool, which the
+static analyses, the trace record and re-lowering for another line size
+(:func:`repro.gpu.compiled.compile_body`) read.
+
+:class:`Instr` and the :func:`compute`/:func:`load`/:func:`store`/
+:func:`launch` helpers describe single hand-written instructions (tests,
+examples); a :class:`TBBody` built from lists of them lowers each one
+through a :class:`WarpTrace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
@@ -36,30 +52,77 @@ class Op(IntEnum):
     LAUNCH = 3
 
 
+# plain-int op codes: array('q') hands back ordinary ints, so the issue
+# loop and the builder compare against these instead of IntEnum members
+OP_COMPUTE: int = int(Op.COMPUTE)
+OP_LOAD: int = int(Op.LOAD)
+OP_STORE: int = int(Op.STORE)
+OP_LAUNCH: int = int(Op.LAUNCH)
+
+#: line size the builder lowers to (Kepler's 128-byte L1/L2 lines)
+LINE_BYTES = 128
+WARP_SIZE = 32
+
+
+class CompiledBody:
+    """One thread-block body lowered to flat instruction columns.
+
+    ``warp_ops[w][i]`` / ``warp_args[w][i]`` / ``warp_offs[w][i]`` are
+    the columns of warp ``w``'s ``i``-th instruction:
+
+    ``ops``
+        the op code (``OP_*``),
+    ``args``
+        COMPUTE cycle count, LOAD/STORE coalesced line count, LAUNCH
+        index into the body's launch table,
+    ``offs``
+        LOAD/STORE start offset into the body-wide ``lines`` pool (zero
+        for other ops).
+
+    ``lines`` (coalesced line addresses, byte address // ``line_bytes``)
+    and ``launches`` are shared across all warps of the body, so every
+    thread block replaying the same body shares one object. Instances
+    are immutable after construction.
+    """
+
+    __slots__ = ("line_bytes", "warp_ops", "warp_args", "warp_offs", "lines", "launches")
+
+    def __init__(
+        self,
+        line_bytes: int,
+        warp_ops: list[array],
+        warp_args: list[array],
+        warp_offs: list[array],
+        lines: array,
+        launches: list["LaunchSpec"],
+    ) -> None:
+        self.line_bytes = line_bytes
+        self.warp_ops = warp_ops
+        self.warp_args = warp_args
+        self.warp_offs = warp_offs
+        self.lines = lines
+        self.launches = launches
+
+    @property
+    def num_warps(self) -> int:
+        return len(self.warp_ops)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        instrs = sum(len(o) for o in self.warp_ops)
+        return (
+            f"CompiledBody(warps={self.num_warps}, instrs={instrs}, "
+            f"pool={len(self.lines)}, line_bytes={self.line_bytes})"
+        )
+
+
 @dataclass(slots=True)
 class Instr:
-    """One trace instruction. Construct via the helpers below."""
+    """One hand-written trace instruction. Construct via the helpers below."""
 
     op: int
     cycles: int = 1
     addresses: Optional[tuple[int, ...]] = None
     launch: Optional["LaunchSpec"] = None
-    # memoized coalescing result: ``addresses`` never changes after trace
-    # generation, so the line list is computed once per (instr, line size)
-    # instead of on every issue of the instruction
-    _lines: Optional[list[int]] = field(default=None, repr=False, compare=False)
-    _lines_bytes: int = field(default=0, repr=False, compare=False)
-
-    def coalesced(self, line_bytes: int) -> list[int]:
-        """The coalesced line addresses of this memory instruction.
-
-        Callers must not mutate the returned list — it is shared across
-        every future issue of this (static) instruction.
-        """
-        if self._lines_bytes != line_bytes:
-            self._lines = coalesce(self.addresses, line_bytes)
-            self._lines_bytes = line_bytes
-        return self._lines
 
 
 def compute(cycles: int) -> Instr:
@@ -84,64 +147,257 @@ def launch(spec: "LaunchSpec") -> Instr:
     return Instr(Op.LAUNCH, launch=spec)
 
 
-@dataclass(slots=True)
-class TBBody:
-    """The static behaviour of one thread block: one trace per warp."""
+class WarpTrace:
+    """Builder for one warp's instruction stream, lowered as it is appended.
 
-    warps: list[list[Instr]]
-    # interned ahead-of-time lowering (repro.gpu.compiled): every thread
-    # block replaying this body shares one compiled object, keyed by the
-    # line size it was lowered for
-    _compiled: Optional[object] = field(default=None, repr=False, compare=False)
+    ``ops``/``args``/``offs``/``lines``/``launches`` are this warp's
+    :class:`CompiledBody` columns at ``LINE_BYTES`` (offsets and launch
+    indices local to the warp); ``lane_counts`` holds the lane count of
+    each LOAD/STORE and ``lanes`` their per-lane byte addresses, in trace
+    order. The array-level methods take any object with ``addrs(indices)``
+    and ``addr_range(start, stop)`` (:class:`repro.workloads.base.Array`)
+    and issue one instruction per ``WARP_SIZE`` elements.
 
-    def __post_init__(self) -> None:
-        if not self.warps:
-            raise ValueError("a thread block needs at least one warp")
+    A trace must not be appended to once a :class:`TBBody` holds it.
+    """
 
-    def compiled(self, line_bytes: int):
-        """The flat-array lowering of this body (compiled once, shared).
+    __slots__ = ("ops", "args", "offs", "lines", "lane_counts", "lanes", "launches")
 
-        See :mod:`repro.gpu.compiled`. The result is cached on the body;
-        a different ``line_bytes`` recompiles (machine configurations in
-        one process virtually always agree on the line size).
+    def __init__(self) -> None:
+        self.ops = array("q")
+        self.args = array("q")
+        self.offs = array("q")
+        self.lines = array("q")
+        self.lane_counts = array("q")
+        self.lanes = array("q")
+        self.launches: list[LaunchSpec] = []
+
+    # ----- lane-level ----------------------------------------------------------
+    def access(self, op: int, addresses: Sequence[int]) -> "WarpTrace":
+        """One LOAD/STORE over ``addresses`` (one byte address per lane,
+        negative for an inactive lane), coalesced here, once."""
+        lines = coalesce(addresses, LINE_BYTES)
+        self.ops.append(op)
+        self.args.append(len(lines))
+        self.offs.append(len(self.lines))
+        self.lines.extend(lines)
+        self.lane_counts.append(len(addresses))
+        self.lanes.extend(addresses)
+        return self
+
+    def access_range(self, op: int, addresses: range) -> "WarpTrace":
+        """LOAD/STOREs over an ascending, non-negative ``range`` of byte
+        addresses, one instruction per ``WARP_SIZE`` lanes.
+
+        With a step of at most one line, every line between a warp's
+        first and last address is touched, so the coalesced span is the
+        closed line interval: no per-lane work.
         """
-        compiled = self._compiled
-        if compiled is None or compiled.line_bytes != line_bytes:
-            from repro.gpu.compiled import compile_body
+        step = addresses.step
+        if step > LINE_BYTES:
+            return self._accesses(op, list(addresses))
+        if not addresses:
+            return self
+        lines = self.lines
+        self.lanes.extend(addresses)
+        final = addresses[-1]
+        width = WARP_SIZE * step
+        for begin in range(addresses.start, final + 1, width):
+            last = min(begin + width - step, final)
+            first_line, last_line = begin // LINE_BYTES, last // LINE_BYTES
+            self.ops.append(op)
+            self.args.append(last_line - first_line + 1)
+            self.offs.append(len(lines))
+            if first_line == last_line:
+                lines.append(first_line)
+            else:
+                lines.extend(range(first_line, last_line + 1))
+            self.lane_counts.append((last - begin) // step + 1)
+        return self
 
-            compiled = compile_body(self, line_bytes)
-            self._compiled = compiled
-        return compiled
+    def append(self, instr: Instr) -> "WarpTrace":
+        """Lower one hand-written :class:`Instr`."""
+        op = instr.op
+        if op == OP_COMPUTE:
+            self.ops.append(OP_COMPUTE)
+            self.args.append(instr.cycles)
+            self.offs.append(0)
+            return self
+        if op == OP_LAUNCH:
+            if instr.launch is None:
+                raise ValueError("a LAUNCH instruction needs a LaunchSpec")
+            return self.launch(instr.launch)
+        return self.access(int(op), instr.addresses or ())
+
+    def _accesses(self, op: int, addresses: list[int]) -> "WarpTrace":
+        for i in range(0, len(addresses), WARP_SIZE):
+            self.access(op, addresses[i : i + WARP_SIZE])
+        return self
+
+    # ----- array-level ---------------------------------------------------------
+    def _memory(self, op: int, array, indices: Iterable[int]) -> "WarpTrace":
+        if type(indices) is range and indices.step == 1:
+            return self.access_range(op, array.addr_range(indices.start, indices.stop))
+        return self._accesses(op, array.addrs(indices))
+
+    def load(self, array, indices: Iterable[int]) -> "WarpTrace":
+        """Warp-wide loads of the given elements, 32 lanes per instruction."""
+        return self._memory(OP_LOAD, array, indices)
+
+    def load_range(self, array, start: int, count: int) -> "WarpTrace":
+        """Coalesced loads of ``count`` consecutive elements."""
+        return self.access_range(OP_LOAD, array.addr_range(start, start + count))
+
+    def store(self, array, indices: Iterable[int]) -> "WarpTrace":
+        return self._memory(OP_STORE, array, indices)
+
+    def store_range(self, array, start: int, count: int) -> "WarpTrace":
+        return self.access_range(OP_STORE, array.addr_range(start, start + count))
+
+    def gather(self, array, indices: Iterable[int]) -> "WarpTrace":
+        """Alias of :meth:`load` that documents a scattered access."""
+        return self._memory(OP_LOAD, array, indices)
+
+    # ----- compute / control ---------------------------------------------------
+    def compute(self, cycles: int) -> "WarpTrace":
+        if cycles > 0:
+            self.ops.append(OP_COMPUTE)
+            self.args.append(cycles)
+            self.offs.append(0)
+        return self
+
+    def launch(self, spec: "LaunchSpec") -> "WarpTrace":
+        self.ops.append(OP_LAUNCH)
+        self.args.append(len(self.launches))
+        self.offs.append(0)
+        self.launches.append(spec)
+        return self
+
+
+def _rebase_offs(ops: array, offs: array, base: int) -> array:
+    """A warp's line offsets moved ``base`` entries into the body's pool."""
+    return array(
+        "q", [o + base if op == OP_LOAD or op == OP_STORE else 0 for op, o in zip(ops, offs)]
+    )
+
+
+def _rebase_launches(ops: array, args: array, base: int) -> array:
+    """A warp's launch indices moved ``base`` entries into the body's table."""
+    return array("q", [a + base if op == OP_LAUNCH else a for op, a in zip(ops, args)])
+
+
+class TBBody:
+    """The static behaviour of one thread block: one trace per warp.
+
+    ``warps`` is a list of :class:`WarpTrace` builders (or of lists of
+    :class:`Instr`, lowered here). The body stores only the lowered
+    columns (``columns``, a :class:`CompiledBody` at ``LINE_BYTES``) and
+    the per-lane address pool (``lane_counts``/``lanes``), joined
+    across its warps.
+    """
+
+    __slots__ = ("columns", "lane_counts", "lanes", "_relowered")
+
+    def __init__(self, warps: Sequence[WarpTrace | Iterable[Instr]]) -> None:
+        if not warps:
+            raise ValueError("a thread block needs at least one warp")
+        traces = [w if isinstance(w, WarpTrace) else _lower(w) for w in warps]
+        first, *rest = traces
+        warp_args, warp_offs = [first.args], [first.offs]
+        lines, lane_counts, lanes = first.lines, first.lane_counts, first.lanes
+        launches = first.launches
+        if rest:
+            # later warps append to copies of the first warp's pools, and
+            # their offsets and launch indices move past what precedes them
+            lines, lane_counts, lanes = lines[:], lane_counts[:], lanes[:]
+            launches = list(launches)
+            for t in rest:
+                warp_offs.append(_rebase_offs(t.ops, t.offs, len(lines)))
+                warp_args.append(
+                    _rebase_launches(t.ops, t.args, len(launches)) if t.launches else t.args
+                )
+                lines += t.lines
+                lane_counts += t.lane_counts
+                lanes += t.lanes
+                launches += t.launches
+        self.columns = CompiledBody(
+            LINE_BYTES, [t.ops for t in traces], warp_args, warp_offs, lines, launches
+        )
+        self.lane_counts = lane_counts
+        self.lanes = lanes
+        self._relowered = None
+
+    @classmethod
+    def from_columns(cls, columns: CompiledBody, lane_counts: array, lanes: array) -> "TBBody":
+        """A body over already-lowered columns (the trace-record decoder)."""
+        body = cls.__new__(cls)
+        body.columns = columns
+        body.lane_counts = lane_counts
+        body.lanes = lanes
+        body._relowered = None
+        return body
+
+    def compiled(self, line_bytes: int) -> CompiledBody:
+        """The flat-array lowering of this body at ``line_bytes``.
+
+        At the line size the body was built at this is ``columns`` as
+        is; another size is re-lowered from the lane pool once and
+        cached (machine configurations in one process virtually always
+        agree on the line size).
+        """
+        columns = self.columns
+        if line_bytes == columns.line_bytes:
+            return columns
+        relowered = self._relowered
+        if relowered is None or relowered.line_bytes != line_bytes:
+            from repro.gpu import compiled
+
+            relowered = self._relowered = compiled.compile_body(self, line_bytes)
+        return relowered
 
     @property
     def num_warps(self) -> int:
-        return len(self.warps)
+        return len(self.columns.warp_ops)
 
     def instruction_count(self) -> int:
         """Weighted dynamic instruction count of this body alone."""
-        return sum(
-            instr.cycles if instr.op == Op.COMPUTE else 1
-            for warp in self.warps
-            for instr in warp
-        )
+        columns = self.columns
+        total = 0
+        for ops, args in zip(columns.warp_ops, columns.warp_args):
+            total += len(ops) + sum(a - 1 for op, a in zip(ops, args) if op == OP_COMPUTE)
+        return total
 
     def launches(self) -> list["LaunchSpec"]:
         """All launch specs embedded in this body, in trace order."""
-        return [
-            instr.launch
-            for warp in self.warps
-            for instr in warp
-            if instr.op == Op.LAUNCH and instr.launch is not None
-        ]
+        return list(self.columns.launches)
 
-    def touched_lines(self, line_bytes: int = 128) -> set[int]:
+    def accesses(self) -> Iterator[tuple[int, array]]:
+        """``(op, per-lane byte addresses)`` of each LOAD/STORE, in trace order."""
+        counts, lanes = self.lane_counts, self.lanes
+        access = pos = 0
+        for ops in self.columns.warp_ops:
+            for op in ops:
+                if op == OP_LOAD or op == OP_STORE:
+                    n = counts[access]
+                    access += 1
+                    yield op, lanes[pos : pos + n]
+                    pos += n
+
+    def touched_lines(self, line_bytes: int = LINE_BYTES) -> set[int]:
         """Cache lines referenced by this body's loads and stores."""
-        lines: set[int] = set()
-        for warp in self.warps:
-            for instr in warp:
-                if instr.addresses:
-                    lines.update(a // line_bytes for a in instr.addresses if a >= 0)
-        return lines
+        if line_bytes == self.columns.line_bytes:
+            return set(self.columns.lines)
+        return {a // line_bytes for a in self.lanes if a >= 0}
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"TBBody({self.columns!r})"
+
+
+def _lower(instrs: Iterable[Instr]) -> WarpTrace:
+    trace = WarpTrace()
+    for instr in instrs:
+        trace.append(instr)
+    return trace
 
 
 @dataclass(slots=True)
@@ -176,6 +432,6 @@ def walk_bodies(bodies: list[TBBody]) -> list[TBBody]:
     while stack:
         body = stack.pop()
         out.append(body)
-        for spec in reversed(body.launches()):
+        for spec in reversed(body.columns.launches):
             stack.extend(reversed(spec.bodies))
     return out

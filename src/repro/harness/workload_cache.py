@@ -9,13 +9,12 @@ keyed by those inputs plus :data:`TRACE_VERSION`, so a warm ``repro
 grid`` / ``tune`` run never executes a datagen step at all.
 
 Records are the binary trace records of :mod:`repro.gpu.serialize`
-(``spec_to_bytes`` / ``spec_from_bytes``: a zlib stream of flat
-``array('q')`` columns), which preserve body sharing: a
-:class:`~repro.gpu.trace.TBBody` referenced by several launches
-round-trips to a single object, so the flat-array lowering
-(:mod:`repro.gpu.compiled`) is still compiled once per body after a
-cache load. Layout mirrors the result cache, sharded by the first two
-hex digits of the key::
+(``spec_to_bytes`` / ``spec_from_bytes``: a zlib stream of the lowered
+``array('q')`` columns every :class:`~repro.gpu.trace.TBBody` holds),
+which preserve body sharing: a body referenced by several launches
+round-trips to a single object, and a loaded trace replays as stored,
+with no coalescing. Layout mirrors the result cache, sharded by the
+first two hex digits of the key::
 
     <root>/ab/abcdef0123....trace
 

@@ -16,9 +16,12 @@ def coalesce(addresses: Iterable[int], line_bytes: int = 128) -> list[int]:
 
     Returns line addresses (byte address // line_bytes) sorted ascending,
     which makes transaction order deterministic. Inactive lanes are
-    represented by negative addresses and skipped.
+    represented by negative addresses and skipped; no active lane gives
+    no line.
     """
     if isinstance(addresses, (list, tuple)):
+        if not addresses:
+            return []
         first = addresses[0] // line_bytes
         # fast path: the common fully-coalesced access (one line)
         for addr in addresses:

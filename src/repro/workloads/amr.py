@@ -70,7 +70,7 @@ class AMR(Workload):
                     for sub in range(2):
                         start = fine2_base + (fine_row * 2 + sub) * BLOCK_COLS * 4
                         wt.store_range(self.fine2, start, BLOCK_COLS * 4)
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="amr-refine2")
 
@@ -105,7 +105,7 @@ class AMR(Workload):
                     wt.store(self.desc, range(deep_idx * 4, deep_idx * 4 + 4))
                     wt.compute(4)
                     wt.launch(self._deep_spec(fine_base, deep_slot, deep_idx))
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="amr-refine")
 
@@ -146,7 +146,7 @@ class AMR(Workload):
                 if do_refine and w == 0:
                     wt.store(self.desc, range(launch_desc * 4, launch_desc * 4 + 4))
                     wt.launch(self._child_spec(br, bc, fine_slot, launch_desc))
-                warps.append(wt.build())
+                warps.append(wt)
             if do_refine:
                 fine_slot += 1
             bodies.append(TBBody(warps=warps))

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.gpu.kernel import KernelSpec, ResourceReq
-from repro.gpu.trace import Instr, LaunchSpec, TBBody, compute, launch, load, store
+from repro.gpu.trace import WarpTrace  # noqa: F401  (re-exported: the workloads build with it)
 
 #: recognized workload scales (rough instruction budget per run)
 SCALES = ("tiny", "small", "paper")
@@ -50,31 +50,44 @@ class Array:
             raise self._out_of_range(index)
         return self.base + index * self.elem_bytes
 
+    def addr_range(self, start: int, stop: int) -> range:
+        """Byte addresses of elements ``start`` to ``stop - 1``, as a range
+        (checked at its two ends; empty when ``start >= stop``)."""
+        if start >= stop:
+            return range(0)
+        if not 0 <= start < self.length:
+            raise self._out_of_range(start)
+        if stop > self.length:
+            raise self._out_of_range(self.length)
+        eb = self.elem_bytes
+        return range(self.base + start * eb, self.base + stop * eb, eb)
+
     def addrs(self, indices: Iterable[int]) -> list[int]:
         """Byte addresses of many elements (one bounds check for the batch).
 
         A unit-step ``range`` (every ``load_range``/``store_range``) is
-        checked at its two ends and expanded with no numpy round trip;
-        any other input takes one numpy check. Both raise the same
-        ``IndexError`` naming the first out-of-range index.
+        checked at its two ends; any other input is checked at its
+        smallest and largest index. Both raise the same ``IndexError``
+        naming the first out-of-range index. Indices must be integers
+        (Python or numpy): a float or bool index raises ``TypeError``
+        instead of being truncated.
         """
         if type(indices) is range and indices.step == 1:
-            start, stop = indices.start, indices.stop
-            if start >= stop:
-                return []
-            if not 0 <= start < self.length:
-                raise self._out_of_range(start)
-            if stop > self.length:
-                raise self._out_of_range(self.length)
-            eb = self.elem_bytes
-            return list(range(self.base + start * eb, self.base + stop * eb, eb))
-        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64)
-        if idx.size == 0:
+            return list(self.addr_range(indices.start, indices.stop))
+        idx = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+        if not idx:
             return []
-        bad = (idx < 0) | (idx >= self.length)
-        if bad.any():
-            raise self._out_of_range(int(idx[bad][0]))
-        return (self.base + idx * self.elem_bytes).tolist()
+        if not all(type(i) is int for i in idx):
+            # numpy integer scalars pass; floats, bools and the rest do not
+            dtype = np.asarray(idx).dtype
+            if dtype.kind not in "iu":
+                raise TypeError(f"{self.name} indices must be integers, not {dtype}")
+            idx = [int(i) for i in idx]
+        length = self.length
+        if min(idx) < 0 or max(idx) >= length:
+            raise self._out_of_range(next(i for i in idx if not 0 <= i < length))
+        base, eb = self.base, self.elem_bytes
+        return [base + i * eb for i in idx]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Array({self.name!r}, base={self.base:#x}, elem={self.elem_bytes}, n={self.length})"
@@ -101,65 +114,6 @@ class AddressSpace:
     @property
     def total_bytes(self) -> int:
         return self._cursor
-
-
-class WarpTrace:
-    """Builder for one warp's instruction stream."""
-
-    WARP_SIZE = 32
-
-    def __init__(self) -> None:
-        self.instrs: list[Instr] = []
-
-    # ----- memory ------------------------------------------------------------
-    def _chunks(self, addrs: Sequence[int]) -> Iterable[Sequence[int]]:
-        for i in range(0, len(addrs), self.WARP_SIZE):
-            yield addrs[i : i + self.WARP_SIZE]
-
-    def load(self, array: Array, indices: Iterable[int]) -> "WarpTrace":
-        """Warp-wide loads of the given elements, 32 lanes per instruction."""
-        addrs = array.addrs(indices)
-        for chunk in self._chunks(addrs):
-            self.instrs.append(load(chunk))
-        return self
-
-    def load_range(self, array: Array, start: int, count: int) -> "WarpTrace":
-        """Coalesced loads of ``count`` consecutive elements."""
-        return self.load(array, range(start, start + count))
-
-    def store(self, array: Array, indices: Iterable[int]) -> "WarpTrace":
-        addrs = array.addrs(indices)
-        for chunk in self._chunks(addrs):
-            self.instrs.append(store(chunk))
-        return self
-
-    def store_range(self, array: Array, start: int, count: int) -> "WarpTrace":
-        return self.store(array, range(start, start + count))
-
-    def gather(self, array: Array, indices: Iterable[int]) -> "WarpTrace":
-        """Alias of :meth:`load` that documents a scattered access."""
-        return self.load(array, indices)
-
-    # ----- compute / control ---------------------------------------------------
-    def compute(self, cycles: int) -> "WarpTrace":
-        if cycles > 0:
-            self.instrs.append(compute(cycles))
-        return self
-
-    def launch(self, spec: LaunchSpec) -> "WarpTrace":
-        self.instrs.append(launch(spec))
-        return self
-
-    def build(self) -> list[Instr]:
-        return self.instrs
-
-
-def single_warp_body(trace: WarpTrace) -> TBBody:
-    return TBBody(warps=[trace.build()])
-
-
-def body_from_traces(traces: Sequence[WarpTrace]) -> TBBody:
-    return TBBody(warps=[t.build() for t in traces])
 
 
 def chunked(items: Sequence, size: int) -> list[Sequence]:

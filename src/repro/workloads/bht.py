@@ -84,7 +84,7 @@ class BHT(Workload):
                 # cell-local pairwise interactions
                 wt.compute(max(8, min(count, 96)))
                 wt.store_range(self.forces, w_start, w_len)
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="bht-cell")
 
@@ -127,6 +127,6 @@ class BHT(Workload):
                     wt.store(self.desc, range(desc_idx * 4, desc_idx * 4 + 4))
                     wt.compute(4)
                     wt.launch(self._child_spec(cell, p, count, desc_idx))
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(64))

@@ -21,6 +21,7 @@ All generators are deterministic given a seed and return numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +42,19 @@ class CSRGraph:
     def num_edges(self) -> int:
         return len(self.col_indices)
 
+    @cached_property
+    def offsets(self) -> list[int]:
+        """``row_offsets`` as Python ints (the trace builders index it per
+        vertex; a list lookup is far cheaper than a numpy scalar)."""
+        return self.row_offsets.tolist()
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        """Every vertex's degree as Python ints."""
+        return np.diff(self.row_offsets).tolist()
+
     def degree(self, v: int) -> int:
-        return int(self.row_offsets[v + 1] - self.row_offsets[v])
+        return self.degrees[v]
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[v] : self.row_offsets[v + 1]]
@@ -137,18 +149,27 @@ def rmat_graph(
         # quadrant probabilities (a, b, c, d)
         dst += ((r >= a) & (r < a + b)) | (r >= a + b + c)
         src += r >= a + b
-    order = np.argsort(src, kind="stable")
+    # one sorted pass: rows in vertex order, each row's neighbours sorted
+    # and deduplicated
+    order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    adjacency: list[np.ndarray] = []
-    starts = np.searchsorted(src, np.arange(n))
-    ends = np.searchsorted(src, np.arange(1, n + 1))
-    for v in range(n):
-        neigh = np.unique(dst[starts[v] : ends[v]])
-        if len(neigh) > max_degree:
-            keep = rng.choice(len(neigh), size=max_degree, replace=False)
-            neigh = np.sort(neigh[keep])
-        adjacency.append(neigh)
-    return _to_csr(n, adjacency)
+    fresh = np.ones(m, dtype=bool)
+    fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst = src[fresh], dst[fresh]
+    degrees = np.bincount(src, minlength=n)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=starts[1:])
+    # hub rows keep a random max_degree subset, drawn in vertex order
+    keep = np.ones(len(dst), dtype=bool)
+    for v in np.flatnonzero(degrees > max_degree).tolist():
+        deg = int(degrees[v])
+        row = np.zeros(deg, dtype=bool)
+        row[rng.choice(deg, size=max_degree, replace=False)] = True
+        keep[starts[v] : starts[v] + deg] = row
+    degrees = np.minimum(degrees, max_degree)
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=row_offsets[1:])
+    return CSRGraph(row_offsets, dst[keep].astype(np.int64))
 
 
 def banded_graph(

@@ -94,7 +94,7 @@ class GraphDynWorkload(Workload):
     def _launch_expansion(self, wt: WarpTrace, v: int, depth: int) -> None:
         """Inspect + descriptor store + launch for the expansion of ``v``."""
         g = self.graph
-        start, deg = int(g.row_offsets[v]), g.degree(v)
+        start, deg = g.offsets[v], g.degree(v)
         self._parent_inspect(wt, v, start, deg)
         desc_idx = self._next_desc
         self._next_desc += 1
@@ -104,7 +104,7 @@ class GraphDynWorkload(Workload):
 
     def _child_spec(self, v: int, desc_idx: int, depth: int = 1) -> LaunchSpec:
         g = self.graph
-        start = int(g.row_offsets[v])
+        start = g.offsets[v]
         deg = g.degree(v)
         neighbors = g.neighbors(v)
         bodies: list[TBBody] = []
@@ -132,7 +132,7 @@ class GraphDynWorkload(Workload):
                             claims += 1
                             if claims >= 2:
                                 break
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return LaunchSpec(
             bodies=bodies,
@@ -157,7 +157,7 @@ class GraphDynWorkload(Workload):
             max_deg = max(g.degree(v) for v in small)
             for k in range(max_deg):
                 owners = [v for v in small if g.degree(v) > k]
-                col_idxs = [int(g.row_offsets[v]) + k for v in owners]
+                col_idxs = [g.offsets[v] + k for v in owners]
                 wt.load(self.col, col_idxs)
                 neighbors = [int(g.col_indices[i]) for i in col_idxs]
                 self._inline_step(wt, neighbors, owners, k)
@@ -190,7 +190,7 @@ class GraphDynWorkload(Workload):
             tb_verts = list(range(tb_start, min(tb_start + PARENT_TB_THREADS, n)))
             warps = []
             for w_start in range(0, len(tb_verts), WARP):
-                warps.append(self._parent_warp(tb_verts[w_start : w_start + WARP], rng).build())
+                warps.append(self._parent_warp(tb_verts[w_start : w_start + WARP], rng))
             bodies.append(TBBody(warps=warps))
         return KernelSpec(
             name=self.full_name,

@@ -66,7 +66,7 @@ class JOIN(Workload):
             wt.load_range(self.buckets, max(0, probe_start), probe_len)
             wt.compute(8)
             wt.store_range(self.output, s_start + w_start, w_len)
-            warps.append(wt.build())
+            warps.append(wt)
         return LaunchSpec(bodies=[TBBody(warps=warps)], threads_per_tb=32, name="join-probe")
 
     def build(self) -> KernelSpec:
@@ -116,5 +116,5 @@ class JOIN(Workload):
                 warps[0].store(self.desc, range(desc_idx * 4, desc_idx * 4 + 4))
                 warps[0].launch(self._child_spec(bucket_sub, c_start, c_len, desc_idx))
                 desc_idx += 1
-            bodies.append(TBBody(warps=[w.build() for w in warps]))
+            bodies.append(TBBody(warps=warps))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(32))

@@ -64,7 +64,7 @@ class PRE(Workload):
                 wt.gather(self.item_vecs, [int(i) for i in chunk])
                 wt.compute(12)  # dot products
                 wt.store_range(self.scores, start + w_start, w_len)
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return LaunchSpec(bodies=bodies, threads_per_tb=32, name="pre-sim")
 
@@ -111,6 +111,6 @@ class PRE(Workload):
                     wt.store(self.desc, range(desc_idx * 4, desc_idx * 4 + 4))
                     wt.launch(self._child_spec(u, start, count, desc_idx, items))
                     desc_idx += 1
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(32))

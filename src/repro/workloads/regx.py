@@ -64,9 +64,9 @@ class REGX(Workload):
                 rows = self._table_rows(rng, 8)
                 wt.gather(self.table, [r * WORDS_PER_STATE for r in rows])
                 wt.compute(10)
-                warps.append(wt.build())
+                warps.append(wt)
             # the last warp writes the match verdict
-            warps[-1].append(WarpTrace().store(self.matches, [pkt]).build()[0])
+            warps[-1].store(self.matches, [pkt])
             bodies.append(TBBody(warps=warps))
         return LaunchSpec(bodies=bodies, threads_per_tb=32, name="regx-scan")
 
@@ -110,6 +110,6 @@ class REGX(Workload):
                     wt.store(self.desc, range(desc_idx * 4, desc_idx * 4 + 4))
                     wt.launch(self._child_spec(p, start_w, words, desc_idx, rng))
                     desc_idx += 1
-                warps.append(wt.build())
+                warps.append(wt)
             bodies.append(TBBody(warps=warps))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(32))

@@ -34,7 +34,7 @@ class SSSP(GraphDynWorkload):
 
     def _inline_step(self, wt: WarpTrace, neighbors, owners, k: int) -> None:
         # relaxation: weight of the k-th edge + neighbour distance
-        edge_idxs = [int(self.graph.row_offsets[v]) + k for v in owners]
+        edge_idxs = [self.graph.offsets[v] + k for v in owners]
         wt.load(self.weights, edge_idxs)
         wt.gather(self.dist, neighbors)
         updated = self._updated(neighbors)

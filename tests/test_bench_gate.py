@@ -72,7 +72,11 @@ def test_committed_baseline_is_gateable(gate):
     """The checked-in BENCH_simulator.json must satisfy the gate's shape
     for the rows ``make perf-smoke`` watches."""
     baseline = json.loads((Path(__file__).parent.parent / "BENCH_simulator.json").read_text())
-    rows = ["adaptive-bind", "adaptive-bind@sssp-cage15/small/cdp"]
+    rows = [
+        "adaptive-bind",
+        "adaptive-bind@sssp-cage15/small/cdp",
+        "cold:adaptive-bind@clr-graph500/small/dtbl",
+    ]
     assert gate.check(baseline, baseline, rows, 0.25) == []
     makefile = (Path(__file__).parent.parent / "Makefile").read_text()
     assert " ".join(rows) in makefile

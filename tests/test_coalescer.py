@@ -28,6 +28,17 @@ class TestCoalesce:
     def test_all_inactive_is_empty(self):
         assert coalesce([-1, -1]) == []
 
+    def test_no_lanes_is_empty(self):
+        assert coalesce([]) == []
+        assert coalesce(()) == []
+
+    def test_zero_lane_access_lowers_to_zero_line_span(self):
+        from repro.gpu.trace import TBBody, load
+
+        compiled = TBBody(warps=[[load([])]]).compiled(128)
+        assert list(compiled.warp_args[0]) == [0]
+        assert len(compiled.lines) == 0
+
     def test_results_sorted(self):
         assert coalesce([512, 0, 256]) == [0, 2, 4]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.workloads.datagen import (
     CSRGraph,
+    _to_csr,
     banded_graph,
     citation_graph,
     gaussian_keys,
@@ -93,6 +94,47 @@ class TestRmatGraph:
         a = rmat_graph(8, seed=5)
         b = rmat_graph(8, seed=5)
         assert np.array_equal(a.col_indices, b.col_indices)
+
+    @pytest.mark.parametrize(
+        "n_log2,edge_factor,seed,max_degree",
+        [(8, 8, 0, 512), (10, 16, 3, 32), (9, 12, 7, 8), (6, 4, 11, 2)],
+    )
+    def test_matches_the_per_vertex_reference(self, n_log2, edge_factor, seed, max_degree):
+        """The one-pass dedupe equals deduplicating each row on its own,
+        hub truncation draws included."""
+        g = rmat_graph(n_log2, edge_factor=edge_factor, seed=seed, max_degree=max_degree)
+        ref = _rmat_per_vertex(n_log2, edge_factor, seed, max_degree)
+        assert np.array_equal(g.row_offsets, ref.row_offsets)
+        assert np.array_equal(g.col_indices, ref.col_indices)
+        assert g.degrees == np.diff(ref.row_offsets).tolist()
+        assert g.offsets == ref.row_offsets.tolist()
+
+
+def _rmat_per_vertex(n_log2, edge_factor, seed, max_degree, a=0.57, b=0.19, c=0.19):
+    """R-MAT with one ``np.unique`` per row: the reference for ``rmat_graph``."""
+    n = 1 << n_log2
+    m = n * edge_factor
+    rng = np.random.default_rng(seed)
+    src = np.zeros(m, dtype=np.int64)
+    dst = np.zeros(m, dtype=np.int64)
+    for _ in range(n_log2):
+        src <<= 1
+        dst <<= 1
+        r = rng.random(m)
+        dst += ((r >= a) & (r < a + b)) | (r >= a + b + c)
+        src += r >= a + b
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    starts = np.searchsorted(src, np.arange(n))
+    ends = np.searchsorted(src, np.arange(1, n + 1))
+    adjacency = []
+    for v in range(n):
+        neigh = np.unique(dst[starts[v] : ends[v]])
+        if len(neigh) > max_degree:
+            keep = rng.choice(len(neigh), size=max_degree, replace=False)
+            neigh = np.sort(neigh[keep])
+        adjacency.append(neigh)
+    return _to_csr(n, adjacency)
 
 
 class TestBandedGraph:

@@ -72,10 +72,11 @@ class TestRunKernel:
             ctx.store(dst, ctx.lanes, ctx.load(src, ctx.lanes))
 
         spec = run_functional_kernel(copy, 32)
-        instrs = spec.bodies[0].warps[0]
-        assert [i.op for i in instrs] == [Op.LOAD, Op.STORE]
-        assert instrs[0].addresses[0] == src.base
-        assert instrs[1].addresses[0] == dst.base
+        body = spec.bodies[0]
+        assert list(body.columns.warp_ops[0]) == [Op.LOAD, Op.STORE]
+        (_, load_lanes), (_, store_lanes) = body.accesses()
+        assert load_lanes[0] == src.base
+        assert store_lanes[0] == dst.base
 
     def test_device_launch_recorded_and_executed(self):
         mem = DeviceMemory()
@@ -170,19 +171,17 @@ class TestBFSTrace:
             for launch_spec in body.launches():
                 parent_writes = {
                     a // 128
-                    for warp in body.warps
-                    for i in warp
-                    if i.op == Op.STORE and i.addresses
-                    for a in i.addresses
+                    for op, lanes in body.accesses()
+                    if op == Op.STORE
+                    for a in lanes
                     if lo <= a < hi
                 }
                 child_reads = {
                     a // 128
                     for child in launch_spec.bodies
-                    for warp in child.warps
-                    for i in warp
-                    if i.op == Op.LOAD and i.addresses
-                    for a in i.addresses
+                    for op, lanes in child.accesses()
+                    if op == Op.LOAD
+                    for a in lanes
                     if lo <= a < hi
                 }
                 if child_reads:
@@ -229,10 +228,7 @@ class TestSSSP:
         touched = any(
             lo <= a < hi
             for body in walk_bodies(spec.bodies)
-            for warp in body.warps
-            for i in warp
-            if i.addresses
-            for a in i.addresses
+            for a in body.lanes
         )
         assert touched
 

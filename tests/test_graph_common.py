@@ -57,18 +57,18 @@ class TestExpansionDiscipline:
 class TestTraceShape:
     def test_parent_reads_row_offsets_first(self, bfs):
         first_parent = bfs.kernel().bodies[0]
-        first_instr = first_parent.warps[0][0]
-        assert first_instr.op == Op.LOAD
+        assert first_parent.columns.warp_ops[0][0] == Op.LOAD
+        _, lanes = next(first_parent.accesses())
         lo, hi = bfs.row.base, bfs.row.end
-        assert all(lo <= a < hi for a in first_instr.addresses)
+        assert all(lo <= a < hi for a in lanes)
 
     def test_children_read_descriptor_then_columns(self, bfs):
         for body in walk_bodies(bfs.kernel().bodies):
             for spec in body.launches():
                 child = spec.bodies[0]
-                first = child.warps[0][0]
-                assert first.op == Op.LOAD
-                assert all(bfs.desc.base <= a < bfs.desc.end for a in first.addresses)
+                assert child.columns.warp_ops[0][0] == Op.LOAD
+                _, lanes = next(child.accesses())
+                assert all(bfs.desc.base <= a < bfs.desc.end for a in lanes)
 
     def test_parent_child_share_column_lines(self, bfs):
         """The mechanism behind Fig 2: the inspection read covers the
@@ -78,19 +78,17 @@ class TestTraceShape:
             for spec in body.launches():
                 parent_cols = {
                     a // 128
-                    for warp in body.warps
-                    for i in warp
-                    if i.op == Op.LOAD and i.addresses
-                    for a in i.addresses
+                    for op, lanes in body.accesses()
+                    if op == Op.LOAD
+                    for a in lanes
                     if col_lo <= a < col_hi
                 }
                 child_cols = {
                     a // 128
                     for b in spec.bodies
-                    for warp in b.warps
-                    for i in warp
-                    if i.op == Op.LOAD and i.addresses
-                    for a in i.addresses
+                    for op, lanes in b.accesses()
+                    if op == Op.LOAD
+                    for a in lanes
                     if col_lo <= a < col_hi
                 }
                 if child_cols:

@@ -4,6 +4,7 @@ import gzip
 import json
 import struct
 import zlib
+from array import array
 
 import pytest
 
@@ -23,19 +24,25 @@ from repro.harness.registry import experiment_config
 from tests.conftest import tiny_workload
 
 
+def _launch_shape(spec: LaunchSpec) -> tuple:
+    return (len(spec.bodies), spec.threads_per_tb, spec.regs_per_thread, spec.smem_per_tb, spec.name)
+
+
 def traces_equal(a: KernelSpec, b: KernelSpec) -> bool:
+    """Same lowered columns, lane pools and launch shapes, body by body."""
     wa, wb = walk_bodies(a.bodies), walk_bodies(b.bodies)
     if len(wa) != len(wb):
         return False
     for body_a, body_b in zip(wa, wb):
-        if len(body_a.warps) != len(body_b.warps):
+        ca, cb = body_a.columns, body_b.columns
+        if (ca.line_bytes, ca.warp_ops, ca.warp_args, ca.warp_offs, ca.lines) != (
+            cb.line_bytes, cb.warp_ops, cb.warp_args, cb.warp_offs, cb.lines
+        ):
             return False
-        for warp_a, warp_b in zip(body_a.warps, body_b.warps):
-            if len(warp_a) != len(warp_b):
-                return False
-            for ia, ib in zip(warp_a, warp_b):
-                if (ia.op, ia.cycles, ia.addresses) != (ib.op, ib.cycles, ib.addresses):
-                    return False
+        if (body_a.lane_counts, body_a.lanes) != (body_b.lane_counts, body_b.lanes):
+            return False
+        if [_launch_shape(s) for s in ca.launches] != [_launch_shape(s) for s in cb.launches]:
+            return False
     return True
 
 
@@ -75,8 +82,9 @@ class TestRoundTrip:
     def test_ops_are_op_members(self):
         rebuilt = spec_from_bytes(spec_to_bytes(sample_spec()))
         for body in walk_bodies(rebuilt.bodies):
-            for warp in body.warps:
-                assert all(type(instr.op) is Op for instr in warp)
+            for ops in body.columns.warp_ops:
+                assert isinstance(ops, array) and ops.typecode == "q"
+                assert all(Op(op) is not None for op in ops)
 
     def test_shared_launch_specs_preserved(self):
         spec = sample_spec()
@@ -148,6 +156,31 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown op code 7"):
             spec_from_bytes(repack(data, bad_op))
 
+    def test_inconsistent_columns_are_rejected(self):
+        """A record whose columns disagree with each other never decodes."""
+        data = spec_to_bytes(sample_spec())
+        header, offset = header_of(data)
+        n_bodies, n_warps, n_instrs = header["counts"][:3]
+        args_at = offset + 8 * (n_bodies + n_warps + n_instrs)
+        ops = spec_from_bytes(data).bodies[0].columns.warp_ops[0]
+        assert list(ops) == [Op.LAUNCH, Op.COMPUTE, Op.LAUNCH]
+
+        def launch_index(value: int):
+            def edit(body: bytes) -> bytes:
+                return body[:args_at] + struct.pack("<q", value) + body[args_at + 8:]
+            return edit
+
+        with pytest.raises(ValueError, match="launch index out of order"):
+            spec_from_bytes(repack(data, launch_index(1)))
+        header["launches"].pop()
+
+        def drop_launch(body: bytes) -> bytes:
+            text = json.dumps(header).encode()
+            return struct.pack("<Q", len(text)) + text + body[offset:]
+
+        with pytest.raises(ValueError, match="launch reference out of range"):
+            spec_from_bytes(repack(data, drop_launch))
+
     def test_out_of_range_body_index(self):
         data = spec_to_bytes(sample_spec())
         header, offset = header_of(data)
@@ -166,6 +199,12 @@ class TestRoundTrip:
             json.dump({"version": 1, "name": "old"}, handle)
         with pytest.raises(ValueError, match="format 1.*re-snapshot"):
             load_spec(path)
+
+    def test_format_2_record_names_the_format(self):
+        data = bytearray(spec_to_bytes(sample_spec()))
+        struct.pack_into("<I", data, 8, 2)
+        with pytest.raises(ValueError, match="format 2.*re-snapshot"):
+            spec_from_bytes(bytes(data))
 
     def test_current_version(self):
         assert spec_to_bytes(sample_spec())[8:12] == struct.pack("<I", FORMAT_VERSION)

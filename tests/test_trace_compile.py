@@ -1,24 +1,27 @@
-"""Compiled-trace equivalence: the flat-array lowering vs the Instr list.
+"""Lowered-trace equivalence: the builder's columns vs coalescing each access.
 
-``repro.gpu.compiled`` lowers each :class:`TBBody` into parallel
-``array('q')`` columns that the SMX issue loop indexes directly. The
-lowering must be purely structural: for every instruction, the columns
-must encode exactly what interpreting the :class:`Instr` object would
-have produced — op code, compute latency, coalesced line list, launch
-target. This suite pins that property over every body of real (tiny)
-workloads and over randomly generated traces.
+:class:`~repro.gpu.trace.WarpTrace` lowers a trace as it is built (ranges
+arithmetically, gathers through the coalescer) into the ``array('q')``
+columns the SMX issue loop indexes directly. The lowering must be purely
+structural: for every instruction the columns must encode exactly what
+interpreting it would produce — op code, compute latency, coalesced line
+list, launch target. This suite pins that property against hand-written
+:class:`Instr` lists, against :func:`repro.gpu.compiled.compile_body`
+(which coalesces every access from the per-lane pool) over every body of
+real (tiny) workloads, and at other line sizes.
 """
 
 import random
 
 import pytest
 
-from repro.gpu.compiled import OP_COMPUTE, OP_LAUNCH, OP_LOAD, OP_STORE
+from repro.gpu.compiled import OP_COMPUTE, OP_LAUNCH, OP_LOAD, OP_STORE, compile_body
 from repro.gpu.trace import (
     Instr,
     LaunchSpec,
     Op,
     TBBody,
+    WarpTrace,
     compute,
     launch,
     load,
@@ -26,17 +29,19 @@ from repro.gpu.trace import (
     walk_bodies,
 )
 from repro.harness.execution import kernel_for
+from repro.memory.coalescer import coalesce
+from repro.workloads.base import AddressSpace
 
 LINE_BYTES = 128
 
 
-def assert_equivalent(body: TBBody, line_bytes: int = LINE_BYTES) -> None:
+def assert_interprets(body: TBBody, warps: list[list[Instr]], line_bytes: int = LINE_BYTES) -> None:
     """Every column entry must match interpreting the original Instr."""
     compiled = body.compiled(line_bytes)
-    assert compiled.num_warps == body.num_warps
+    assert compiled.num_warps == body.num_warps == len(warps)
     assert compiled.line_bytes == line_bytes
     for warp, ops, args, offs in zip(
-        body.warps, compiled.warp_ops, compiled.warp_args, compiled.warp_offs
+        warps, compiled.warp_ops, compiled.warp_args, compiled.warp_offs
     ):
         assert len(ops) == len(args) == len(offs) == len(warp)
         for i, instr in enumerate(warp):
@@ -48,11 +53,21 @@ def assert_equivalent(body: TBBody, line_bytes: int = LINE_BYTES) -> None:
             else:
                 assert ops[i] in (OP_LOAD, OP_STORE)
                 lines = list(compiled.lines[offs[i] : offs[i] + args[i]])
-                assert lines == instr.coalesced(line_bytes)
+                assert lines == coalesce(list(instr.addresses), line_bytes)
 
 
-def random_body(rng: random.Random) -> TBBody:
-    """A random multi-warp body covering every op kind."""
+def assert_same_columns(a, b) -> None:
+    assert a.line_bytes == b.line_bytes
+    assert a.warp_ops == b.warp_ops
+    assert a.warp_args == b.warp_args
+    assert a.warp_offs == b.warp_offs
+    assert a.lines == b.lines
+    assert len(a.launches) == len(b.launches)
+    assert all(x is y for x, y in zip(a.launches, b.launches))
+
+
+def random_warps(rng: random.Random) -> list[list[Instr]]:
+    """Random multi-warp instruction lists covering every op kind."""
     child = TBBody(warps=[[compute(1)]])
     warps = []
     for _ in range(rng.randint(1, 4)):
@@ -66,13 +81,11 @@ def random_body(rng: random.Random) -> TBBody:
                     launch(LaunchSpec(bodies=[child], threads_per_tb=rng.choice((32, 256))))
                 )
             else:
-                # scattered, duplicated, unsorted lanes (1-32 of them)
-                addrs = [rng.randrange(0, 1 << 20) for _ in range(rng.randint(1, 32))]
+                # scattered, duplicated, unsorted lanes (0-32 of them)
+                addrs = [rng.randrange(0, 1 << 20) for _ in range(rng.randint(0, 32))]
                 instrs.append(load(addrs) if kind == 1 else store(addrs))
-        if not instrs:
-            instrs.append(compute(1))
         warps.append(instrs)
-    return TBBody(warps=warps)
+    return warps
 
 
 @pytest.mark.parametrize("bench_name", ["bfs-citation", "amr", "join-gaussian"])
@@ -81,28 +94,72 @@ def test_real_workload_bodies_compile_equivalently(bench_name):
     bodies = walk_bodies(spec.bodies)
     assert bodies, "workload produced no bodies"
     for body in bodies:
-        assert_equivalent(body)
+        assert_same_columns(body.compiled(LINE_BYTES), compile_body(body, LINE_BYTES))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_random_bodies_compile_equivalently(seed):
-    rng = random.Random(seed)
-    assert_equivalent(random_body(rng))
+    warps = random_warps(random.Random(seed))
+    body = TBBody(warps=warps)
+    assert_interprets(body, warps)
+    assert_same_columns(body.compiled(LINE_BYTES), compile_body(body, LINE_BYTES))
 
 
 def test_random_bodies_compile_equivalently_at_other_line_sizes():
     rng = random.Random(99)
     for line_bytes in (32, 64, 256):
-        assert_equivalent(random_body(rng), line_bytes)
+        warps = random_warps(rng)
+        assert_interprets(TBBody(warps=warps), warps, line_bytes)
+
+
+@pytest.mark.parametrize("elem_bytes", [1, 4, 8, 64, 128, 256])
+@pytest.mark.parametrize("start,count", [(0, 70), (3, 29), (5, 1), (31, 33)])
+def test_range_lowering_matches_the_coalescer(elem_bytes, start, count):
+    space = AddressSpace()
+    space.alloc("pad", 5, elem_bytes=1)
+    arr = space.alloc("a", 200, elem_bytes=elem_bytes, align=4)
+    built = TBBody(warps=[WarpTrace().load_range(arr, start, count)])
+    addrs = arr.addrs(list(range(start, start + count)))
+    expected = [load(addrs[i : i + 32]) for i in range(0, count, 32)]
+    assert_interprets(built, [expected])
 
 
 def test_compiled_is_interned_per_body_and_line_size():
-    body = random_body(random.Random(1))
+    warps = random_warps(random.Random(1))
+    body = TBBody(warps=warps)
     first = body.compiled(LINE_BYTES)
-    assert body.compiled(LINE_BYTES) is first  # cached
+    assert first is body.columns  # the stored columns, as built
+    assert body.compiled(LINE_BYTES) is first
     other = body.compiled(64)
     assert other is not first and other.line_bytes == 64
-    assert_equivalent(body, 64)
+    assert body.compiled(64) is other  # cached
+    assert_interprets(body, warps, 64)
+
+
+def test_native_line_size_never_relowers(monkeypatch):
+    """A run at the builder's line size replays the stored columns: nothing
+    is lowered when thread blocks are placed."""
+    from repro.core import make_scheduler
+    from repro.dynpar import make_model
+    from repro.gpu import compiled
+    from repro.gpu.engine import Engine
+    from repro.harness.registry import experiment_config
+
+    calls = []
+    monkeypatch.setattr(compiled, "compile_body", lambda *a: calls.append(a))
+    spec = kernel_for("amr", "tiny", 7)
+    config = experiment_config()
+    assert config.line_bytes == LINE_BYTES
+    Engine(config, make_scheduler("adaptive-bind"), make_model("dtbl"), [spec]).run()
+    assert calls == []
+
+
+def test_zero_lane_access_lowers_to_an_empty_span():
+    body = TBBody(warps=[[load([]), compute(2), store([-1, -1])]])
+    compiled = body.compiled(LINE_BYTES)
+    assert list(compiled.warp_args[0]) == [0, 2, 0]
+    assert len(compiled.lines) == 0
+    assert list(body.lane_counts) == [0, 2]
 
 
 def test_launch_table_preserves_duplicates_in_trace_order():
@@ -115,6 +172,20 @@ def test_launch_table_preserves_duplicates_in_trace_order():
     assert compiled.launches[compiled.warp_args[0][0]] is spec
     assert compiled.launches[compiled.warp_args[0][2]] is spec
     assert len(compiled.launches) == 2
+
+
+def test_later_warps_index_the_body_pools():
+    a = LaunchSpec(bodies=[TBBody(warps=[[compute(1)]])], name="a")
+    b = LaunchSpec(bodies=[TBBody(warps=[[compute(1)]])], name="b")
+    warps = [
+        [load([0, 4]), launch(a)],
+        [compute(1), store([256, 512]), launch(b), load([128])],
+    ]
+    body = TBBody(warps=warps)
+    assert_interprets(body, warps)
+    assert list(body.columns.warp_offs[1]) == [0, 1, 0, 3]
+    assert list(body.columns.warp_args[1]) == [1, 2, 1, 1]
+    assert [s.name for s in body.launches()] == ["a", "b"]
 
 
 def test_shared_body_shares_one_compiled_object():

@@ -363,8 +363,8 @@ def test_prebuilt_workload_resolves_to_its_own_kernel(tmp_path, cached):
     executor = make_executor(jobs=1, cache=ResultCache(tmp_path) if cached else None)
     run_grid([workload], schedulers=("rr",), models=("dtbl",), scale="tiny", executor=executor)
     assert kernel_for(BENCH, "tiny", 7) is kernel
-    # the grid's lowering is interned on the caller's own bodies
-    assert all(body._compiled is not None for body in kernel.bodies)
+    # the grid replayed the caller's bodies as built: nothing was lowered again
+    assert all(body._relowered is None for body in kernel.bodies)
 
 
 def test_parallel_executor_resolves_only_pending_traces(tmp_path, monkeypatch):

@@ -11,13 +11,9 @@ def touched(body, array, op=None):
     loads or stores)."""
     lo, hi = array.base, array.end
     lines = set()
-    for warp in body.warps:
-        for instr in warp:
-            if instr.addresses is None:
-                continue
-            if op is not None and instr.op != op:
-                continue
-            lines.update(a // 128 for a in instr.addresses if lo <= a < hi)
+    for access_op, lanes in body.accesses():
+        if op is None or access_op == op:
+            lines.update(a // 128 for a in lanes if lo <= a < hi)
     return lines
 
 

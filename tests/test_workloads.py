@@ -1,5 +1,6 @@
 """Benchmark workloads: construction, structure, and determinism."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.trace import Op, walk_bodies
@@ -47,18 +48,13 @@ class TestStructure:
         w = any_tiny_workload
         top = w.space.total_bytes
         for body in walk_bodies(w.kernel().bodies):
-            for warp in body.warps:
-                for instr in warp:
-                    if instr.addresses:
-                        assert max(instr.addresses) < top
-                        assert min(a for a in instr.addresses if a >= 0) >= 0
+            if body.lanes:
+                assert max(body.lanes) < top
+                assert min(body.lanes) >= 0
 
     def test_warp_width_respected(self, any_tiny_workload):
         for body in walk_bodies(any_tiny_workload.kernel().bodies):
-            for warp in body.warps:
-                for instr in warp:
-                    if instr.addresses:
-                        assert len(instr.addresses) <= 32
+            assert all(0 < n <= 32 for n in body.lane_counts)
 
     def test_resources_sane(self, any_tiny_workload):
         res = any_tiny_workload.kernel().resources
@@ -171,6 +167,28 @@ class TestSharedHelpers:
             arr.addrs(indices)
         assert str(from_range.value) == str(from_list.value)
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[1.9, True], [1.0], np.array([0.5]), np.array([True, False]), ["1"]],
+        ids=["float-and-bool", "integral-float", "float-array", "bool-array", "string"],
+    )
+    def test_non_integer_indices_raise(self, indices):
+        from repro.workloads.base import Array
+
+        arr = Array("x", 4096, 4, 10)
+        with pytest.raises(TypeError, match="x indices must be integers"):
+            arr.addrs(indices)
+
+    def test_integer_indices_accepted(self):
+        from repro.workloads.base import Array
+
+        arr = Array("x", 4096, 4, 10)
+        expected = [4100, 4108]
+        assert arr.addrs([1, 3]) == expected
+        assert arr.addrs(np.array([1, 3])) == expected
+        assert arr.addrs(np.array([1, 3], dtype=np.uint16)) == expected
+        assert arr.addrs([np.int32(1), 3]) == expected
+
     def test_empty_range_addrs(self):
         from repro.workloads.base import AddressSpace
 
@@ -193,8 +211,9 @@ class TestSharedHelpers:
         arr = AddressSpace().alloc("a", 100)
         wt = WarpTrace()
         wt.load_range(arr, 0, 70)
-        loads = [i for i in wt.build() if i.op == Op.LOAD]
-        assert [len(i.addresses) for i in loads] == [32, 32, 6]
+        assert list(wt.ops) == [Op.LOAD] * 3
+        assert list(wt.lane_counts) == [32, 32, 6]
+        assert list(wt.lanes) == arr.addrs(range(70))
 
     def test_chunked(self):
         from repro.workloads.base import chunked
@@ -202,3 +221,24 @@ class TestSharedHelpers:
         assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
         with pytest.raises(ValueError):
             chunked([1], 0)
+
+
+@pytest.mark.parametrize("app,inp", [("clr", "graph500"), ("amr", None), ("regx", "darpa")])
+def test_building_creates_no_instr_objects(app, inp, monkeypatch):
+    """Workloads build straight into the lowered columns: no per-instruction
+    objects exist at any point of a build."""
+    from repro.gpu import trace
+
+    created = []
+    original = trace.Instr.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(trace.Instr, "__init__", counting_init)
+    trace.compute(1)  # the counter sees hand-written instructions
+    assert len(created) == 1
+    spec = make_workload(app, inp, scale="tiny").kernel()
+    assert sum(b.instruction_count() for b in walk_bodies(spec.bodies)) > 0
+    assert len(created) == 1
