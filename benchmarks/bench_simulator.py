@@ -13,6 +13,7 @@ from repro.gpu.engine import Engine
 from repro.harness.registry import experiment_config, load_benchmark
 from repro.memory.cache import Cache
 from repro.memory.coalescer import coalesce
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.gpu.config import CacheConfig
 
 
@@ -100,10 +101,16 @@ CDP_ROW = "adaptive-bind@sssp-cage15/small/cdp"
 COLD_ROW = "cold:adaptive-bind@clr-graph500/small/dtbl"
 COLD_PREFIX = "cold:"
 
+#: a row prefixed ``walk:`` times the L1/L2/DRAM walk alone: it records
+#: one engine run's memory accesses, then replays them against a fresh
+#: ``MemoryHierarchy``
+WALK_ROW = "walk:rr@sssp-cage15/small/cdp"
+WALK_PREFIX = "walk:"
+
 
 def parse_row(row: str) -> tuple[str, tuple[str, str, str]]:
-    """``[cold:]sched[@benchmark/scale/model]`` -> (scheduler, workload)."""
-    scheduler, _, where = row.removeprefix(COLD_PREFIX).partition("@")
+    """``[cold:|walk:]sched[@benchmark/scale/model]`` -> (scheduler, workload)."""
+    scheduler, _, where = row.removeprefix(COLD_PREFIX).removeprefix(WALK_PREFIX).partition("@")
     if not where:
         return scheduler, DEFAULT_WORKLOAD
     benchmark, scale, model = where.split("/")
@@ -209,6 +216,65 @@ def _measure_cold(scheduler: str, workload: tuple[str, str, str], rounds: int) -
     }
 
 
+def record_walk(scheduler: str, spec, model: str = "dtbl") -> tuple[list[tuple], object]:
+    """Run the engine once and record every memory walk call as
+    ``(smx, lines, begin, end, now, is_write)``; also return the engine."""
+    engine = Engine(experiment_config(), make_scheduler(scheduler), make_model(model), [spec])
+    calls: list[tuple] = []
+    record = calls.append
+    real_accessor = engine.memory.accessor
+
+    def accessor(smx_id):
+        walk = real_accessor(smx_id)
+
+        def recorded(lines, begin, end, now, is_write=False):
+            record((smx_id, lines, begin, end, now, is_write))
+            return walk(lines, begin, end, now, is_write)
+
+        return recorded
+
+    engine.memory.accessor = accessor
+    engine.run()
+    return calls, engine
+
+
+def replay_walk(calls: list[tuple], config) -> MemoryHierarchy:
+    """Replay recorded walk calls against a fresh hierarchy."""
+    memory = MemoryHierarchy(config)
+    walks = [memory.accessor(smx) for smx in range(config.num_smx)]
+    for smx, lines, begin, end, now, is_write in calls:
+        walks[smx](lines, begin, end, now, is_write)
+    return memory
+
+
+def _measure_walk(scheduler: str, spec, rounds: int, model: str = "dtbl") -> dict:
+    """Best-of-N wall time of replaying one engine run's memory walk."""
+    import time
+
+    calls, engine = record_walk(scheduler, spec, model)
+    config = engine.config
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        memory = replay_walk(calls, config)
+        best = min(best, time.perf_counter() - t0)
+    # the replay must rebuild the state the engine's own walk left behind
+    if (
+        memory.dram_transactions() != engine.memory.dram_transactions()
+        or memory.l2_stats_merged() != engine.memory.l2_stats_merged()
+    ):
+        raise RuntimeError("walk replay diverged from the recorded engine run")
+    lines = sum(end - begin for _, _, begin, end, _, _ in calls)
+    return {
+        "cycles": engine.now,
+        "calls": len(calls),
+        "lines": lines,
+        "best_ms": round(best * 1000, 3),
+        "cycles_per_sec": round(engine.now / best, 1),
+        "lines_per_sec": round(lines / best, 1),
+    }
+
+
 def main(argv=None) -> int:
     import argparse
     import json
@@ -225,8 +291,9 @@ def main(argv=None) -> int:
         nargs="+",
         # the paper's four plus one composed policy (admission control on
         # top of LaPerm) so the throttle/admission path can't regress
-        # silently, the CDP row for the KMU backlog and DRAM queue, and
-        # the cold row for build, trace store and first run
+        # silently, the CDP row for the KMU backlog and DRAM queue, the
+        # cold row for build, trace store and first run, and the walk row
+        # for the L1/L2/DRAM walk alone
         default=[
             "rr",
             "tb-pri",
@@ -235,10 +302,12 @@ def main(argv=None) -> int:
             "adaptive-bind+throttle",
             CDP_ROW,
             COLD_ROW,
+            WALK_ROW,
         ],
         help="rows to measure: a scheduler (bfs-citation tiny/dtbl), "
-        "scheduler@benchmark/scale/model, or cold:scheduler@benchmark/scale/model "
-        "(build + trace store + first run, each round on a fresh cache)",
+        "scheduler@benchmark/scale/model, cold:scheduler@benchmark/scale/model "
+        "(build + trace store + first run, each round on a fresh cache), or "
+        "walk:scheduler@benchmark/scale/model (one run's memory walk, replayed)",
     )
     parser.add_argument(
         "--baseline",
@@ -263,7 +332,8 @@ def main(argv=None) -> int:
         "generated_by": "benchmarks/bench_simulator.py",
         "workload": "bfs-citation scale=tiny seed=7 model=dtbl, "
         "unless the row names scheduler@benchmark/scale/model; a cold: row "
-        "times build + trace store + first run on a fresh workload cache",
+        "times build + trace store + first run on a fresh workload cache; a "
+        "walk: row times a replay of one run's memory walk calls",
         "rounds": args.rounds,
         "python": platform.python_version(),
         "host": _provenance(),
@@ -277,6 +347,10 @@ def main(argv=None) -> int:
         if sched.startswith(COLD_PREFIX):
             report["schedulers"][sched] = _measure_cold(
                 scheduler, (benchmark, scale, model), args.rounds
+            )
+        elif sched.startswith(WALK_PREFIX):
+            report["schedulers"][sched] = _measure_walk(
+                scheduler, specs[benchmark, scale], args.rounds, model
             )
         else:
             report["schedulers"][sched] = _measure_scheduler(

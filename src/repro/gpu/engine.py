@@ -377,6 +377,10 @@ class Engine:
                 raise RuntimeError(f"exceeded max_cycles={max_cycles}")
         self.now = now
         self._finished = True
+        # engines are single-use, so no later request can merge into a
+        # fill: free the MSHR table now, not when the engine's reference
+        # cycles are collected
+        self.memory._inflight.clear()
         if sampling:
             self._emit_sample(now)  # final machine state closes counter tracks
             self.telemetry.close()
@@ -395,7 +399,6 @@ class Engine:
         stats.l2_hits = l2.hits
         stats.dram_accesses = self.memory.dram_transactions()
         stats.dram_mean_latency = self.memory.dram_mean_latency()
-        stats.mshr_dropped = self.memory.mshr_dropped
         stats.per_smx_instructions = [s.issued_instructions for s in self.smxs]
         stats.per_smx_busy_cycles = [s.issue_cycles for s in self.smxs]
         stats.per_smx_tbs = [s.tbs_executed for s in self.smxs]

@@ -29,8 +29,9 @@ class SimStats:
     child_tbs_dispatched: int = 0
     launches: int = 0
 
-    #: in-flight MSHR fills evicted because the table exceeded its capacity
-    #: while every entry was still live (merge timing lost, never data)
+    #: always 0: the MSHR table has no capacity, so no fill is ever
+    #: dropped. Kept only because the repository benchmark's tracer
+    #: (``benchmarks/suite/spans.py``) still reads it.
     mshr_dropped: int = 0
 
     # sum over child TBs of (dispatched_at - created_at): how long children

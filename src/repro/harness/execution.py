@@ -63,7 +63,8 @@ if TYPE_CHECKING:
 #: stats a RunSpec produces: it enters every cache key, so all previously
 #: stored results go cold (never wrong) without manual cleanup.
 #: 2: SimStats gained work_steals / scheduler_queue_high_water.
-ENGINE_VERSION = 2
+#: 3: the MSHR table lost its capacity, so mshr_dropped is always 0.
+ENGINE_VERSION = 3
 
 #: Default cycle budget, matching the historical harness default.
 DEFAULT_MAX_CYCLES = 500_000_000

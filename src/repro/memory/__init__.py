@@ -3,10 +3,9 @@
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.coalescer import coalesce, coalescing_degree
 from repro.memory.dram import DRAM, DRAMStats
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy
+from repro.memory.hierarchy import MemoryHierarchy
 
 __all__ = [
-    "AccessResult",
     "Cache",
     "CacheStats",
     "DRAM",

@@ -29,8 +29,7 @@ class DRAM:
     ``service(now)`` returns the absolute cycle at which a new line
     transaction issued at cycle ``now`` completes. The monolithic-L2
     memory walk (``MemoryHierarchy._make_accessor``) inlines the same
-    arithmetic; this method is what the reference walk and a partitioned
-    L2 call.
+    arithmetic; a partitioned L2 calls this method.
     """
 
     def __init__(self, latency: int, lines_per_cycle: float) -> None:

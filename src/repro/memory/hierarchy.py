@@ -3,10 +3,10 @@
 The SMX pipeline walks memory through :meth:`MemoryHierarchy.accessor`:
 a per-SMX closure that takes a span of coalesced line addresses, walks
 each line through L1 -> L2 -> DRAM, and returns the cycle at which the
-slowest transaction completes (the warp's wake-up time).
-:meth:`MemoryHierarchy.access_warp` is the readable reference for the
-same walk — it coalesces lane addresses itself and reports per-access
-hit counts — and tests pin the two together state for state.
+slowest transaction completes (the warp's wake-up time). It is the only
+walk; the tests keep a readable reference of the same walk
+(``tests/memory_reference.py``) and pin the two together state for
+state.
 
 Store policy follows Kepler: global stores are write-through and do not
 allocate in L1 (they invalidate nothing in this model because we do not
@@ -15,36 +15,13 @@ track dirty data), but allocate in L2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from heapq import heappop, heappush
-
 from repro.gpu.config import CacheConfig, GPUConfig
 from repro.memory.cache import Cache, CacheStats
-from repro.memory.coalescer import coalesce
-
-#: in-flight fill (MSHR) entries kept before the oldest-completion fills
-#: are evicted (counted in ``SimStats.mshr_dropped``). Memory-bound inputs
-#: do reach it: sssp-cage15 ``small`` (seed 7) drops 50,668-93,668 of its
-#: 108 K-152 K DRAM fills per run. Raising it changes simulated results,
-#: so it needs regenerated golden pins and a new ``ENGINE_VERSION``.
-MSHR_TABLE_LIMIT = 4096
 
 #: miss sentinel for the single-probe (open-addressed dict) set walk:
 #: ``cache_set.pop(line, _MISS)`` resolves hit-test + LRU-unlink in one
 #: hash probe, and can never collide with a stored value (always None)
 _MISS = object()
-
-
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of one warp memory instruction."""
-
-    complete_at: int
-    transactions: int
-    l1_hits: int
-    l2_hits: int
-    dram_accesses: int
-    mshr_merges: int = 0
 
 
 class MemoryHierarchy:
@@ -54,6 +31,13 @@ class MemoryHierarchy:
     already in flight join it — one DRAM transaction serves all merged
     requesters, as hardware MSHRs do. The merged access still counts as an
     L2 miss (the data was not resident) but consumes no DRAM bandwidth.
+
+    The MSHR table, ``_inflight``, maps every line a load ever fetched
+    from DRAM to the completion time of its latest fill. A request merges
+    while ``fill > now``. Nothing is ever expired or evicted: the engine
+    clock never goes backwards, so a landed fill can never merge again
+    and acts the same kept or deleted, and the table can hold no more
+    entries than the trace has distinct lines.
     """
 
     def __init__(self, config: GPUConfig) -> None:
@@ -83,14 +67,9 @@ class MemoryHierarchy:
         # aliases for the common monolithic configuration
         self.l2 = self.l2_parts[0]
         self.dram = self.drams[0]
-        # in-flight L2 fills: line -> completion time (MSHR table), plus a
-        # (completion, line) heap so expiry and capacity eviction pop the
-        # earliest-completing fills without ever rebuilding the dict
+        # the MSHR table: line -> completion time of its latest DRAM fill
         self._inflight: dict[int, int] = {}
-        self._inflight_heap: list[tuple[int, int]] = []
-        self.mshr_limit = MSHR_TABLE_LIMIT
         self.mshr_merges = 0
-        self.mshr_dropped = 0
         self._accessors: dict[int, object] = {}
 
     def accessor(self, smx_id: int):
@@ -113,8 +92,8 @@ class MemoryHierarchy:
         the DRAM and its timing constants) is frozen into default arguments,
         so the per-access prologue collapses to local-variable loads. All
         referenced structures are mutated in place and never rebound
-        (cache sets via ``invalidate_all``, the MSHR dict and heap by the
-        walks), so the bindings cannot go stale; the DRAM's ``stats``,
+        (cache sets via ``invalidate_all``, the MSHR dict by the walk), so
+        the bindings cannot go stale; the DRAM's ``stats``,
         which ``DRAM.reset`` replaces, is looked up at flush time.
 
         Both cache levels are walked inline with a single open-addressed
@@ -128,21 +107,17 @@ class MemoryHierarchy:
         partition that served it; the monolithic L2 pays one flag test.
 
         On the monolithic L2, a miss is serviced inside the walk rather
-        than through :meth:`DRAM.service` and :meth:`_mshr_insert`: the
-        DRAM bus-free time is read into a local at call start and written
-        back only if the call reached DRAM, with the same float arithmetic
-        as ``DRAM.service``; the DRAM's transaction, latency and queue-delay
-        counters are flushed once per call like the cache counters; and a
-        load's fill is inserted into the MSHR table, landed fills expired
-        and the table capacity-evicted in place, reading ``mshr_limit`` on
-        every insert. A partitioned L2 still calls ``DRAM.service`` of the
-        partition's channel.
+        than through :meth:`DRAM.service`: the DRAM bus-free time is read
+        into a local at call start and written back only if the call
+        reached DRAM, with the same float arithmetic as ``DRAM.service``,
+        and the DRAM's transaction, latency and queue-delay counters are
+        flushed once per call like the cache counters. A partitioned L2
+        still calls ``DRAM.service`` of the partition's channel. Either
+        way a load's fill is one store into the MSHR table,
+        ``_inflight[line] = done``.
 
-        The walk updates the same cache/DRAM/MSHR state as the readable
-        :meth:`_access_lines` reference (which keeps using
-        ``DRAM.service`` and ``_mshr_insert``) but skips the per-access hit
-        bookkeeping and the :class:`AccessResult` allocation; tests pin
-        the two together state for state.
+        Merging needs no flag: with ``mshr_merging`` off nothing is ever
+        stored, so every fill probe reads 0 and no request merges.
         """
         l1 = self.l1s[smx_id]
         l2_fast = [
@@ -175,9 +150,6 @@ class MemoryHierarchy:
             _l2_fast=l2_fast,
             _inflight=self._inflight,
             _inflight_get=self._inflight.get,
-            _heap=self._inflight_heap,
-            _heappush=heappush,
-            _heappop=heappop,
             _cfg_merging=config.mshr_merging,
             _l1_lat=config.l1_hit_latency,
             _l2_lat=config.l2_hit_latency,
@@ -185,11 +157,6 @@ class MemoryHierarchy:
             _hier=self,
         ):
             complete_at = now
-            # ``merging`` folds in dict emptiness: an empty MSHR table
-            # cannot merge anything, so the per-line fill probe is skipped
-            # entirely (state-identical — ``get`` on an empty dict returns
-            # the default)
-            merging = _cfg_merging and bool(_inflight)
             l1_hit = l1_evict = 0
             l2_acc = l2_hit = l2_evict = 0
             # monolithic DRAM: bus-free time, and the transactions and the
@@ -203,7 +170,7 @@ class MemoryHierarchy:
                     cache_set[line] = None  # reinsert at MRU position
                     l1_hit += 1
                     if not is_write:
-                        fill = _inflight_get(line, 0) if merging else 0
+                        fill = _inflight_get(line, 0)
                         if fill > now:
                             # the line's fill has not landed yet: wait for it
                             _hier.mshr_merges += 1
@@ -240,7 +207,7 @@ class MemoryHierarchy:
                 if l2_set.pop(line, _miss) is not _miss:
                     l2_set[line] = None
                     l2_hit += 1
-                    fill = _inflight_get(line, 0) if merging else 0
+                    fill = _inflight_get(line, 0)
                     if fill > now:
                         # the tag is resident but the fill is still in
                         # flight: this request merges into the outstanding
@@ -267,21 +234,8 @@ class MemoryHierarchy:
                         dram_n += 1
                         dram_done_sum += done
                     if not is_write and _cfg_merging:
-                        # only loads put a fill in flight to merge into:
-                        # _mshr_insert, inlined
+                        # only loads put a fill in flight to merge into
                         _inflight[line] = done
-                        _heappush(_heap, (done, line))
-                        # fills that have landed can never merge again
-                        while _heap and _heap[0][0] <= now:
-                            t, ln = _heappop(_heap)
-                            if _inflight_get(ln) == t:
-                                del _inflight[ln]
-                        while len(_inflight) > _hier.mshr_limit:
-                            t, ln = _heappop(_heap)
-                            if _inflight_get(ln) == t:
-                                del _inflight[ln]
-                                _hier.mshr_dropped += 1
-                        merging = True  # the table is non-empty from here on
                     if done > complete_at:
                         complete_at = done
             n = end - begin
@@ -316,134 +270,6 @@ class MemoryHierarchy:
             return complete_at
 
         return access
-
-    def access_warp(
-        self,
-        smx_id: int,
-        addresses: list[int],
-        now: int,
-        *,
-        is_write: bool = False,
-        bypass_l1: bool = False,
-    ) -> AccessResult:
-        """Issue one warp memory instruction; return timing and hit counts."""
-        lines = coalesce(addresses, self.config.line_bytes)
-        return self._access_lines(smx_id, lines, now, is_write, bypass_l1)
-
-    def _mshr_insert(self, line: int, done: int, now: int) -> None:
-        """Record an in-flight fill, expiring landed entries lazily and —
-        only if every entry is still genuinely in flight — evicting the
-        oldest-completing fills deterministically. Eviction loses merge
-        *timing* for those lines, never correctness, and is counted in
-        ``mshr_dropped`` (surfaced as ``SimStats.mshr_dropped``). The
-        monolithic-L2 accessor inlines the same steps; this copy serves
-        the reference walk."""
-        inflight = self._inflight
-        heap = self._inflight_heap
-        inflight[line] = done
-        heappush(heap, (done, line))
-        # fills that have landed can never merge again: drop them now
-        while heap and heap[0][0] <= now:
-            t, ln = heappop(heap)
-            if inflight.get(ln) == t:
-                del inflight[ln]
-        while len(inflight) > self.mshr_limit:
-            t, ln = heappop(heap)
-            if inflight.get(ln) == t:
-                del inflight[ln]
-                self.mshr_dropped += 1
-
-    def _access_lines(
-        self, smx_id: int, lines: list[int], now: int, is_write: bool, bypass_l1: bool
-    ) -> AccessResult:
-        config = self.config
-        l1 = self.l1s[smx_id]
-        complete_at = now
-        l1_hits = l2_hits = dram_accesses = merges = 0
-        merging = config.mshr_merging
-        parts = config.l2_partitions
-        inflight_get = self._inflight.get
-        l2_parts = self.l2_parts
-        l1_hit_latency = config.l1_hit_latency
-        l2_hit_latency = config.l2_hit_latency
-        # the L1 lookup is inlined (state changes match Cache.access with
-        # is_write/allocate=not is_write exactly): it runs once per
-        # coalesced transaction, making it the hottest code in the model
-        l1_sets = l1._sets
-        l1_num_sets = l1.num_sets
-        l1_assoc = l1.associativity
-        l1_stats = l1.stats
-        for line in lines:
-            if not bypass_l1:
-                cache_set = l1_sets[line % l1_num_sets]
-                l1_stats.accesses += 1
-                if line in cache_set:
-                    # refresh LRU position
-                    del cache_set[line]
-                    cache_set[line] = None
-                    l1_stats.hits += 1
-                    if not is_write:
-                        fill = inflight_get(line, 0) if merging else 0
-                        if fill > now:
-                            # the line's fill has not landed yet: wait for it
-                            merges += 1
-                            self.mshr_merges += 1
-                            if fill > complete_at:
-                                complete_at = fill
-                        else:
-                            l1_hits += 1
-                            done = now + l1_hit_latency
-                            if done > complete_at:
-                                complete_at = done
-                        continue
-                    # write hit: write-through still goes to L2 below
-                    l1_stats.write_accesses += 1
-                    l1_stats.write_hits += 1
-                    l1_hits += 1
-                else:
-                    l1_stats.misses += 1
-                    if is_write:
-                        # stores are write-through / no-allocate at L1
-                        l1_stats.write_accesses += 1
-                    else:
-                        if len(cache_set) >= l1_assoc:
-                            del cache_set[next(iter(cache_set))]
-                            l1_stats.evictions += 1
-                        cache_set[line] = None
-            # L2 allocates on both loads and stores (tag at miss time)
-            part = line % parts
-            if l2_parts[part].access(line, is_write=is_write, allocate=True):
-                fill = inflight_get(line, 0) if merging else 0
-                if fill > now:
-                    # the tag is resident but the fill is still in flight:
-                    # this request merges into the outstanding miss (MSHR)
-                    # and sees the data-arrival time, not the hit latency
-                    merges += 1
-                    self.mshr_merges += 1
-                    if fill > complete_at:
-                        complete_at = fill
-                else:
-                    l2_hits += 1
-                    done = now + l2_hit_latency
-                    if done > complete_at:
-                        complete_at = done
-            else:
-                dram_accesses += 1
-                done = self.drams[part].service(now)
-                if merging and not is_write:
-                    # stores write through without fetching: only loads put
-                    # a fill in flight that later requests can merge into
-                    self._mshr_insert(line, done, now)
-                if done > complete_at:
-                    complete_at = done
-        return AccessResult(
-            complete_at=complete_at,
-            transactions=len(lines),
-            l1_hits=l1_hits,
-            l2_hits=l2_hits,
-            dram_accesses=dram_accesses,
-            mshr_merges=merges,
-        )
 
     # ----- statistics ----------------------------------------------------
     def l1_stats_merged(self) -> CacheStats:

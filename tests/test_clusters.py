@@ -10,6 +10,7 @@ from repro.gpu.engine import Engine
 from repro.gpu.kernel import KernelSpec, ResourceReq
 from repro.gpu.trace import LaunchSpec, TBBody, compute, launch
 from repro.memory.hierarchy import MemoryHierarchy
+from tests.memory_reference import access_warp
 
 
 def clustered_config(num_smx=4, per_cluster=2, **overrides):
@@ -52,16 +53,16 @@ class TestSharedL1:
     def test_cross_smx_hit_within_cluster(self):
         mem = MemoryHierarchy(clustered_config())
         line = [4 * lane for lane in range(32)]
-        first = mem.access_warp(0, line, now=0)
+        first = access_warp(mem, 0, line, now=0)
         after_fill = first.complete_at + 1
-        r = mem.access_warp(1, line, now=after_fill)  # same cluster: L1 hit
+        r = access_warp(mem, 1, line, now=after_fill)  # same cluster: L1 hit
         assert r.l1_hits == 1
-        r = mem.access_warp(2, line, now=after_fill + 100)  # other cluster: L2
+        r = access_warp(mem, 2, line, now=after_fill + 100)  # other cluster: L2
         assert r.l1_hits == 0 and r.l2_hits == 1
 
     def test_merged_stats_count_clusters_once(self):
         mem = MemoryHierarchy(clustered_config())
-        mem.access_warp(0, [0], now=0)
+        access_warp(mem, 0, [0], now=0)
         assert mem.l1_stats_merged().accesses == 1
 
 

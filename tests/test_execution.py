@@ -108,7 +108,7 @@ class TestRunSpec:
             benchmark="bfs-citation", scheduler="adaptive-bind", model="dtbl", scale="tiny", seed=7
         )
         assert spec.cache_key() == (
-            "54f1263cce691f335a1caff1482224a4f9be2aabe6cf8ba47e84e3bbfef35bf6"
+            "2139bb7b516597b5adbf22725023643c96016a37eb81a1026b79cec5d781219e"
         )
 
 

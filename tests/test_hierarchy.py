@@ -4,6 +4,7 @@ import pytest
 
 from repro.gpu.config import CacheConfig, GPUConfig
 from repro.memory.hierarchy import MemoryHierarchy
+from tests.memory_reference import access_warp
 
 
 def make_hierarchy(num_smx=2):
@@ -25,22 +26,22 @@ WARP_LINE = [4 * lane for lane in range(32)]  # one 128B line
 class TestReadPath:
     def test_cold_load_goes_to_dram(self):
         mem, _ = make_hierarchy()
-        r = mem.access_warp(0, WARP_LINE, now=0)
+        r = access_warp(mem, 0, WARP_LINE, now=0)
         assert r.dram_accesses == 1
         assert r.l1_hits == 0 and r.l2_hits == 0
         assert r.complete_at == 200
 
     def test_second_load_hits_l1(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0)
-        r = mem.access_warp(0, WARP_LINE, now=300)
+        access_warp(mem, 0, WARP_LINE, now=0)
+        r = access_warp(mem, 0, WARP_LINE, now=300)
         assert r.l1_hits == 1
         assert r.complete_at == 310
 
     def test_other_smx_hits_l2_not_l1(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0)
-        r = mem.access_warp(1, WARP_LINE, now=300)
+        access_warp(mem, 0, WARP_LINE, now=0)
+        r = access_warp(mem, 1, WARP_LINE, now=300)
         assert r.l1_hits == 0
         assert r.l2_hits == 1
         assert r.complete_at == 350
@@ -48,14 +49,14 @@ class TestReadPath:
     def test_transactions_counted_per_line(self):
         mem, _ = make_hierarchy()
         scattered = [lane * 4096 for lane in range(8)]
-        r = mem.access_warp(0, scattered, now=0)
+        r = access_warp(mem, 0, scattered, now=0)
         assert r.transactions == 8
 
     def test_completion_is_slowest_transaction(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0)  # line 0 now in L1
+        access_warp(mem, 0, WARP_LINE, now=0)  # line 0 now in L1
         mixed = WARP_LINE + [128 * 99 + lane for lane in range(4)]
-        r = mem.access_warp(0, mixed, now=300)
+        r = access_warp(mem, 0, mixed, now=300)
         assert r.l1_hits == 1
         assert r.dram_accesses == 1
         assert r.complete_at == 500
@@ -64,34 +65,34 @@ class TestReadPath:
 class TestWritePolicy:
     def test_store_does_not_allocate_l1(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0, is_write=True)
+        access_warp(mem, 0, WARP_LINE, now=0, is_write=True)
         assert not mem.l1s[0].probe(0)
 
     def test_store_allocates_l2(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0, is_write=True)
+        access_warp(mem, 0, WARP_LINE, now=0, is_write=True)
         assert mem.l2.probe(0)
 
     def test_consumer_on_other_smx_hits_l2_after_store(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0, is_write=True)
-        r = mem.access_warp(1, WARP_LINE, now=100)
+        access_warp(mem, 0, WARP_LINE, now=0, is_write=True)
+        r = access_warp(mem, 1, WARP_LINE, now=100)
         assert r.l2_hits == 1
 
 
 class TestStats:
     def test_l1_stats_merged_across_smxs(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0)
-        mem.access_warp(1, WARP_LINE, now=0)
+        access_warp(mem, 0, WARP_LINE, now=0)
+        access_warp(mem, 1, WARP_LINE, now=0)
         merged = mem.l1_stats_merged()
         assert merged.accesses == 2
         assert merged.misses == 2
 
     def test_hit_rate_properties(self):
         mem, _ = make_hierarchy()
-        mem.access_warp(0, WARP_LINE, now=0)
-        mem.access_warp(0, WARP_LINE, now=10)
+        access_warp(mem, 0, WARP_LINE, now=0)
+        access_warp(mem, 0, WARP_LINE, now=10)
         assert mem.l1_hit_rate == pytest.approx(0.5)
         assert 0.0 <= mem.l2_hit_rate <= 1.0
 
@@ -112,8 +113,8 @@ class TestMSHRMerging:
 
     def test_concurrent_miss_merges(self):
         mem = self._mem()
-        first = mem.access_warp(0, WARP_LINE, now=0)
-        second = mem.access_warp(1, WARP_LINE, now=50)  # fill still in flight
+        first = access_warp(mem, 0, WARP_LINE, now=0)
+        second = access_warp(mem, 1, WARP_LINE, now=50)  # fill still in flight
         assert first.dram_accesses == 1
         assert second.dram_accesses == 0
         assert second.mshr_merges == 1
@@ -122,8 +123,8 @@ class TestMSHRMerging:
 
     def test_no_merge_after_fill_returns(self):
         mem = self._mem()
-        mem.access_warp(0, WARP_LINE, now=0)  # completes at 200, fills L2
-        r = mem.access_warp(1, WARP_LINE, now=500)
+        access_warp(mem, 0, WARP_LINE, now=0)  # completes at 200, fills L2
+        r = access_warp(mem, 1, WARP_LINE, now=500)
         assert r.mshr_merges == 0
         assert r.l2_hits == 1
 
@@ -131,74 +132,42 @@ class TestMSHRMerging:
         # without MSHR modelling the second access is a plain (too early)
         # L2 hit — the pre-fill-time behaviour, kept for ablation
         mem = self._mem(merging=False)
-        mem.access_warp(0, WARP_LINE, now=0)
-        r = mem.access_warp(1, WARP_LINE, now=50)
+        access_warp(mem, 0, WARP_LINE, now=0)
+        r = access_warp(mem, 1, WARP_LINE, now=50)
         assert r.l2_hits == 1
         assert r.complete_at == 100
 
     def test_merged_access_not_reported_as_hit_or_dram(self):
         mem = self._mem()
-        mem.access_warp(0, WARP_LINE, now=0)
-        r = mem.access_warp(1, WARP_LINE, now=50)
+        access_warp(mem, 0, WARP_LINE, now=0)
+        r = access_warp(mem, 1, WARP_LINE, now=50)
         assert r.l2_hits == 0 and r.dram_accesses == 0 and r.mshr_merges == 1
         # tag-level accounting: first probe missed, second found the tag
         assert mem.l2.stats.misses == 1
 
-    def test_inflight_table_bounded(self):
-        mem = self._mem()
-        for i in range(5000):
-            mem.access_warp(0, [i * 128], now=0)
-        assert len(mem._inflight) <= 4096
 
 
-class TestMSHROverflow:
-    """Capacity behaviour of the in-flight fill (MSHR) table."""
+class TestFillTable:
+    """The MSHR table is a plain line -> fill-time dict with no capacity."""
 
-    def _mem(self, lines_per_cycle=1.0):
-        config = GPUConfig(
-            num_smx=2,
-            l1=CacheConfig(size_bytes=1024, associativity=2),
-            l2=CacheConfig(size_bytes=64 * 1024, associativity=4),
-            l1_hit_latency=10,
-            l2_hit_latency=50,
-            dram_latency=200,
-            dram_lines_per_cycle=lines_per_cycle,
+    def test_reread_waits_for_fill_behind_many_inflight_loads(self):
+        # 5,000 loads in flight at t=0, more than any fixed-size table
+        # would keep, with every tag resident in the L2: a second SMX
+        # re-reading line 0 must wait for the line's data (landing at
+        # 200), not be granted an L2 hit on its resident tag (1 + 50)
+        mem = MemoryHierarchy(
+            GPUConfig(
+                num_smx=2,
+                l1=CacheConfig(size_bytes=1024, associativity=2),
+                l2=CacheConfig(size_bytes=1024 * 1024, associativity=8),
+                l1_hit_latency=10,
+                l2_hit_latency=50,
+                dram_latency=200,
+                dram_lines_per_cycle=100.0,
+            )
         )
-        return MemoryHierarchy(config)
-
-    def test_table_stays_bounded_and_counts_drops(self):
-        mem = self._mem()
-        mem.mshr_limit = 8
-        for i in range(20):
-            mem.access_warp(0, [i * 128], now=0)
-        assert len(mem._inflight) <= 8
-        assert mem.mshr_dropped == 12
-
-    def test_oldest_completing_fills_evicted_first(self):
-        mem = self._mem()
-        mem.mshr_limit = 4
-        for i in range(6):
-            mem.access_warp(0, [i * 128], now=0)
-        # bandwidth-limited DRAM (1 line/cycle): line i's fill completes at
-        # 200 + i, so capacity eviction drops the two earliest-completing
-        # fills — lines 0 and 1 — and keeps the rest, deterministically
-        assert set(mem._inflight) == {2, 3, 4, 5}
-        assert mem.mshr_dropped == 2
-
-    def test_overflow_beyond_default_limit(self):
-        # > MSHR_TABLE_LIMIT genuinely-in-flight fills (all issued at cycle
-        # 0, none landed): every insert past the limit evicts exactly one
-        mem = self._mem(lines_per_cycle=100.0)
-        for i in range(5000):
-            mem.access_warp(0, [i * 128], now=0)
-        assert len(mem._inflight) == 4096
-        assert mem.mshr_dropped == 5000 - 4096
-
-    def test_landed_fills_expire_without_counting_as_drops(self):
-        mem = self._mem()
-        mem.mshr_limit = 8
-        for i in range(8):
-            mem.access_warp(0, [i * 128], now=0)  # fills land by ~208
-        mem.access_warp(0, [100 * 128], now=1000)  # all 8 have landed
-        assert set(mem._inflight) == {100}
-        assert mem.mshr_dropped == 0
+        access = mem.accessor(0)
+        for line in range(5000):
+            access([line], 0, 1, 0)
+        assert mem.accessor(1)([0], 0, 1, 1) == 200
+        assert len(mem._inflight) == 5000

@@ -8,6 +8,7 @@ from repro.gpu.config import CacheConfig, GPUConfig
 from repro.gpu.engine import Engine
 from repro.memory.hierarchy import MemoryHierarchy
 from tests.conftest import tiny_workload
+from tests.memory_reference import access_warp
 
 
 def config(parts=2, **overrides):
@@ -44,9 +45,9 @@ class TestConfig:
 class TestInterleaving:
     def test_lines_route_by_modulo(self):
         mem = MemoryHierarchy(config(parts=2))
-        mem.access_warp(0, [0 * 128], now=0)  # line 0 -> partition 0
-        mem.access_warp(0, [1 * 128], now=0)  # line 1 -> partition 1
-        mem.access_warp(0, [2 * 128], now=0)  # line 2 -> partition 0
+        access_warp(mem, 0, [0 * 128], now=0)  # line 0 -> partition 0
+        access_warp(mem, 0, [1 * 128], now=0)  # line 1 -> partition 1
+        access_warp(mem, 0, [2 * 128], now=0)  # line 2 -> partition 0
         assert mem.l2_parts[0].stats.accesses == 2
         assert mem.l2_parts[1].stats.accesses == 1
 
@@ -57,7 +58,7 @@ class TestInterleaving:
     def test_merged_stats(self):
         mem = MemoryHierarchy(config(parts=4))
         for line in range(8):
-            mem.access_warp(0, [line * 128], now=0)
+            access_warp(mem, 0, [line * 128], now=0)
         merged = mem.l2_stats_merged()
         assert merged.accesses == 8
         assert mem.dram_transactions() == 8
@@ -66,9 +67,9 @@ class TestInterleaving:
         """Two misses on different partitions do not queue behind each
         other; two on the same partition do."""
         mem = MemoryHierarchy(config(parts=2, dram_lines_per_cycle=0.02))
-        a = mem.access_warp(0, [0 * 128], now=0)
-        b = mem.access_warp(0, [1 * 128], now=0)  # other channel: no queueing
-        c = mem.access_warp(0, [2 * 128], now=0)  # same channel as a: queued
+        a = access_warp(mem, 0, [0 * 128], now=0)
+        b = access_warp(mem, 0, [1 * 128], now=0)  # other channel: no queueing
+        c = access_warp(mem, 0, [2 * 128], now=0)  # same channel as a: queued
         assert b.complete_at == a.complete_at
         assert c.complete_at > a.complete_at
 

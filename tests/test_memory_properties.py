@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.gpu.config import CacheConfig, GPUConfig
 from repro.memory.hierarchy import MemoryHierarchy
+from tests.memory_reference import access_lines, access_warp
 
 
 def make_mem(merging=True, lines_per_cycle=2.0):
@@ -43,7 +44,7 @@ def test_completion_never_before_issue(accesses, merging):
     mem = make_mem(merging=merging)
     now = 0
     for smx, addrs, is_write in accesses:
-        result = mem.access_warp(smx, addrs, now, is_write=is_write)
+        result = access_warp(mem, smx, addrs, now, is_write=is_write)
         assert result.complete_at >= now
         now += 7
 
@@ -54,7 +55,7 @@ def test_outcome_classes_partition_transactions(accesses):
     mem = make_mem()
     now = 0
     for smx, addrs, is_write in accesses:
-        r = mem.access_warp(smx, addrs, now, is_write=is_write)
+        r = access_warp(mem, smx, addrs, now, is_write=is_write)
         # write path can classify a line as both an L1 write-hit and an
         # L2 event, so only read transactions partition exactly
         if not is_write:
@@ -68,8 +69,8 @@ def test_merging_never_increases_dram_traffic(accesses):
     with_m, without_m = make_mem(merging=True), make_mem(merging=False)
     now = 0
     for smx, addrs, is_write in accesses:
-        with_m.access_warp(smx, addrs, now, is_write=is_write)
-        without_m.access_warp(smx, addrs, now, is_write=is_write)
+        access_warp(with_m, smx, addrs, now, is_write=is_write)
+        access_warp(without_m, smx, addrs, now, is_write=is_write)
         now += 3
     assert with_m.dram.stats.transactions <= without_m.dram.stats.transactions
 
@@ -83,8 +84,8 @@ def test_lower_bandwidth_never_faster(addrs, bw):
     fast = make_mem(lines_per_cycle=100.0)
     slow = make_mem(lines_per_cycle=bw)
     # hammer both with the same two scattered warp accesses back to back
-    a = fast.access_warp(0, addrs, 0)
-    b = slow.access_warp(0, addrs, 0)
+    a = access_warp(fast, 0, addrs, 0)
+    b = access_warp(slow, 0, addrs, 0)
     assert b.complete_at >= a.complete_at
 
 
@@ -94,7 +95,7 @@ def test_hit_rates_bounded(accesses):
     mem = make_mem()
     now = 0
     for smx, addrs, is_write in accesses:
-        mem.access_warp(smx, addrs, now, is_write=is_write)
+        access_warp(mem, smx, addrs, now, is_write=is_write)
         now += 5
     assert 0.0 <= mem.l1_hit_rate <= 1.0
     assert 0.0 <= mem.l2_hit_rate <= 1.0
@@ -134,27 +135,27 @@ def _random_spans(rng: random.Random, num_sets: int):
     return spans
 
 
-def check_accessor_against_reference(seed, l2_partitions, *, mshr_limit=None, lines_per_cycle=None):
-    """Drive the per-SMX accessor and the ``_access_lines`` reference
-    with the same random spans; every completion time and every piece of
-    cache, DRAM and MSHR state must agree."""
+def check_accessor_against_reference(seed, l2_partitions, *, lines_per_cycle=None, merging=True):
+    """Drive the per-SMX accessor and the reference walk
+    (``tests/memory_reference.py``) with the same random spans; every
+    completion time and every piece of cache, DRAM and MSHR state must
+    agree."""
     rng = random.Random(seed)
     config = GPUConfig(
         num_smx=4,
         l1=CacheConfig(size_bytes=4 * 1024, associativity=4),
         l2=CacheConfig(size_bytes=32 * 1024, associativity=8),
         l2_partitions=l2_partitions,
+        mshr_merging=merging,
     )
     if lines_per_cycle is not None:
         config = config.with_overrides(dram_lines_per_cycle=lines_per_cycle)
     fast_hier, ref_hier = MemoryHierarchy(config), MemoryHierarchy(config)
-    if mshr_limit is not None:
-        fast_hier.mshr_limit = ref_hier.mshr_limit = mshr_limit
     access = fast_hier.accessor(0)
     now = 0
     for lines, is_write in _random_spans(rng, fast_hier.l1s[0].num_sets):
         fast = access(lines, 0, len(lines), now, is_write)
-        ref = ref_hier._access_lines(0, list(lines), now, is_write, False)
+        ref = access_lines(ref_hier, 0, list(lines), now, is_write=is_write)
         assert fast == ref.complete_at, f"completion diverged at t={now} lines={lines.tolist()}"
         now += rng.randint(0, 40)
     pairs = [(fast_hier.l1s[0], ref_hier.l1s[0])]
@@ -166,7 +167,6 @@ def check_accessor_against_reference(seed, l2_partitions, *, mshr_limit=None, li
         assert fast_dram.stats == ref_dram.stats
         assert fast_dram._bus_free == ref_dram._bus_free
     assert fast_hier.mshr_merges == ref_hier.mshr_merges
-    assert fast_hier.mshr_dropped == ref_hier.mshr_dropped
     assert fast_hier._inflight == ref_hier._inflight
     assert fast_hier.dram_transactions() == ref_hier.dram_transactions()
     return fast_hier
@@ -178,14 +178,20 @@ def test_accessor_matches_reference_walk(seed, l2_partitions):
     check_accessor_against_reference(seed, l2_partitions)
 
 
+@pytest.mark.parametrize("l2_partitions", [1, 2])
+def test_accessor_matches_reference_walk_without_merging(l2_partitions):
+    """With ``mshr_merging`` off the table stays empty and nothing merges."""
+    hier = check_accessor_against_reference(1, l2_partitions, lines_per_cycle=0.5, merging=False)
+    assert hier._inflight == {} and hier.mshr_merges == 0
+
+
 @pytest.mark.parametrize("lines_per_cycle", [0.5, 3.0])
 @pytest.mark.parametrize("l2_partitions", [1, 2])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_accessor_matches_reference_walk_with_full_mshr(seed, l2_partitions, lines_per_cycle):
-    """An 8-entry MSHR table makes the walk capacity-evict fills, and a
-    fractional DRAM rate exercises the float bus-free arithmetic."""
-    hier = check_accessor_against_reference(
-        seed, l2_partitions, mshr_limit=8, lines_per_cycle=lines_per_cycle
-    )
-    assert hier.mshr_dropped > 0
+    """A fractional DRAM rate exercises the float bus-free arithmetic, and
+    a slow one queues fills so the table fills up with in-flight lines
+    that later requests merge into."""
+    hier = check_accessor_against_reference(seed, l2_partitions, lines_per_cycle=lines_per_cycle)
+    assert hier.mshr_merges > 0
     assert max(d.stats.max_queue_delay for d in hier.drams) > 0

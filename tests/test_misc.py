@@ -11,6 +11,7 @@ from repro.gpu.stats import SimStats
 from repro.gpu.trace import TBBody, compute
 from repro.harness.runner import GridResult
 from repro.memory.hierarchy import MemoryHierarchy
+from tests.memory_reference import access_warp
 
 WARP_LINE = [4 * lane for lane in range(32)]
 
@@ -18,15 +19,15 @@ WARP_LINE = [4 * lane for lane in range(32)]
 class TestBypassL1:
     def test_bypass_skips_l1_state_and_stats(self):
         mem = MemoryHierarchy(GPUConfig(num_smx=1))
-        mem.access_warp(0, WARP_LINE, now=0, bypass_l1=True)
+        access_warp(mem, 0, WARP_LINE, now=0, bypass_l1=True)
         assert mem.l1s[0].stats.accesses == 0
         assert not mem.l1s[0].probe(0)
         assert mem.l2.probe(0)
 
     def test_bypass_still_counts_l2(self):
         mem = MemoryHierarchy(GPUConfig(num_smx=1))
-        first = mem.access_warp(0, WARP_LINE, now=0, bypass_l1=True)
-        r = mem.access_warp(0, WARP_LINE, now=first.complete_at + 1, bypass_l1=True)
+        first = access_warp(mem, 0, WARP_LINE, now=0, bypass_l1=True)
+        r = access_warp(mem, 0, WARP_LINE, now=first.complete_at + 1, bypass_l1=True)
         assert r.l2_hits == 1
 
 
