@@ -71,10 +71,17 @@ figures: bench
 experiments:
 	$(PYTHON) scripts/make_experiments_report.py $(SCALE) --jobs $(JOBS)
 
-# smoke test of the parallel executor: a tiny 2-benchmark grid over 4 workers
+# smoke test of the worker pool: a tiny 2-benchmark grid over 4 workers on a
+# cold scratch cache (so workers attach its workload cache) must write the
+# same JSON, byte for byte, as a serial uncached run
+GRID_FAST = --scale tiny --benchmarks amr join-gaussian --models dtbl
 grid-fast:
-	PYTHONPATH=src $(PYTHON) -m repro.cli grid --scale tiny --jobs 4 --no-cache \
-		--benchmarks amr join-gaussian --models dtbl
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	PYTHONPATH=src $(PYTHON) -m repro.cli grid $(GRID_FAST) --jobs 4 \
+		--cache-dir "$$tmp/cache" -o "$$tmp/pool.json" && \
+	PYTHONPATH=src $(PYTHON) -m repro.cli grid $(GRID_FAST) --jobs 1 --no-cache \
+		-o "$$tmp/serial.json" && \
+	cmp "$$tmp/pool.json" "$$tmp/serial.json"
 
 # smoke test of the policy autotuner: a tiny-budget search on one
 # workload, uncached so it always exercises the full pipeline (docs/search.md)

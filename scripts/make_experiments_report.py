@@ -119,6 +119,7 @@ def latency_section(scale: str, executor) -> str:
     rows = run_latency_sweep("bfs-citation", scale=scale, executor=executor)
     table = render_latency_sweep(rows)
     first, last = rows[0][1], rows[-1][1]
+    low_latency, low, _ = min(rows, key=lambda row: row[1])
     return f"""## Section V-D — launch-latency sensitivity
 
 Paper: the launch latency "can kill any potential parent-child locality";
@@ -133,7 +134,8 @@ Measured (bfs-citation, Adaptive-Bind vs RR, sweeping the launch latency):
 ```
 
 Shape: **reproduces** — the speedup falls from {first:.3f}x at
-hardware-launch latency to {last:.3f}x when launches cost 64k cycles, and
+hardware-launch latency to {last:.3f}x when launches cost 64k cycles,
+dipping to a minimum of {low:.3f}x at {low_latency:,} cycles on the way, and
 children observably wait out the latency.
 
 """

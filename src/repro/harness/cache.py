@@ -18,13 +18,16 @@ really match? is the engine version current?) lives in the executor,
 which re-simulates on any mismatch. Corrupt or truncated files are
 treated as misses, and writes are atomic (temp file + ``os.replace``) so
 concurrent processes sharing one cache directory never observe a
-half-written record.
+half-written record. A failed write (a full disk, a read-only
+directory) is counted and reported once on stderr, never raised: the
+caller keeps the result it just computed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Optional
@@ -72,6 +75,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.store_errors = 0
 
     def path_for(self, key: str) -> Path:
         """File a record with this key lives at (whether or not it exists)."""
@@ -101,11 +105,23 @@ class ResultCache:
         """Atomically write ``record`` under ``key`` (overwrites).
 
         Safe under concurrent same-key writers across processes *and*
-        threads: see :func:`atomic_write_bytes`.
+        threads: see :func:`atomic_write_bytes`. An ``OSError``
+        (``ENOSPC``, ``EACCES``, ...) leaves no temp file behind, counts
+        in ``store_errors`` and is reported on stderr once per cache.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, json.dumps(record, sort_keys=True))
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(path, json.dumps(record, sort_keys=True))
+        except OSError as exc:
+            self.store_errors += 1
+            if self.store_errors == 1:
+                print(
+                    f"warning: result not cached: cannot write {path} "
+                    f"(errno {exc.errno}: {exc.strerror}); continuing without it",
+                    file=sys.stderr,
+                )
+            return
         self.stores += 1
 
     def __len__(self) -> int:

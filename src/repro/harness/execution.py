@@ -10,10 +10,11 @@ of independent simulations. This module makes that set explicit:
   is what makes deduplication and content-addressed caching sound.
 * An :class:`Executor` maps RunSpecs to :class:`SimStats`.
   :class:`SerialExecutor` runs in-process; :class:`ParallelExecutor`
-  fans out over a :class:`concurrent.futures.ProcessPoolExecutor`.
-  Workers rebuild the workload from the spec (benchmark name + scale +
-  seed), so nothing unpicklable — launch trees with shared bodies —
-  ever crosses the process boundary; only small plain dicts do.
+  fans out over the worker fleet of :mod:`repro.harness.pool`, the same
+  pool ``repro serve`` runs on. Workers resolve the workload from the
+  spec (benchmark name + scale + seed), so nothing unpicklable — launch
+  trees with shared bodies — ever crosses the process boundary; only
+  small plain dicts do.
 * Both executors deduplicate identical specs within a call and can share
   a :class:`repro.harness.cache.ResultCache`; a warm cache answers a
   whole grid without constructing a single engine.
@@ -29,8 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -247,8 +246,8 @@ class RunSpec:
 # a grid simulates the same trace under every scheduler x model. Kernels
 # are keyed by (benchmark, scale, seed) — exactly the RunSpec fields a
 # trace depends on — and shared across executor calls in this process.
-# Worker processes get their own copy of this cache (prepopulated for
-# free under the ``fork`` start method).
+# Pool workers get their own copy of this cache (prepopulated for free
+# under the ``fork`` start method).
 #
 # An entry is either a resolved KernelSpec or a workload registered by
 # ``seed_kernel_cache`` whose trace nobody has asked for yet: it is
@@ -363,20 +362,8 @@ def run_spec_with_summary(spec: RunSpec) -> tuple[SimStats, dict]:
     return stats, sink.summary(stats)
 
 
-def _worker_init(workload_root: str, keys: Sequence[tuple[str, str, int]]) -> None:
-    """Process-pool initializer: attach the parent's workload cache and
-    pre-load the traces this batch needs.
-
-    The parent stored every workload before fanning out, so each worker
-    deserializes traces instead of regenerating them (under the ``fork``
-    start method the pre-load is a pure in-memory hit)."""
-    configure_workload_cache(workload_root)
-    for benchmark, scale, seed in keys:
-        kernel_for(benchmark, scale, seed)
-
-
 def _worker_run(payload: dict) -> dict:
-    """Process-pool entry point: plain dict in, plain dict out."""
+    """Pool-worker entry point: plain dict in, plain dict out."""
     spec = RunSpec.from_dict(payload["spec"])
     if payload["collect_telemetry"]:
         stats, summary = run_spec_with_summary(spec)
@@ -505,13 +492,14 @@ class SerialExecutor(Executor):
 
 
 class ParallelExecutor(Executor):
-    """Fans simulations out over a process pool.
+    """Fans simulations out over a :class:`~repro.harness.pool.WorkerFleet`.
 
     Specs travel to workers as plain dicts and stats come back the same
     way, so no engine state, scheduler object or kernel trace is ever
-    pickled. Each worker process rebuilds (and memoizes) workload traces
-    from the spec. Results are keyed by spec, not completion order, so
-    output is deterministic regardless of scheduling.
+    pickled. Each result lands in its spec's slot, not in completion
+    order, so output is deterministic regardless of scheduling. A worker
+    crash is retried once on a fresh worker; a second crash, or an error
+    inside a simulation, raises a ``RuntimeError`` naming the spec.
     """
 
     def __init__(
@@ -529,69 +517,30 @@ class ParallelExecutor(Executor):
     def _execute(self, specs: Sequence[RunSpec]) -> list[SimStats]:
         if len(specs) == 1 or self.jobs == 1:
             return SerialExecutor._execute(self, specs)
-        initializer = None
-        initargs = ()
         disk = active_workload_cache()
         # resolve each distinct workload of the pending specs once up
         # front (registered ones always, every one with a disk cache):
-        # workers then inherit or load the trace instead of each
-        # regenerating its own copy. Traces no pending spec needs are
-        # never touched.
-        keys = list(dict.fromkeys((s.benchmark, s.scale, s.seed) for s in specs))
-        for key in keys:
+        # forked workers then inherit the trace, or load it from disk,
+        # instead of each regenerating its own copy. Traces no pending
+        # spec needs are never touched.
+        for key in dict.fromkeys((s.benchmark, s.scale, s.seed) for s in specs):
             if disk is not None or key in _KERNEL_CACHE:
                 kernel_for(*key)
-        if disk is not None:
-            initializer = _worker_init
-            initargs = (str(disk.root), keys)
-        out: list[SimStats] = []
-        try:
-            self._pool_run_into(specs, out, initializer, initargs)
-        except BrokenProcessPool:
-            # a worker died mid-batch (OOM kill, segfault, os._exit). The
-            # pool delivers results in submission order, so everything past
-            # len(out) is unaccounted for; retry those once on a fresh pool.
-            lost = list(specs[len(out):])
-            recovered = len(out)
-            try:
-                self._pool_run_into(lost, out, initializer, initargs)
-            except BrokenProcessPool:
-                failing = lost[len(out) - recovered:]
-                shown = ", ".join(s.label() for s in failing[:4])
-                if len(failing) > 4:
-                    shown += f", ... ({len(failing) - 4} more)"
-                raise RuntimeError(
-                    f"simulation worker pool crashed twice; failing specs: {shown}"
-                ) from None
-        return out
+        # imported here: asyncio loads only when a batch really fans out
+        from repro.harness.pool import run_batch
 
-    def _pool_run_into(
-        self,
-        specs: Sequence[RunSpec],
-        out: list[SimStats],
-        initializer,
-        initargs,
-    ) -> None:
-        """Run ``specs`` on one pool, appending to ``out`` as results land.
-
-        Appending (rather than returning a list) is what makes crash
-        recovery possible: when the pool breaks mid-batch, ``out`` holds
-        exactly the results delivered so far, in submission order, so the
-        caller knows which specs were lost.
-        """
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(specs)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            payloads = [
-                {"spec": spec.to_dict(), "collect_telemetry": self.collect_telemetry}
+        outs = run_batch(
+            [
+                (spec.label(), {"spec": spec.to_dict(), "collect_telemetry": self.collect_telemetry})
                 for spec in specs
-            ]
-            for spec, obj in zip(specs, pool.map(_worker_run, payloads)):
-                if obj["telemetry"] is not None:
-                    self.telemetry[spec] = obj["telemetry"]
-                out.append(stats_from_obj(obj["stats"]))
+            ],
+            size=min(self.jobs, len(specs)),
+            workload_root=None if disk is None else str(disk.root),
+        )
+        for spec, obj in zip(specs, outs):
+            if obj["telemetry"] is not None:
+                self.telemetry[spec] = obj["telemetry"]
+        return [stats_from_obj(obj["stats"]) for obj in outs]
 
 
 def make_executor(

@@ -1,33 +1,38 @@
-"""Persistent worker-process fleet executing RunSpecs for the service.
+"""The one process pool: a fleet of persistent simulation workers.
 
-The executors in :mod:`repro.harness.execution` build one process pool
-per batch; a long-lived service instead keeps a fixed fleet of worker
-processes warm across requests, so per-job dispatch costs one pipe hop
-and the workers' in-memory kernel caches stay hot. Each worker runs
-:func:`repro.harness.execution._worker_run` — the exact entry point the
-:class:`~repro.harness.execution.ParallelExecutor` uses — so service
-results are byte-identical to CLI results by construction, and the
-on-disk workload cache is attached the same way ``_worker_init`` does.
+Every fan-out in the repository runs on :class:`WorkerFleet`.
+:class:`~repro.harness.execution.ParallelExecutor` starts a fleet for
+each batch of ``repro grid``/``tune`` simulations, and
+``repro serve`` keeps one warm across requests, so per-job dispatch
+costs one pipe hop and the workers' in-memory kernel caches stay hot.
+Each worker calls :func:`repro.harness.execution._worker_run`, looked up
+on that module per job, so CLI and service results are byte-identical by
+construction. Under ``fork`` a worker inherits every trace the parent
+resolved before starting the fleet; given a workload root it also
+attaches that on-disk workload cache and loads any other trace on first
+use.
 
 Workers talk to the fleet over dedicated pipes, never shared queues.
 A queue shared between worker processes carries a cross-process lock,
 and a worker SIGKILLed between writing its result and releasing that
 lock (a timeout kill racing a completion, an OOM kill) would leave the
-lock held forever, wedging every other worker's result path — exactly
-why ``ProcessPoolExecutor`` declares the whole pool broken on any
-crash. With one pipe per worker there is a single writer and a single
-reader per channel, so no lock exists to poison, and a dead worker is
-just an EOF on its own pipe.
+lock held forever, wedging every other worker's result path. With one
+pipe per worker there is a single writer and a single reader per
+channel, so no lock exists to poison, and a dead worker is just an EOF
+on its own pipe.
 
-Failure handling, which a batch pool cannot do per-task:
+Failure handling, per job (the one failure story of CLI and service):
 
 * **per-job timeouts** — a job exceeding its deadline gets its worker
   process terminated (the only way to preempt a CPU-bound simulation)
   and a replacement spawned; :class:`JobTimeout` is raised.
 * **crash retry** — a worker dying mid-job (OOM kill, segfault) is
-  detected by a liveness watcher, the job is retried once on a fresh
-  worker, and only a second death raises :class:`WorkerCrashed` naming
-  the spec.
+  detected by a liveness watcher and the job is retried exactly once on
+  a fresh worker; a second death raises :class:`WorkerCrashed` naming
+  the job.
+* **simulation errors** — an exception inside the simulation comes back
+  as a ``RuntimeError`` naming the job and the worker's exception; the
+  worker stays in the fleet.
 * **graceful drain** — :meth:`WorkerFleet.drain` waits for in-flight
   jobs to finish, then :meth:`WorkerFleet.stop` shuts workers down via
   sentinel messages (terminating only those that ignore them).
@@ -39,9 +44,8 @@ import asyncio
 import multiprocessing
 import multiprocessing.connection
 import threading
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from repro.harness.execution import _worker_run  # noqa: F401  (re-exported intent)
 from repro.harness.workload_cache import configure_workload_cache
 
 #: liveness-watcher poll interval (seconds); crash detection latency
@@ -60,11 +64,14 @@ def _service_worker_main(worker_id: int, task_conn, result_conn, workload_root: 
     """Worker-process entry point: loop over payloads until the ``None``
     sentinel (or EOF, if the parent died).
 
-    Payloads and results are the plain dicts of ``_worker_run``; any
-    exception the simulation raises is reported as an ``"error"`` result
-    and the worker stays alive for the next job. Only process death
-    (crash or kill) takes a worker out of the fleet.
+    Payloads and results are the plain dicts of ``_worker_run``, read off
+    :mod:`repro.harness.execution` per job (so a patched entry point
+    reaches the worker); any exception the simulation raises is reported
+    as an ``"error"`` result and the worker stays alive for the next job.
+    Only process death (crash or kill) takes a worker out of the fleet.
     """
+    from repro.harness import execution
+
     if workload_root:
         configure_workload_cache(workload_root)
     while True:
@@ -75,7 +82,7 @@ def _service_worker_main(worker_id: int, task_conn, result_conn, workload_root: 
         if payload is None:
             return
         try:
-            out = _worker_run(payload)
+            out = execution._worker_run(payload)
         except BaseException as exc:  # report, never die: the fleet is persistent
             result_conn.send((worker_id, "error", f"{type(exc).__name__}: {exc}"))
         else:
@@ -103,23 +110,16 @@ class WorkerFleet:
 
     Create, then ``await start()`` from inside a running event loop; the
     fleet binds to that loop. ``checkout()`` hands out an idle worker
-    (waiting if all are busy — this is the service's concurrency limit),
-    ``run_on()`` executes one payload on it and returns the worker to the
-    idle pool.
+    (waiting if all are busy — this bounds concurrency), ``run_on()``
+    executes one payload on it and returns the worker to the idle pool.
+    ``workload_root`` is the on-disk workload cache each worker attaches.
     """
 
-    def __init__(
-        self,
-        size: int = 2,
-        *,
-        workload_root: Optional[str] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, size: int = 2, *, workload_root: Optional[str] = None) -> None:
         if size < 1:
             raise ValueError(f"fleet size must be >= 1, got {size}")
         self.size = size
         self.workload_root = workload_root
-        self._ctx = multiprocessing.get_context(start_method)
         self._live: dict[int, _Worker] = {}
         self._next_id = 0
         self._idle: Optional[asyncio.Queue] = None
@@ -133,7 +133,7 @@ class WorkerFleet:
         # them, on EOF, so no cross-thread close can race the wait().
         self._conns_lock = threading.Lock()
         self._result_conns: set = set()
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
         # lifetime counters (surfaced via the broker's /metrics)
         self.completed = 0
         self.crashes = 0
@@ -155,9 +155,9 @@ class WorkerFleet:
     def _spawn(self) -> _Worker:
         worker_id = self._next_id
         self._next_id += 1
-        task_r, task_w = self._ctx.Pipe(duplex=False)
-        result_r, result_w = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
+        task_r, task_w = multiprocessing.Pipe(duplex=False)
+        result_r, result_w = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
             target=_service_worker_main,
             args=(worker_id, task_r, result_w, self.workload_root),
             name=f"repro-worker-{worker_id}",
@@ -216,9 +216,7 @@ class WorkerFleet:
         if not future.done():
             if status == "ok":
                 self.completed += 1
-                future.set_result(out)
-            else:
-                future.set_exception(RuntimeError(out))
+            future.set_result((status, out))
         self._idle.put_nowait(worker)
 
     async def _watch(self) -> None:
@@ -270,58 +268,61 @@ class WorkerFleet:
         payload: dict,
         *,
         timeout: Optional[float] = None,
-        label: str = "",
-        retries: int = 1,
+        label: str = "job",
+        on_retry: Optional[Callable[[WorkerCrashed], None]] = None,
     ) -> dict:
         """Execute one payload on a checked-out worker.
 
         Returns the worker-result dict (``{"stats": ..., "telemetry": ...}``).
         On success or simulation error the worker goes back to the idle
-        pool automatically; on timeout it is killed and replaced; on
-        crash the job is retried ``retries`` times on fresh workers.
+        pool automatically; on timeout it is killed and replaced. On a
+        crash the job is retried once on a fresh worker, after
+        ``on_retry(crash)`` is told; a second crash raises
+        :class:`WorkerCrashed`.
         """
-        while True:
-            try:
-                worker.task_conn.send(payload)
-            except (BrokenPipeError, OSError):
-                # the worker died while idle; dispatch never happened
-                self._discard(worker)
-                self.crashes += 1
-                if not self._stopping:
-                    self._idle.put_nowait(self._spawn())
-                if retries <= 0:
-                    raise WorkerCrashed(
-                        f"worker crashed twice running {label or 'job'}; giving up"
-                    ) from None
-                retries -= 1
-                worker = await self.checkout()
-                continue
-            # no await between send and this assignment, so the result
-            # callback (which runs on this same loop) cannot precede it
-            future = self._loop.create_future()
-            worker.future = future
-            try:
-                return await asyncio.wait_for(asyncio.shield(future), timeout)
-            except asyncio.TimeoutError:
-                if future.done():
-                    # the result landed in the very tick the deadline
-                    # fired (worker already back in the idle pool): take it
-                    return future.result()
+        try:
+            return await self._run_once(worker, payload, timeout, label)
+        except WorkerCrashed as exc:
+            if on_retry is not None:
+                on_retry(exc)
+        worker = await self.checkout()
+        try:
+            return await self._run_once(worker, payload, timeout, label)
+        except WorkerCrashed as exc:
+            raise WorkerCrashed(f"worker crashed twice running {label}; giving up: {exc}") from None
+
+    async def _run_once(
+        self, worker: _Worker, payload: dict, timeout: Optional[float], label: str
+    ) -> dict:
+        try:
+            worker.task_conn.send(payload)
+        except (BrokenPipeError, OSError):
+            # the worker died while idle; dispatch never happened
+            self._discard(worker)
+            self.crashes += 1
+            if not self._stopping:
+                self._idle.put_nowait(self._spawn())
+            raise WorkerCrashed(f"worker {worker.worker_id} died while idle") from None
+        # no await between send and this assignment, so the result
+        # callback (which runs on this same loop) cannot precede it
+        future = self._loop.create_future()
+        worker.future = future
+        try:
+            status, out = await asyncio.wait_for(asyncio.shield(future), timeout)
+        except asyncio.TimeoutError:
+            if not future.done():
                 # terminating the process is the only preemption available
                 # for a CPU-bound simulation; the slot is refilled so fleet
                 # capacity is unchanged
                 self.timeouts += 1
                 self._kill(worker)
-                raise JobTimeout(
-                    f"deadline of {timeout}s exceeded running {label or 'job'}"
-                ) from None
-            except WorkerCrashed:
-                if retries <= 0:
-                    raise WorkerCrashed(
-                        f"worker crashed twice running {label or 'job'}; giving up"
-                    ) from None
-                retries -= 1
-                worker = await self.checkout()
+                raise JobTimeout(f"deadline of {timeout}s exceeded running {label}") from None
+            # the result landed in the very tick the deadline fired
+            # (worker already back in the idle pool): take it
+            status, out = future.result()
+        if status != "ok":
+            raise RuntimeError(f"simulation of {label} failed in its worker: {out}")
+        return out
 
     def _kill(self, worker: _Worker) -> None:
         """Forcibly remove one busy worker and spawn its replacement."""
@@ -369,3 +370,33 @@ class WorkerFleet:
             pass
         if self._reader is not None:
             self._reader.join(timeout=2)
+
+
+def run_batch(
+    jobs: Sequence[tuple[str, dict]], *, size: int, workload_root: Optional[str] = None
+) -> list[dict]:
+    """Run ``(label, payload)`` jobs on a fresh fleet of ``size`` workers.
+
+    Blocking: returns the result dicts in job order. The first job to
+    fail (second crash, simulation error) raises; the rest are
+    cancelled, and the fleet is stopped either way.
+    """
+
+    async def batch() -> list[dict]:
+        fleet = WorkerFleet(size, workload_root=workload_root)
+
+        async def one(label: str, payload: dict) -> dict:
+            return await fleet.run_on(await fleet.checkout(), payload, label=label)
+
+        tasks: list[asyncio.Future] = []
+        try:
+            await fleet.start()
+            tasks = [asyncio.ensure_future(one(*job)) for job in jobs]
+            return await asyncio.gather(*tasks)
+        finally:
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)  # retrieve every outcome
+            await fleet.stop(force=True)
+
+    return asyncio.run(batch())

@@ -38,8 +38,8 @@ from typing import Optional
 from repro.gpu.serialize import stats_from_obj, stats_to_obj
 from repro.harness.cache import ResultCache
 from repro.harness.execution import RunSpec, SerialExecutor
+from repro.harness.pool import JobTimeout, WorkerFleet
 from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job
-from repro.service.workers import JobTimeout, WorkerCrashed, WorkerFleet
 from repro.telemetry.events import NULL_SINK, TelemetrySink
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -234,26 +234,16 @@ class Broker:
         payload = {"spec": spec.to_dict(), "collect_telemetry": self.collect_telemetry}
         self._record_all(job, RUNNING, f"dispatched to worker {worker.worker_id}")
         self._sync_gauges()
+        job.attempts = 1
+
+        def retrying(crash: Exception) -> None:
+            job.attempts = 2
+            self._record_all(job, RUNNING, f"{crash}; retrying on a fresh worker")
+
         try:
-            out = None
-            for attempt in (1, 2):
-                job.attempts = attempt
-                try:
-                    out = await self.fleet.run_on(
-                        worker,
-                        payload,
-                        timeout=job.deadline,
-                        label=spec.label(),
-                        retries=0,
-                    )
-                    break
-                except WorkerCrashed as exc:
-                    if attempt == 2:
-                        raise WorkerCrashed(
-                            f"worker crashed twice running {spec.label()}: {exc}"
-                        ) from None
-                    self._record_all(job, RUNNING, f"{exc}; retrying on a fresh worker")
-                    worker = await self.fleet.checkout()
+            out = await self.fleet.run_on(
+                worker, payload, timeout=job.deadline, label=spec.label(), on_retry=retrying
+            )
             stats = stats_from_obj(out["stats"])
             if out.get("telemetry") is not None:
                 self._exec.telemetry[spec] = out["telemetry"]

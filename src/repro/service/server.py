@@ -13,16 +13,17 @@ toolchain is frozen), one request per connection, JSON bodies. Routes::
     GET    /metrics               MetricsRegistry in Prometheus text format
     GET    /healthz               liveness + admission state
 
-``serve()`` is the blocking entry behind ``repro serve``: it wires a
-:class:`~repro.service.workers.WorkerFleet`, a
-:class:`~repro.service.broker.Broker` and this server into one event
-loop and installs SIGTERM/SIGINT handlers that drain — every admitted
-job reaches a terminal state, and executed results land in the shared
-result cache — before the process exits.
+One coroutine assembles the service: a
+:class:`~repro.harness.pool.WorkerFleet` (the harness's one process
+pool), a :class:`~repro.service.broker.Broker` over it and this server,
+on one event loop. ``serve()`` is the blocking entry behind
+``repro serve``: it runs that assembly with SIGTERM/SIGINT handlers that
+drain — every admitted job reaches a terminal state, and executed
+results land in the shared result cache — before the process exits.
 
-:class:`ServiceThread` runs the same stack on a background thread for
-embedding: the test suite and ``scripts/service_load_test.py`` use it to
-stand a real server up on an ephemeral port inside one process.
+:class:`ServiceThread` runs the same assembly on a background thread for
+embedding: the test suite uses it to stand a real server up on an
+ephemeral port inside one process.
 
 See docs/service.md for the API reference and curl examples.
 """
@@ -39,9 +40,9 @@ from typing import Optional
 
 from repro.harness.cache import ResultCache
 from repro.harness.execution import RunSpec
+from repro.harness.pool import WorkerFleet
 from repro.harness.registry import benchmark_names, catalog_dict
 from repro.service.broker import AdmissionError, Broker, ServiceUnavailable
-from repro.service.workers import WorkerFleet
 from repro.telemetry.metrics import render_prometheus
 
 #: default TCP port for ``repro serve`` (ephemeral with ``--port 0``)
@@ -242,50 +243,32 @@ class ServiceServer:
 # -- assembled service --------------------------------------------------------
 
 
-async def _serve_async(
+async def _run_service(
+    stop: asyncio.Event,
+    on_ready,
+    cache: Optional[ResultCache],
     *,
+    jobs: int,
     host: str,
     port: int,
-    jobs: int,
-    queue_limit: int,
-    cache: Optional[ResultCache],
-    default_deadline: Optional[float],
-    ready=None,
-) -> None:
-    loop = asyncio.get_running_loop()
+    graceful=lambda: True,
+    **broker_options,
+) -> Broker:
+    """Assemble fleet -> broker -> listener, call ``on_ready(server)``,
+    serve until ``stop`` is set, then close the listener and shut the
+    broker down (draining if ``graceful()``). Returns the broker."""
     workload_root = str(Path(cache.root) / "workloads") if cache is not None else None
     fleet = WorkerFleet(jobs, workload_root=workload_root)
     await fleet.start()
-    broker = Broker(
-        fleet, cache, queue_limit=queue_limit, default_deadline=default_deadline
-    )
+    broker = Broker(fleet, cache, **broker_options)
     await broker.start()
     server = ServiceServer(broker, host=host, port=port)
     await server.start()
-    print(
-        f"repro service listening on http://{host}:{server.port} "
-        f"(pid {os.getpid()}, {jobs} workers, queue limit {queue_limit}, "
-        f"cache {'off' if cache is None else cache.root})",
-        flush=True,
-    )
-    if ready is not None:
-        ready(server)
-    stop = asyncio.Event()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-Unix loop
-            signal.signal(sig, lambda *_: stop.set())
+    on_ready(server)
     await stop.wait()
-    print("repro service: draining ...", flush=True)
     await server.stop()
-    await broker.shutdown(graceful=True)
-    counts = broker.counts()
-    print(
-        f"repro service: drained; {counts['done']} done, "
-        f"{counts['failed']} failed, {counts['cancelled']} cancelled",
-        flush=True,
-    )
+    await broker.shutdown(graceful=graceful())
+    return broker
 
 
 def serve(
@@ -298,15 +281,41 @@ def serve(
     default_deadline: Optional[float] = None,
 ) -> int:
     """Run the service until SIGTERM/SIGINT, then drain. Blocking."""
-    asyncio.run(
-        _serve_async(
-            host=host,
-            port=port,
-            jobs=jobs,
-            queue_limit=queue_limit,
-            cache=cache,
-            default_deadline=default_deadline,
+
+    async def main() -> Broker:
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+
+        def on_signal() -> None:
+            if not stop.is_set():
+                print("repro service: draining ...", flush=True)
+                stop.set()
+
+        def ready(server: ServiceServer) -> None:
+            print(
+                f"repro service listening on http://{host}:{server.port} "
+                f"(pid {os.getpid()}, {jobs} workers, queue limit {queue_limit}, "
+                f"cache {'off' if cache is None else cache.root})",
+                flush=True,
+            )
+            # installed after the fleet has forked its workers, which keep
+            # the default handlers (so terminate() still stops them)
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, on_signal)
+                except NotImplementedError:  # pragma: no cover - non-Unix loop
+                    signal.signal(sig, lambda *_: on_signal())
+
+        return await _run_service(
+            stop, ready, cache, jobs=jobs, host=host, port=port,
+            queue_limit=queue_limit, default_deadline=default_deadline,
         )
+
+    counts = asyncio.run(main()).counts()
+    print(
+        f"repro service: drained; {counts['done']} done, "
+        f"{counts['failed']} failed, {counts['cancelled']} cancelled",
+        flush=True,
     )
     return 0
 
@@ -331,17 +340,15 @@ class ServiceThread:
         collect_telemetry: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
-        start_method: Optional[str] = None,
     ) -> None:
         self._kwargs = dict(
             jobs=jobs,
             queue_limit=queue_limit,
-            cache_dir=cache_dir,
+            cache=ResultCache(cache_dir) if cache_dir is not None else None,
             default_deadline=default_deadline,
             collect_telemetry=collect_telemetry,
             host=host,
             port=port,
-            start_method=start_method,
         )
         self.broker: Optional[Broker] = None
         self.server: Optional[ServiceServer] = None
@@ -391,38 +398,16 @@ class ServiceThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        kwargs = self._kwargs
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        cache = (
-            ResultCache(kwargs["cache_dir"]) if kwargs["cache_dir"] is not None else None
+
+        def ready(server: ServiceServer) -> None:
+            self.server, self.broker, self.port = server, server.broker, server.port
+            self._ready.set()
+
+        await _run_service(
+            self._stop, ready, graceful=lambda: self._graceful, **self._kwargs
         )
-        workload_root = (
-            str(Path(cache.root) / "workloads") if cache is not None else None
-        )
-        fleet = WorkerFleet(
-            kwargs["jobs"],
-            workload_root=workload_root,
-            start_method=kwargs["start_method"],
-        )
-        await fleet.start()
-        self.broker = Broker(
-            fleet,
-            cache,
-            queue_limit=kwargs["queue_limit"],
-            default_deadline=kwargs["default_deadline"],
-            collect_telemetry=kwargs["collect_telemetry"],
-        )
-        await self.broker.start()
-        self.server = ServiceServer(
-            self.broker, host=kwargs["host"], port=kwargs["port"]
-        )
-        await self.server.start()
-        self.port = self.server.port
-        self._ready.set()
-        await self._stop.wait()
-        await self.server.stop()
-        await self.broker.shutdown(graceful=self._graceful)
 
     # -- thread-safe helpers ---------------------------------------------------
 

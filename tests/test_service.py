@@ -16,6 +16,7 @@ import signal
 
 import pytest
 
+from repro.harness import execution
 from repro.harness.cache import ResultCache
 from repro.harness.execution import RunSpec, SerialExecutor
 from repro.harness.registry import catalog_dict
@@ -107,6 +108,22 @@ def run_payload(s):
     return {"spec": s.to_dict(), "collect_telemetry": False}
 
 
+_REAL_WORKER_RUN = execution._worker_run
+
+
+def _crash_in_worker(payload):
+    os._exit(1)
+
+
+def _crash_once_in_worker(payload):
+    """Claims the flag file exactly once and dies; runs normally after."""
+    try:
+        os.unlink(os.environ["REPRO_TEST_CRASH_FLAG"])
+    except (KeyError, FileNotFoundError):
+        return _REAL_WORKER_RUN(payload)
+    os._exit(1)
+
+
 class TestWorkerFleet:
     def test_run_and_reuse_one_worker(self):
         async def scenario():
@@ -151,17 +168,25 @@ class TestWorkerFleet:
                 worker = await fleet.checkout()
                 os.kill(worker.process.pid, signal.SIGKILL)
                 worker.process.join()
+                retried = []
                 out = await asyncio.wait_for(
-                    fleet.run_on(worker, run_payload(spec(seed=4)), retries=1), 60
+                    fleet.run_on(
+                        worker, run_payload(spec(seed=4)), on_retry=retried.append
+                    ),
+                    60,
                 )
                 assert "stats" in out
                 assert fleet.crashes == 1
+                assert [type(crash) for crash in retried] == [WorkerCrashed]
             finally:
                 await asyncio.wait_for(fleet.stop(), 15)
 
         asyncio.run(scenario())
 
-    def test_second_crash_gives_up_with_label(self):
+    def test_second_crash_gives_up_with_label(self, monkeypatch):
+        # the fresh worker of the one retry dies too, inside the job
+        monkeypatch.setattr(execution, "_worker_run", _crash_in_worker)
+
         async def scenario():
             fleet = WorkerFleet(1)
             await fleet.start()
@@ -169,13 +194,11 @@ class TestWorkerFleet:
                 worker = await fleet.checkout()
                 os.kill(worker.process.pid, signal.SIGKILL)
                 worker.process.join()
-                with pytest.raises(WorkerCrashed, match="amr"):
+                with pytest.raises(WorkerCrashed, match="crashed twice running amr"):
                     await asyncio.wait_for(
-                        fleet.run_on(
-                            worker, run_payload(spec(seed=5)), label="amr", retries=0
-                        ),
-                        60,
+                        fleet.run_on(worker, run_payload(spec(seed=5)), label="amr"), 60
                     )
+                assert fleet.crashes == 2
             finally:
                 await asyncio.wait_for(fleet.stop(), 15)
 
@@ -193,10 +216,11 @@ class TestWorkerFleet:
             worker = await fleet.checkout()
             os.kill(worker.process.pid, signal.SIGKILL)
             worker.process.join()
-            with pytest.raises(WorkerCrashed):
-                await asyncio.wait_for(
-                    fleet.run_on(worker, run_payload(spec(seed=7)), retries=0), 60
-                )
+            # the job recovers on the replacement worker
+            out = await asyncio.wait_for(
+                fleet.run_on(worker, run_payload(spec(seed=7))), 60
+            )
+            assert "stats" in out and fleet.crashes == 1
             await asyncio.wait_for(fleet.stop(), 15)
 
         asyncio.run(scenario())
@@ -459,6 +483,29 @@ class TestBrokerOrdering:
             await broker.shutdown()
 
         asyncio.run(scenario())
+
+    def test_crash_is_retried_once_and_recorded(self, tmp_path, monkeypatch):
+        flag = tmp_path / "crash-once"
+        flag.write_text("armed", encoding="utf-8")
+        monkeypatch.setenv("REPRO_TEST_CRASH_FLAG", str(flag))
+        monkeypatch.setattr(execution, "_worker_run", _crash_once_in_worker)
+
+        async def scenario():
+            fleet = WorkerFleet(1)
+            await fleet.start()
+            broker = Broker(fleet, ResultCache(tmp_path / "cache"), collect_telemetry=False)
+            await broker.start()
+            job = broker.submit(spec(seed=406))
+            await broker.drain()
+            await broker.shutdown()
+            return job
+
+        job = asyncio.run(scenario())
+        assert not flag.exists(), "the crash flag was never claimed"
+        assert job.state == DONE and job.attempts == 2
+        assert job.to_dict()["attempts"] == 2
+        retries = [e.detail for e in job.events if "retrying on a fresh worker" in e.detail]
+        assert len(retries) == 1 and "died" in retries[0]
 
     def test_draining_broker_rejects_submissions(self, tmp_path):
         async def scenario():

@@ -6,6 +6,7 @@ cold *result* cache) executes **zero** datagen steps, and the simulated
 statistics are bit-for-bit identical to a freshly generated run.
 """
 
+import asyncio
 import errno
 import gzip
 import json
@@ -26,6 +27,7 @@ from repro.harness.execution import (
     _KERNEL_CACHE,
     ParallelExecutor,
     RunSpec,
+    SerialExecutor,
     kernel_for,
     make_executor,
     run_spec,
@@ -35,7 +37,8 @@ from repro.harness.export import grid_to_json
 from repro.harness.registry import load_benchmark
 from repro.harness.runner import run_grid
 from repro.harness.workload_cache import TRACE_VERSION, WorkloadCache
-from repro.gpu.serialize import stats_to_obj
+from repro.gpu.serialize import stats_from_obj, stats_to_obj
+from repro.service import DONE, Broker, WorkerFleet
 from tests.test_serialize import traces_equal
 
 BENCH = "join-uniform"
@@ -207,6 +210,90 @@ def test_failed_trace_store_does_not_fail_the_run(tmp_path, monkeypatch, capsys)
     path = disk.path_for(disk.key_for(BENCH, "tiny", 7))
     assert err.count("warning: workload trace not cached") == 1
     assert str(path) in err and f"errno {errno.ENOSPC}" in err
+
+
+class _FullDisk(_FullDiskForTraces):
+    """A file handle on a full disk: every write fails with ENOSPC."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+async def _broker_run(cache, specs):
+    fleet = WorkerFleet(1)
+    await fleet.start()
+    broker = Broker(fleet, cache, collect_telemetry=False)
+    await broker.start()
+    jobs = [broker.submit(spec) for spec in specs]
+    await broker.drain()
+    await broker.shutdown()
+    assert [job.state for job in jobs] == [DONE] * len(specs)
+    return {job.spec: stats_from_obj(job.stats_obj) for job in jobs}
+
+
+@pytest.mark.parametrize("path", ["serial", "parallel", "broker"])
+def test_full_disk_keeps_computed_results(tmp_path, monkeypatch, capsys, path):
+    specs = [
+        RunSpec(benchmark=BENCH, scheduler=s, model="dtbl", scale="tiny", seed=7)
+        for s in ("rr", "adaptive-bind")
+    ]
+    expected = SerialExecutor().run(specs)
+    _KERNEL_CACHE.clear()
+    capsys.readouterr()
+
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(real_fdopen(fd, mode)))
+    cache = ResultCache(tmp_path)
+    if path == "broker":
+        results = asyncio.run(_broker_run(cache, specs))
+    else:
+        executor = SerialExecutor(cache) if path == "serial" else ParallelExecutor(2, cache)
+        results = executor.run(specs)
+
+    assert {s: stats_to_obj(r) for s, r in results.items()} == {
+        s: stats_to_obj(r) for s, r in expected.items()
+    }
+    assert cache.store_errors == 2 and cache.stores == 0 and len(cache) == 0
+    assert list(tmp_path.rglob("*.tmp")) == []
+    err = capsys.readouterr().err
+    assert err.count("warning: result not cached") == 1
+    assert str(cache.path_for(specs[0].cache_key())) in err
+    assert f"errno {errno.ENOSPC}" in err
+
+
+def test_damaged_records_are_rewritten_through_the_pool(tmp_path):
+    """A truncated result record and a truncated trace record are misses
+    that a parallel rerun regenerates, rewrites and answers exactly as a
+    serial run does. ``adaptive-bind`` is never cached, so two specs are
+    pending and the rerun really fans out."""
+    grid_args = dict(models=("dtbl",), scale="tiny")
+    schedulers = ("rr", "adaptive-bind")
+    serial = run_grid([load_benchmark(BENCH, scale="tiny", seed=7)], schedulers, **grid_args)
+    run_grid(
+        [load_benchmark(BENCH, scale="tiny", seed=7)],
+        ("rr",),
+        executor=make_executor(jobs=1, cache=ResultCache(tmp_path)),
+        **grid_args,
+    )
+    result_path = ResultCache(tmp_path).record_paths()[0]
+    (trace_path,) = WorkloadCache(tmp_path / "workloads").record_paths()
+    originals = {}
+    for record in (result_path, trace_path):
+        originals[record] = record.read_bytes()
+        record.write_bytes(originals[record][: len(originals[record]) // 2])
+    _KERNEL_CACHE.clear()  # a new process: nothing in memory
+    wc.disable_workload_cache()
+
+    executor = ParallelExecutor(2, ResultCache(tmp_path))
+    rerun = run_grid(
+        [load_benchmark(BENCH, scale="tiny", seed=7)], schedulers, executor=executor, **grid_args
+    )
+    assert grid_to_json(rerun) == grid_to_json(serial)
+    assert executor.hits == 0 and executor.misses == 2
+    assert executor.workload_cache.misses == 1 and executor.workload_cache.stores == 1
+    assert executor.cache.stores == 2
+    for record, data in originals.items():
+        assert record.read_bytes() == data  # rewritten whole
 
 
 def test_legacy_records_are_listed_for_stats_and_prune(tmp_path):
