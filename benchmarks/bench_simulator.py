@@ -107,6 +107,20 @@ COLD_PREFIX = "cold:"
 WALK_ROW = "walk:rr@sssp-cage15/small/cdp"
 WALK_PREFIX = "walk:"
 
+#: rows prefixed ``start:`` time a fresh interpreter from start to exit,
+#: the wait before any simulation starts: importing the CLI, and a warm
+#: tiny ``repro grid`` on a result cache the row fills untimed first.
+#: Each row also records whether the process imported numpy, which no
+#: warm path needs (docs/harness.md, "What a run imports")
+START_PREFIX = "start:"
+START_ROWS = {
+    "start:import": ["-c", "import repro.cli"],
+    "start:warm-grid": [
+        "-m", "repro.cli", "grid", "--scale", "tiny", "--benchmarks", "amr",
+        "clr-graph500", "--models", "dtbl", "--jobs", "1",
+    ],
+}
+
 
 def parse_row(row: str) -> tuple[str, tuple[str, str, str]]:
     """``[cold:|walk:]sched[@benchmark/scale/model]`` -> (scheduler, workload)."""
@@ -115,6 +129,56 @@ def parse_row(row: str) -> tuple[str, tuple[str, str, str]]:
         return scheduler, DEFAULT_WORKLOAD
     benchmark, scale, model = where.split("/")
     return scheduler, (benchmark, scale, model)
+
+
+def _measure_start(row: str, rounds: int) -> dict:
+    """Best-of-N wall time of a fresh interpreter running ``row``'s
+    command, on a result cache its untimed first run fills."""
+    import os
+    import subprocess
+    import sys
+    import tempfile
+    import time
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    argv = [sys.executable, *START_ROWS[row]]
+    best = float("inf")
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPATH=src, REPRO_CACHE_DIR=tmp)
+
+        def run(*flags: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [argv[0], *flags, *argv[1:]], env=env, cwd=tmp,
+                capture_output=True, text=True, check=True,
+            )
+
+        run()  # fills the cache
+        # -X importtime lists every module a (still untimed) warm run imports
+        probe = run("-X", "importtime")
+        numpy_loaded = any(
+            line.rsplit("|", 1)[-1].strip() == "numpy" for line in probe.stderr.splitlines()
+        )
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - t0)
+    return {"best_ms": round(best * 1000, 3), "numpy_loaded": numpy_loaded}
+
+
+def test_start_rows_load_no_numpy():
+    for row in START_ROWS:
+        assert _measure_start(row, rounds=1)["numpy_loaded"] is False, row
+
+
+def _speedup(new: dict, old: dict) -> float:
+    """How many times faster ``new`` ran than ``old``: the throughput
+    ratio, or the wall-time ratio for a ``start:`` row (no throughput)."""
+    if "cycles_per_sec" in new:
+        return new["cycles_per_sec"] / old["cycles_per_sec"]
+    return old["best_ms"] / new["best_ms"]
 
 
 def _provenance() -> dict:
@@ -303,11 +367,13 @@ def main(argv=None) -> int:
             CDP_ROW,
             COLD_ROW,
             WALK_ROW,
+            *START_ROWS,
         ],
         help="rows to measure: a scheduler (bfs-citation tiny/dtbl), "
         "scheduler@benchmark/scale/model, cold:scheduler@benchmark/scale/model "
-        "(build + trace store + first run, each round on a fresh cache), or "
-        "walk:scheduler@benchmark/scale/model (one run's memory walk, replayed)",
+        "(build + trace store + first run, each round on a fresh cache), "
+        "walk:scheduler@benchmark/scale/model (one run's memory walk, replayed), "
+        f"or one of {', '.join(START_ROWS)} (a fresh interpreter, start to exit)",
     )
     parser.add_argument(
         "--baseline",
@@ -320,7 +386,7 @@ def main(argv=None) -> int:
 
     # phase 1: workload generation (datagen + trace building), measured
     # separately so engine-loop work and datagen work can't be conflated
-    rows = {row: parse_row(row) for row in args.schedulers}
+    rows = {row: parse_row(row) for row in args.schedulers if not row.startswith(START_PREFIX)}
     t0 = time.perf_counter()
     specs = {
         (benchmark, scale): load_benchmark(benchmark, scale=scale).kernel()
@@ -333,7 +399,8 @@ def main(argv=None) -> int:
         "workload": "bfs-citation scale=tiny seed=7 model=dtbl, "
         "unless the row names scheduler@benchmark/scale/model; a cold: row "
         "times build + trace store + first run on a fresh workload cache; a "
-        "walk: row times a replay of one run's memory walk calls",
+        "walk: row times a replay of one run's memory walk calls; a start: "
+        "row times a fresh interpreter running its command, start to exit",
         "rounds": args.rounds,
         "python": platform.python_version(),
         "host": _provenance(),
@@ -341,26 +408,26 @@ def main(argv=None) -> int:
     }
     # phase 2: engine throughput per scheduler (datagen excluded: each
     # timed window covers exactly one Engine.run(); a cold row's window
-    # covers its build, store and first run instead)
+    # covers its build, store and first run instead, and a start row's
+    # a whole fresh process)
     t0 = time.perf_counter()
-    for sched, (scheduler, (benchmark, scale, model)) in rows.items():
-        if sched.startswith(COLD_PREFIX):
-            report["schedulers"][sched] = _measure_cold(
-                scheduler, (benchmark, scale, model), args.rounds
-            )
-        elif sched.startswith(WALK_PREFIX):
-            report["schedulers"][sched] = _measure_walk(
-                scheduler, specs[benchmark, scale], args.rounds, model
-            )
+    for sched in args.schedulers:
+        if sched.startswith(START_PREFIX):
+            row = _measure_start(sched, args.rounds)
         else:
-            report["schedulers"][sched] = _measure_scheduler(
-                scheduler, specs[benchmark, scale], args.rounds, model
-            )
-        print(
-            f"{sched:>14}: {report['schedulers'][sched]['cycles_per_sec']:>12,.1f} cycles/sec"
-            f"  ({report['schedulers'][sched]['best_ms']} ms best of {args.rounds})",
-            file=sys.stderr,
+            scheduler, (benchmark, scale, model) = rows[sched]
+            if sched.startswith(COLD_PREFIX):
+                row = _measure_cold(scheduler, (benchmark, scale, model), args.rounds)
+            elif sched.startswith(WALK_PREFIX):
+                row = _measure_walk(scheduler, specs[benchmark, scale], args.rounds, model)
+            else:
+                row = _measure_scheduler(scheduler, specs[benchmark, scale], args.rounds, model)
+        report["schedulers"][sched] = row
+        rate = (
+            f"{row['cycles_per_sec']:>12,.1f} cycles/sec" if "cycles_per_sec" in row
+            else f"numpy loaded: {row['numpy_loaded']}"
         )
+        print(f"{sched:>14}: {rate}  ({row['best_ms']} ms best of {args.rounds})", file=sys.stderr)
     report["phases"] = {
         "datagen_ms": round(datagen_ms, 3),
         "engine_ms": round((time.perf_counter() - t0) * 1000, 3),
@@ -371,11 +438,7 @@ def main(argv=None) -> int:
             base = json.load(fh)
         report["baseline"] = base["schedulers"]
         report["speedup"] = {
-            sched: round(
-                report["schedulers"][sched]["cycles_per_sec"]
-                / base["schedulers"][sched]["cycles_per_sec"],
-                2,
-            )
+            sched: round(_speedup(report["schedulers"][sched], base["schedulers"][sched]), 2)
             for sched in report["schedulers"]
             if sched in base["schedulers"]
         }

@@ -17,81 +17,69 @@ Quick start::
     baseline = simulate(workload.kernel(), scheduler="rr", model="dtbl")
     laperm = simulate(workload.kernel(), scheduler="adaptive-bind", model="dtbl")
     print(laperm.ipc / baseline.ipc)
+
+Every public name below resolves on first use (PEP 562), so importing
+``repro`` or any of its submodules loads only what that code needs: a
+warm-cache ``repro grid`` never imports numpy, the analysis code or the
+functional frontend (docs/harness.md, "What a run imports").
 """
 
-from repro.analysis import (
-    FootprintResult,
-    OccupancyTimeline,
-    analyze_footprint,
-    inter_tb_reuse,
-    reuse_distance_histogram,
-)
-from repro.core import (
-    NAMED_COMPOSITIONS,
-    SCHEDULER_ORDER,
-    ComposedScheduler,
-    SchedulerSpec,
-    canonical_scheduler_name,
-    make_scheduler,
-    parse_spec,
-)
-from repro.dynpar import MODELS, make_model
-from repro.functional import BFSProgram, DeviceMemory, run_functional_kernel
-from repro.gpu import Engine, GPUConfig, KernelSpec, SimStats
-from repro.harness import (
-    BENCHMARKS,
-    GridResult,
-    ResultCache,
-    RunSpec,
-    experiment_config,
-    iter_benchmarks,
-    load_benchmark,
-    make_executor,
-    run_grid,
-    run_latency_sweep,
-    run_seed_sweep,
-    simulate,
-)
-from repro.workloads import APPLICATIONS, Workload, make_workload
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "APPLICATIONS",
-    "BENCHMARKS",
-    "BFSProgram",
-    "ComposedScheduler",
-    "DeviceMemory",
-    "Engine",
-    "FootprintResult",
-    "GPUConfig",
-    "GridResult",
-    "KernelSpec",
-    "MODELS",
-    "NAMED_COMPOSITIONS",
-    "OccupancyTimeline",
-    "ResultCache",
-    "RunSpec",
-    "SCHEDULER_ORDER",
-    "SchedulerSpec",
-    "SimStats",
-    "Workload",
-    "analyze_footprint",
-    "canonical_scheduler_name",
-    "parse_spec",
-    "experiment_config",
-    "inter_tb_reuse",
-    "iter_benchmarks",
-    "load_benchmark",
-    "make_executor",
-    "make_model",
-    "make_scheduler",
-    "make_workload",
-    "run_functional_kernel",
-    "reuse_distance_histogram",
-    "run_grid",
-    "run_latency_sweep",
-    "run_seed_sweep",
-    "simulate",
-    "__version__",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "FootprintResult": "repro.analysis",
+    "OccupancyTimeline": "repro.analysis",
+    "analyze_footprint": "repro.analysis",
+    "inter_tb_reuse": "repro.analysis",
+    "reuse_distance_histogram": "repro.analysis",
+    "NAMED_COMPOSITIONS": "repro.core",
+    "SCHEDULER_ORDER": "repro.core",
+    "ComposedScheduler": "repro.core",
+    "SchedulerSpec": "repro.core",
+    "canonical_scheduler_name": "repro.core",
+    "make_scheduler": "repro.core",
+    "parse_spec": "repro.core",
+    "MODELS": "repro.dynpar",
+    "make_model": "repro.dynpar",
+    "BFSProgram": "repro.functional",
+    "DeviceMemory": "repro.functional",
+    "run_functional_kernel": "repro.functional",
+    "Engine": "repro.gpu",
+    "GPUConfig": "repro.gpu",
+    "KernelSpec": "repro.gpu",
+    "SimStats": "repro.gpu",
+    "BENCHMARKS": "repro.harness",
+    "GridResult": "repro.harness",
+    "ResultCache": "repro.harness",
+    "RunSpec": "repro.harness",
+    "experiment_config": "repro.harness",
+    "iter_benchmarks": "repro.harness",
+    "load_benchmark": "repro.harness",
+    "make_executor": "repro.harness",
+    "run_grid": "repro.harness",
+    "run_latency_sweep": "repro.harness",
+    "run_seed_sweep": "repro.harness",
+    "simulate": "repro.harness",
+    "APPLICATIONS": "repro.workloads",
+    "Workload": "repro.workloads",
+    "make_workload": "repro.workloads",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

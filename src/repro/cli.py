@@ -55,13 +55,14 @@ from repro.harness.report import (
     render_normalized_ipc,
 )
 from repro.harness.runner import run_grid, simulate
+from repro.workloads.base import SCALES
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale", choices=("tiny", "small", "paper"), default="small",
+        "--scale", choices=SCALES, default="small",
         help="input size (default: small)",
     )
 

@@ -35,8 +35,7 @@ import struct
 import sys
 import zlib
 from array import array
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import KernelSpec, ResourceReq
@@ -52,6 +51,9 @@ from repro.gpu.trace import (
     TBBody,
     WarpTrace,
 )
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 #: Layout version of the binary trace record. 1 was gzip-compressed JSON,
 #: 2 one record per instruction (addresses only, coalesced at load).
@@ -257,8 +259,10 @@ def _corrupt(message: str) -> ValueError:
     return ValueError(f"corrupt trace record: {message}")
 
 
-def _bounds(values: np.ndarray) -> np.ndarray:
+def _bounds(values: ndarray) -> ndarray:
     """Exclusive prefix sums of ``values`` plus the total (len + 1)."""
+    import numpy as np
+
     out = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(values, out=out[1:])
     return out
@@ -270,8 +274,12 @@ def _check_columns(body_warps, warp_instrs, ops, args, lane_counts, launch_refs,
     lane and launch-ref columns.
 
     Every op code, count and index is checked, so a damaged record raises
-    instead of replaying a wrong trace.
+    instead of replaying a wrong trace. This validation is the only numpy
+    user in this module: the JSON helpers above serve warm paths, which
+    never import it.
     """
+    import numpy as np
+
     n_bodies, n_warps, n_instrs, n_args, n_lines, n_accesses, n_lanes, n_refs = counts
     if n_args != n_instrs:
         raise _corrupt("args disagree with ops")
@@ -309,7 +317,7 @@ def _check_columns(body_warps, warp_instrs, ops, args, lane_counts, launch_refs,
     body_instr_bounds = warp_bounds[body_warp_bounds]
     body_of_instr = np.repeat(np.arange(n_bodies), np.diff(body_instr_bounds))
 
-    def per_body(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def per_body(values: ndarray) -> tuple[ndarray, ndarray]:
         # (each instruction's exclusive prefix sum within its body, the
         # bounds of every body in the pool the values count into)
         total = _bounds(values)

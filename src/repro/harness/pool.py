@@ -142,6 +142,10 @@ class WorkerFleet:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
+        # import the trace builders (and numpy) once, before forking: every
+        # worker inherits them, so no job pays for the import
+        import repro.workloads.datagen  # noqa: F401
+
         self._loop = asyncio.get_running_loop()
         self._idle = asyncio.Queue()
         for _ in range(self.size):

@@ -18,9 +18,7 @@ from repro.core import NAMED_COMPOSITIONS, SCHEDULER_ORDER, describe_components
 from repro.dynpar import MODELS
 from repro.gpu.config import CacheConfig, GPUConfig
 from repro.workloads import APPLICATIONS, Workload, make_workload
-
-#: input sizes every CLI command and service request accepts
-SCALES = ("tiny", "small", "paper")
+from repro.workloads.base import SCALES
 
 #: (application, input) pairs, in the paper's Table II order
 BENCHMARKS: list[tuple[str, str]] = [

@@ -8,11 +8,13 @@ these and EXPERIMENTS.md embeds them.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from repro.analysis.footprint import FootprintResult
 from repro.gpu.config import GPUConfig
 from repro.harness.runner import GridResult
+
+if TYPE_CHECKING:
+    from repro.analysis.footprint import FootprintResult
 
 
 def _bar(value: float, scale: float = 40.0, vmax: float = 1.0) -> str:

@@ -18,8 +18,6 @@ the benchmarks where children work on their own memory regions.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.trace import LaunchSpec, TBBody
 from repro.workloads.base import WarpTrace, Workload, make_resources
@@ -110,6 +108,8 @@ class AMR(Workload):
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="amr-refine")
 
     def build(self) -> KernelSpec:
+        import numpy as np
+
         width = self.width
         n_cells = width * width
         self.cells = self.space.alloc("cells", n_cells, elem_bytes=4)

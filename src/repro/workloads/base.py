@@ -13,12 +13,11 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from typing import Optional
 
-import numpy as np
-
 from repro.gpu.kernel import KernelSpec, ResourceReq
 from repro.gpu.trace import WarpTrace  # noqa: F401  (re-exported: the workloads build with it)
 
-#: recognized workload scales (rough instruction budget per run)
+#: recognized workload scales (rough instruction budget per run); every
+#: CLI command and service request accepts these
 SCALES = ("tiny", "small", "paper")
 
 
@@ -74,11 +73,16 @@ class Array:
         """
         if type(indices) is range and indices.step == 1:
             return list(self.addr_range(indices.start, indices.stop))
-        idx = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+        if type(indices) is list:
+            idx = indices
+        else:  # a numpy array converts in one call (duck-typed: no numpy import)
+            idx = indices.tolist() if hasattr(indices, "tolist") else list(indices)
         if not idx:
             return []
         if not all(type(i) is int for i in idx):
             # numpy integer scalars pass; floats, bools and the rest do not
+            import numpy as np
+
             dtype = np.asarray(idx).dtype
             if dtype.kind not in "iu":
                 raise TypeError(f"{self.name} indices must be integers, not {dtype}")

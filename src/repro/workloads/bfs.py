@@ -9,10 +9,13 @@ for the improved ones.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.workloads.base import WarpTrace
 from repro.workloads.graph_common import GraphDynWorkload
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 
 class BFS(GraphDynWorkload):
@@ -22,6 +25,8 @@ class BFS(GraphDynWorkload):
     UPDATE_FRACTION = 0.4
 
     def _alloc_arrays(self) -> None:
+        import numpy as np
+
         self.dist = self.space.alloc("dist", self.graph.num_vertices, elem_bytes=4)
         self._update_rng = np.random.default_rng(self.seed + 2)
 
@@ -44,7 +49,7 @@ class BFS(GraphDynWorkload):
         wt.load_range(self.col, start, deg)
         wt.compute(max(2, deg // 16))
 
-    def _child_warp(self, wt: WarpTrace, v: int, neighbors: np.ndarray, chunk_start: int) -> None:
+    def _child_warp(self, wt: WarpTrace, v: int, neighbors: ndarray, chunk_start: int) -> None:
         wt.load_range(self.col, chunk_start, len(neighbors))
         wt.gather(self.dist, neighbors)
         wt.compute(4)

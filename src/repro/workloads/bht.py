@@ -11,11 +11,14 @@ writing private force outputs.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.trace import LaunchSpec, TBBody
 from repro.workloads.base import WarpTrace, Workload, make_resources
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 WARP = 32
 DEPTH = 5  # complete quadtree depth: 4^5 = 1024 leaf cells
@@ -51,8 +54,10 @@ class BHT(Workload):
         self.dense_threshold = params["dense"]
 
     # ----- data ---------------------------------------------------------------
-    def _make_points(self) -> np.ndarray:
+    def _make_points(self) -> ndarray:
         """Cell id of every point, sorted (points are stored cell-sorted)."""
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         centers = rng.random((self.clusters, 2))
         which = rng.integers(0, self.clusters, size=self.n_points)
@@ -89,6 +94,8 @@ class BHT(Workload):
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="bht-cell")
 
     def build(self) -> KernelSpec:
+        import numpy as np
+
         cells = self._make_points()
         n = self.n_points
         self.points = self.space.alloc("points", n, elem_bytes=8)  # (x, y)

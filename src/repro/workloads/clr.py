@@ -9,10 +9,13 @@ parent-child reuse pattern.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.workloads.base import WarpTrace
 from repro.workloads.graph_common import GraphDynWorkload
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 
 class CLR(GraphDynWorkload):
@@ -34,7 +37,7 @@ class CLR(GraphDynWorkload):
         wt.load_range(self.col, start, deg)
         wt.compute(max(2, deg // 16))
 
-    def _child_warp(self, wt: WarpTrace, v: int, neighbors: np.ndarray, chunk_start: int) -> None:
+    def _child_warp(self, wt: WarpTrace, v: int, neighbors: ndarray, chunk_start: int) -> None:
         wt.load_range(self.col, chunk_start, len(neighbors))
         wt.gather(self.colors, neighbors)
         wt.compute(8)  # min-available-color scan

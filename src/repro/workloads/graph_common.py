@@ -12,14 +12,18 @@ and vertex-state lines to a degree set by the input graph's clustering.
 
 from __future__ import annotations
 
+import math
 from abc import abstractmethod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.trace import LaunchSpec, TBBody
 from repro.workloads.base import Array, WarpTrace, Workload, make_resources
-from repro.workloads.datagen import CSRGraph, banded_graph, citation_graph, rmat_graph
+
+if TYPE_CHECKING:
+    from numpy import ndarray
+
+    from repro.workloads.datagen import CSRGraph
 
 PARENT_TB_THREADS = 32  # 1 warp, one vertex per thread
 CHILD_TB_THREADS = 32  # 1 warp, one neighbour per thread
@@ -49,10 +53,12 @@ class GraphDynWorkload(Workload):
 
     # ----- input construction ---------------------------------------------
     def _make_graph(self) -> CSRGraph:
+        from repro.workloads.datagen import banded_graph, citation_graph, rmat_graph
+
         if self.input_name == "citation":
             return citation_graph(self.n, self.mean_degree, locality=0.85, seed=self.seed)
         if self.input_name == "graph500":
-            n_log2 = max(6, int(np.log2(self.n)))
+            n_log2 = max(6, int(math.log2(self.n)))
             return rmat_graph(n_log2, edge_factor=self.mean_degree, seed=self.seed)
         return banded_graph(self.n, band=48, mean_degree=self.mean_degree, seed=self.seed)
 
@@ -75,7 +81,7 @@ class GraphDynWorkload(Workload):
         """Parent-side inspection of a big vertex before launching."""
 
     @abstractmethod
-    def _child_warp(self, wt: WarpTrace, v: int, neighbors: np.ndarray, chunk_start: int) -> None:
+    def _child_warp(self, wt: WarpTrace, v: int, neighbors: ndarray, chunk_start: int) -> None:
         """Body of one child warp handling ≤32 neighbours of vertex ``v``."""
 
     # ----- trace generation -----------------------------------------------------
@@ -141,7 +147,7 @@ class GraphDynWorkload(Workload):
             name=f"{self.name}-child",
         )
 
-    def _parent_warp(self, vertices: list[int], rng: np.random.Generator) -> WarpTrace:
+    def _parent_warp(self, vertices: list[int]) -> WarpTrace:
         g = self.graph
         wt = WarpTrace()
         # coalesced metadata loads: row offsets (v and v+1 share lines)
@@ -179,18 +185,17 @@ class GraphDynWorkload(Workload):
         self.row = self.space.alloc("row_offsets", n + 1, elem_bytes=4)
         self.col = self.space.alloc("col_indices", max(1, g.num_edges), elem_bytes=4)
         self._alloc_arrays()
-        num_big = int(np.sum(np.diff(g.row_offsets) >= self.threshold))
+        num_big = sum(1 for d in g.degrees if d >= self.threshold)
         self.desc = self.space.alloc("launch_desc", max(4, num_big * 4), elem_bytes=4)
         self._next_desc = 0
         self._expanded: set[int] = set()
 
-        rng = np.random.default_rng(self.seed + 1)
         bodies: list[TBBody] = []
         for tb_start in range(0, n, PARENT_TB_THREADS):
             tb_verts = list(range(tb_start, min(tb_start + PARENT_TB_THREADS, n)))
             warps = []
             for w_start in range(0, len(tb_verts), WARP):
-                warps.append(self._parent_warp(tb_verts[w_start : w_start + WARP], rng))
+                warps.append(self._parent_warp(tb_verts[w_start : w_start + WARP]))
             bodies.append(TBBody(warps=warps))
         return KernelSpec(
             name=self.full_name,

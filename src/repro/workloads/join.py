@@ -15,12 +15,14 @@ imbalance that separates SMX-Bind from Adaptive-Bind).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.trace import LaunchSpec, TBBody
 from repro.workloads.base import WarpTrace, Workload, make_resources
-from repro.workloads.datagen import gaussian_keys, uniform_keys
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 WARP = 32
 R_PER_PART = 64  # R tuples per partition (= per parent TB)
@@ -43,7 +45,11 @@ class JOIN(Workload):
         self.n_r = params["n_r"]
         self.n_s = params["n_s"]
 
-    def _make_keys(self) -> tuple[np.ndarray, np.ndarray]:
+    def _make_keys(self) -> tuple[ndarray, ndarray]:
+        import numpy as np
+
+        from repro.workloads.datagen import gaussian_keys, uniform_keys
+
         key_space = 1 << 20
         if self.input_name == "uniform":
             r = uniform_keys(self.n_r, key_space, seed=self.seed)
@@ -70,6 +76,8 @@ class JOIN(Workload):
         return LaunchSpec(bodies=[TBBody(warps=warps)], threads_per_tb=32, name="join-probe")
 
     def build(self) -> KernelSpec:
+        import numpy as np
+
         r, s = self._make_keys()
         key_space = 1 << 20
         n_parts = max(1, self.n_r // R_PER_PART)

@@ -10,12 +10,14 @@ parents — sibling and cross-family sharing through the feature table.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.trace import LaunchSpec, TBBody
 from repro.workloads.base import WarpTrace, Workload, make_resources
-from repro.workloads.datagen import zipf_choices
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 WARP = 32
 
@@ -38,7 +40,11 @@ class PRE(Workload):
         self.mean_ratings = params["mean_ratings"]
         self.active_threshold = params["active"]
 
-    def _make_ratings(self) -> tuple[np.ndarray, np.ndarray]:
+    def _make_ratings(self) -> tuple[ndarray, ndarray]:
+        import numpy as np
+
+        from repro.workloads.datagen import zipf_choices
+
         rng = np.random.default_rng(self.seed)
         counts = 1 + rng.geometric(1.0 / self.mean_ratings, size=self.n_users)
         offsets = np.zeros(self.n_users + 1, dtype=np.int64)
@@ -49,7 +55,7 @@ class PRE(Workload):
             items[offsets[u] : offsets[u + 1]].sort()
         return offsets, items
 
-    def _child_spec(self, user: int, start: int, count: int, desc_idx: int, items: np.ndarray) -> LaunchSpec:
+    def _child_spec(self, user: int, start: int, count: int, desc_idx: int, items: ndarray) -> LaunchSpec:
         bodies = []
         for tb_start in range(0, count, 32):
             tb_len = min(32, count - tb_start)
@@ -69,6 +75,8 @@ class PRE(Workload):
         return LaunchSpec(bodies=bodies, threads_per_tb=32, name="pre-sim")
 
     def build(self) -> KernelSpec:
+        import numpy as np
+
         offsets, items = self._make_ratings()
         n_ratings = len(items)
         self.offsets = self.space.alloc("rating_offsets", self.n_users + 1, elem_bytes=4)

@@ -13,12 +13,14 @@ higher match rate, flatter table usage).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.trace import LaunchSpec, TBBody
 from repro.workloads.base import WarpTrace, Workload, make_resources
-from repro.workloads.datagen import packet_stream
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 WARP = 32
 NUM_STATES = 256
@@ -45,7 +47,7 @@ class REGX(Workload):
         self.n_packets = self.SCALE_PARAMS[self.scale]["packets"]
         self.params = self.INPUT_PARAMS[self.input_name]
 
-    def _table_rows(self, rng: np.random.Generator, count: int) -> list[int]:
+    def _table_rows(self, rng: Generator, count: int) -> list[int]:
         """NFA states visited: Zipf-popular rows (hot prefix of the table)."""
         ranks = rng.zipf(self.params["zipf_s"], size=count)
         return [int(min(r - 1, NUM_STATES - 1)) for r in ranks]
@@ -71,6 +73,10 @@ class REGX(Workload):
         return LaunchSpec(bodies=bodies, threads_per_tb=32, name="regx-scan")
 
     def build(self) -> KernelSpec:
+        import numpy as np
+
+        from repro.workloads.datagen import packet_stream
+
         stream = packet_stream(
             self.n_packets,
             mean_length=self.params["mean_length"],

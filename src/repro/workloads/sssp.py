@@ -8,10 +8,13 @@ scattered distance array.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.workloads.base import WarpTrace
 from repro.workloads.graph_common import GraphDynWorkload
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 
 class SSSP(GraphDynWorkload):
@@ -20,6 +23,8 @@ class SSSP(GraphDynWorkload):
     UPDATE_FRACTION = 0.3
 
     def _alloc_arrays(self) -> None:
+        import numpy as np
+
         n, m = self.graph.num_vertices, max(1, self.graph.num_edges)
         self.dist = self.space.alloc("dist", n, elem_bytes=4)
         self.weights = self.space.alloc("weights", m, elem_bytes=4)
@@ -48,7 +53,7 @@ class SSSP(GraphDynWorkload):
         wt.load_range(self.weights, start, deg)
         wt.compute(max(2, deg // 12))
 
-    def _child_warp(self, wt: WarpTrace, v: int, neighbors: np.ndarray, chunk_start: int) -> None:
+    def _child_warp(self, wt: WarpTrace, v: int, neighbors: ndarray, chunk_start: int) -> None:
         wt.load_range(self.col, chunk_start, len(neighbors))
         wt.load_range(self.weights, chunk_start, len(neighbors))
         wt.gather(self.dist, neighbors)
