@@ -11,7 +11,13 @@ Two things are demonstrated:
 
 2. **Comparing schedulers on it** — the new workload immediately runs
    under all four TB schedulers and both launch models.
+
+Usage::
+
+    python examples/custom_workload.py [scale]
 """
+
+import sys
 
 import numpy as np
 
@@ -54,8 +60,9 @@ class PageRankPush(GraphDynWorkload):
 
 
 def main() -> None:
+    scale = sys.argv[1] if len(sys.argv) > 1 else "small"
     print("Building custom PageRank-push workload (citation input) ...")
-    workload = PageRankPush("citation", scale="small")
+    workload = PageRankPush("citation", scale=scale)
     spec = workload.kernel()
     print(
         f"  {len(spec.bodies)} parent TBs, "

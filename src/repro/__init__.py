@@ -20,8 +20,8 @@ Quick start::
 
 Every public name below resolves on first use (PEP 562), so importing
 ``repro`` or any of its submodules loads only what that code needs: a
-warm-cache ``repro grid`` never imports numpy, the analysis code or the
-functional frontend (docs/harness.md, "What a run imports").
+warm-cache ``repro grid`` never imports numpy or the analysis code
+(docs/harness.md, "What a run imports").
 """
 
 import importlib
@@ -44,9 +44,6 @@ _EXPORTS = {
     "parse_spec": "repro.core",
     "MODELS": "repro.dynpar",
     "make_model": "repro.dynpar",
-    "BFSProgram": "repro.functional",
-    "DeviceMemory": "repro.functional",
-    "run_functional_kernel": "repro.functional",
     "Engine": "repro.gpu",
     "GPUConfig": "repro.gpu",
     "KernelSpec": "repro.gpu",

@@ -26,6 +26,12 @@ from repro.harness.execution import (
 from repro.harness.export import grid_to_json
 from repro.harness.registry import experiment_config, load_benchmark
 from repro.harness.runner import run_grid, run_latency_sweep, run_seed_sweep
+from tests.fault_injection import (
+    SLOW_LOG_ENV,
+    kill_first_busy_worker,
+    logged_jobs,
+    slow_worker_run,
+)
 
 TINY_CONFIG = experiment_config(num_smx=4, max_threads_per_smx=256)
 GRID_KWARGS = dict(schedulers=("rr", "adaptive-bind"), models=("dtbl",), config=TINY_CONFIG)
@@ -415,3 +421,24 @@ class TestParallelCrashRecovery:
         with pytest.raises(RuntimeError, match="crashed twice") as err:
             ParallelExecutor(jobs=2).run(specs)
         assert "amr/rr/dtbl" in str(err.value)
+
+    def test_outside_sigkill_of_a_busy_worker_is_retried(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        from repro.harness import execution
+
+        log = tmp_path / "jobs.log"
+        monkeypatch.setenv(SLOW_LOG_ENV, str(log))
+        monkeypatch.setattr(execution, "_worker_run", slow_worker_run)
+
+        specs = self._specs()
+        killer = kill_first_busy_worker(log, delay=0.2)
+        results = ParallelExecutor(jobs=2).run(specs)
+        killer.join(timeout=5)
+        # four jobs, one of them started twice: the kill hit a busy worker
+        assert len(logged_jobs(log)) == len(specs) + 1
+        expected = SerialExecutor().run(specs)
+        assert {s: r.to_dict() for s, r in results.items()} == {
+            s: r.to_dict() for s, r in expected.items()
+        }
+        assert multiprocessing.active_children() == []

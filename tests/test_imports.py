@@ -23,7 +23,7 @@ import repro
 SRC = Path(repro.__file__).resolve().parent.parent
 
 #: modules a warm path must leave unloaded
-HEAVY = ("numpy", "repro.functional", "repro.analysis")
+HEAVY = ("numpy", "repro.analysis")
 
 #: the modules the replay probe imports
 REPLAY_MODULES = (

@@ -139,12 +139,3 @@ class TestMiscEdges:
         hist = reuse_distance_histogram(bodies)
         assert hist.get("cold", 0) > 0
         assert sum(hist.values()) > 0
-
-    def test_functional_kernel_custom_resources(self):
-        from repro.functional import run_functional_kernel
-
-        spec = run_functional_kernel(
-            lambda ctx: ctx.compute(1), 64, threads_per_tb=64, regs_per_thread=40
-        )
-        assert spec.resources.threads == 64
-        assert spec.resources.regs_per_thread == 40

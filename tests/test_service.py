@@ -31,6 +31,12 @@ from repro.service import (
     estimate_cost,
 )
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, Job
+from tests.fault_injection import (
+    SLOW_LOG_ENV,
+    kill_first_busy_worker,
+    logged_jobs,
+    slow_worker_run,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -434,6 +440,27 @@ class TestBackpressure:
         cache = ResultCache(tmp_path)
         for sub in submitted:
             assert cache.load(sub["cache_key"]) is not None
+
+
+class TestWorkerKilledFromOutside:
+    """A worker SIGKILLed mid-job by someone else, as the OOM killer would."""
+
+    def test_outside_sigkill_of_a_busy_worker_is_retried(self, tmp_path, monkeypatch):
+        log = tmp_path / "jobs.log"
+        monkeypatch.setenv(SLOW_LOG_ENV, str(log))
+        monkeypatch.setattr(execution, "_worker_run", slow_worker_run)
+        with ServiceThread(jobs=1, cache_dir=tmp_path / "cache") as svc:
+            client = ServiceClient(port=svc.port)
+            killer = kill_first_busy_worker(log, delay=0.25)
+            job = client.submit("amr", "rr", scale="tiny", seed=501)
+            job = client.wait(job["id"], timeout=120)
+            killer.join(timeout=5)
+        assert len(logged_jobs(log)) == 2
+        assert job["state"] == DONE and job["attempts"] == 2
+        details = [event["detail"] for event in job["events"]]
+        assert any(
+            "died (exit code -9); retrying on a fresh worker" in detail for detail in details
+        ), details
 
 
 # ---------------------------------------------------------------------------
