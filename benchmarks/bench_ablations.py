@@ -95,7 +95,7 @@ def test_ablation_warp_scheduler(benchmark, workload):
 
     def run():
         rows = []
-        for ws in ("gto", "lrr", "tl"):
+        for ws in ("gto", "lrr"):
             config = experiment_config(warp_scheduler=ws)
             rr = simulate(spec, "rr", "dtbl", config)
             laperm = simulate(spec, "adaptive-bind", "dtbl", config)
@@ -183,26 +183,3 @@ def test_seed_stability(benchmark):
 
     if SHAPE_CHECKS:
         assert result.min > 1.0, "LaPerm must beat RR for every seed"
-
-
-def test_ablation_l2_partitions(benchmark, workload):
-    """Memory-partitioned L2 (GK110-style): address interleaving spreads
-    the miss traffic over independent channels."""
-    spec = workload.kernel()
-
-    def run():
-        rows = []
-        for parts in (1, 2, 4):
-            config = experiment_config(l2_partitions=parts)
-            stats = simulate(spec, "adaptive-bind", "dtbl", config)
-            rows.append((parts, f"{stats.ipc:.3f}", f"{stats.l2_hit_rate:.3f}",
-                         f"{stats.dram_mean_latency:.0f}"))
-        return rows
-
-    rows = once(benchmark, run)
-    print("\n" + render_table(
-        ["L2 partitions", "IPC", "L2 hit", "mean DRAM latency"],
-        rows,
-        title="Ablation: L2 / memory-channel partitioning",
-    ))
-    assert len(rows) == 3

@@ -325,7 +325,7 @@ def _measure_walk(scheduler: str, spec, rounds: int, model: str = "dtbl") -> dic
     # the replay must rebuild the state the engine's own walk left behind
     if (
         memory.dram_transactions() != engine.memory.dram_transactions()
-        or memory.l2_stats_merged() != engine.memory.l2_stats_merged()
+        or memory.l2.stats != engine.memory.l2.stats
     ):
         raise RuntimeError("walk replay diverged from the recorded engine run")
     lines = sum(end - begin for _, _, begin, end, _, _ in calls)

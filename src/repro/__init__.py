@@ -34,7 +34,6 @@ _EXPORTS = {
     "OccupancyTimeline": "repro.analysis",
     "analyze_footprint": "repro.analysis",
     "inter_tb_reuse": "repro.analysis",
-    "reuse_distance_histogram": "repro.analysis",
     "NAMED_COMPOSITIONS": "repro.core",
     "SCHEDULER_ORDER": "repro.core",
     "ComposedScheduler": "repro.core",

@@ -1,22 +1,16 @@
-"""Trace and timeline analyses: footprints, reuse distance, occupancy."""
+"""Trace and timeline analyses: footprints, inter-TB reuse, occupancy."""
 
 from repro.analysis.footprint import FootprintResult, analyze_footprint
 from repro.analysis.locality import (
-    COLD,
     InterTBReuse,
     inter_tb_reuse,
-    reuse_distance_histogram,
-    reuse_distances,
 )
 from repro.analysis.timeline import OccupancyTimeline
 
 __all__ = [
-    "COLD",
     "FootprintResult",
     "InterTBReuse",
     "OccupancyTimeline",
     "analyze_footprint",
     "inter_tb_reuse",
-    "reuse_distance_histogram",
-    "reuse_distances",
 ]

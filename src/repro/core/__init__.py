@@ -29,10 +29,9 @@ def make_scheduler(name: str) -> TBScheduler:
     """Construct a TB scheduler by name or spec string.
 
     Accepts the named compositions (``"adaptive-bind"``), spec strings
-    from the component grammar (``"pri=level,bind=smx,steal=backup"``,
-    aliases like ``bind=parent-smx-bind`` included), and a ``+throttle``
-    suffix on either, which composes contention-aware TB throttling
-    (Section IV-F / [12]) into the policy.
+    from the component grammar (``"pri=level,bind=smx,steal=backup"``),
+    and a ``+throttle`` suffix on either, which composes contention-aware
+    TB throttling (Section IV-F / [12]) into the policy.
     """
     canonical, spec = resolve_scheduler(name)
     return ComposedScheduler(spec, name=canonical)

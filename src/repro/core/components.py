@@ -44,21 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # --- the spec grammar ---------------------------------------------------------
 
-#: recognized values per axis (the canonical token first, aliases after)
+#: recognized values per axis (the baseline first)
 _AXIS_VALUES = {
-    "pri": {"fifo": "fifo", "level": "level", "nesting-level": "level"},
-    "bind": {
-        "any": "any",
-        "any-smx": "any",
-        "smx": "smx",
-        "parent-smx": "smx",
-        "parent-smx-bind": "smx",
-        "l2": "l2",
-        "l2-cluster": "l2",
-        "l2-cluster-bind": "l2",
-    },
-    "steal": {"none": "none", "backup": "backup", "backup-smx": "backup", "rescan": "rescan"},
-    "admit": {"none": "none", "throttle": "throttle"},
+    "pri": ("fifo", "level"),
+    "bind": ("any", "smx", "l2"),
+    "steal": ("none", "backup", "rescan"),
+    "admit": ("none", "throttle"),
 }
 
 _AXES = tuple(_AXIS_VALUES)
@@ -76,7 +67,7 @@ class SchedulerSpec:
     def __post_init__(self) -> None:
         for axis in _AXES:
             value = getattr(self, axis)
-            allowed = sorted(set(_AXIS_VALUES[axis].values()))
+            allowed = sorted(_AXIS_VALUES[axis])
             if value not in allowed:
                 raise ValueError(
                     f"unknown {axis}={value!r}; expected one of {allowed}"
@@ -114,7 +105,7 @@ def parse_spec(text: str) -> SchedulerSpec:
     """Parse ``"pri=level,bind=smx,steal=backup"`` into a spec.
 
     Axes default to the baseline (``pri=fifo,bind=any,steal=none,
-    admit=none``); aliases like ``bind=parent-smx-bind`` are accepted.
+    admit=none``).
     """
     values: dict[str, str] = {}
     for part in text.split(","):
@@ -130,14 +121,7 @@ def parse_spec(text: str) -> SchedulerSpec:
             )
         if key in values:
             raise ValueError(f"duplicate spec key {key!r} in {text!r}")
-        raw = raw.strip()
-        value = _AXIS_VALUES[key].get(raw)
-        if value is None:
-            raise ValueError(
-                f"unknown {key}={raw!r}; expected one of "
-                f"{sorted(set(_AXIS_VALUES[key].values()))}"
-            )
-        values[key] = value
+        values[key] = raw.strip()
     if not values:
         raise ValueError(f"empty scheduler spec {text!r}")
     return SchedulerSpec(**values)
@@ -192,13 +176,7 @@ def canonical_scheduler_name(name: str) -> str:
 
 def describe_components() -> dict[str, list[str]]:
     """Axis -> canonical value choices, for ``repro list`` and docs."""
-    return {axis: sorted(set(values.values())) for axis, values in _AXIS_VALUES.items()}
-
-
-def axis_spellings() -> dict[str, dict[str, str]]:
-    """Axis -> {accepted spelling: canonical value}: the grammar's alias
-    table, for tools that enumerate or fuzz spellings (``repro.search``)."""
-    return {axis: dict(values) for axis, values in _AXIS_VALUES.items()}
+    return {axis: sorted(values) for axis, values in _AXIS_VALUES.items()}
 
 
 # --- priority policies --------------------------------------------------------

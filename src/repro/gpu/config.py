@@ -82,10 +82,6 @@ class GPUConfig:
     # --- Table I: memory system -----------------------------------------
     l1: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=32 * 1024, associativity=4))
     l2: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=1536 * 1024, associativity=16))
-    # the L2 (and its DRAM bandwidth) is split into this many address-
-    # interleaved partitions, each with its own memory channel — GK110
-    # has one partition per 64-bit memory controller. 1 = monolithic.
-    l2_partitions: int = 1
     line_bytes: int = 128
 
     # latencies, in SMX clock cycles, for a load that is satisfied at
@@ -116,12 +112,8 @@ class GPUConfig:
     dtbl_launch_latency: int = 250
 
     # --- warp scheduling ---------------------------------------------------
-    # "gto" (greedy-then-oldest), "lrr" (loose round-robin) or "tl"
-    # (two-level: an active set of tl_active_warps scheduled round-robin,
-    # refilled oldest-first when a member stalls on memory)
+    # "gto" (greedy-then-oldest) or "lrr" (loose round-robin)
     warp_scheduler: str = "gto"
-    tl_active_warps: int = 8
-    tl_demote_stall: int = 32  # stall length that demotes from the active set
 
     def __post_init__(self) -> None:
         if self.num_smx < 1:
@@ -132,14 +124,8 @@ class GPUConfig:
             raise ValueError("smxs_per_l2_cluster must be positive")
         if self.l1.line_bytes != self.line_bytes or self.l2.line_bytes != self.line_bytes:
             raise ValueError("L1/L2 line size must match GPUConfig.line_bytes")
-        if self.warp_scheduler not in ("gto", "lrr", "tl"):
+        if self.warp_scheduler not in ("gto", "lrr"):
             raise ValueError(f"unknown warp scheduler {self.warp_scheduler!r}")
-        if self.tl_active_warps < 1:
-            raise ValueError("tl_active_warps must be positive")
-        if self.l2_partitions < 1:
-            raise ValueError("l2_partitions must be positive")
-        if self.l2.size_bytes % (self.l2_partitions * self.l2.line_bytes * self.l2.associativity):
-            raise ValueError("L2 size must split evenly across l2_partitions")
 
     @property
     def num_clusters(self) -> int:

@@ -394,7 +394,7 @@ class Engine:
         l1 = self.memory.l1_stats_merged()
         stats.l1_accesses = l1.accesses
         stats.l1_hits = l1.hits
-        l2 = self.memory.l2_stats_merged()
+        l2 = self.memory.l2.stats
         stats.l2_accesses = l2.accesses
         stats.l2_hits = l2.hits
         stats.dram_accesses = self.memory.dram_transactions()

@@ -33,9 +33,9 @@ _OP_STORE = int(Op.STORE)
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-# The ready/stalled heaps hold ``(tier, age, warp)`` / ``(wake, age,
-# warp)`` tuples. ``age`` is unique per SMX, so heap sift never reaches
-# the warp objects. (Packing the key fields into one int was measured
+# The ready/stalled heaps hold ``(age, warp)`` / ``(wake, age, warp)``
+# tuples. ``age`` is unique per SMX, so heap sift never reaches the warp
+# objects. (Packing the key fields into one int was measured
 # slower here: these heaps stay tiny, so the saved tuple comparisons
 # don't cover the extra shift/mask bytecode at every push/pop site.)
 
@@ -112,19 +112,15 @@ class SMX:
         self.free_registers = config.max_registers_per_smx
         self.free_smem = config.shared_mem_per_smx
         self.port_free_at = 0
-        # warps ready to issue, keyed by tier<<32 | age: tier 0 = member of
-        # the two-level active set (always 0 for GTO/LRR), then oldest-first
-        self._ready: list[tuple[int, int, WarpContext]] = []
-        # warps waiting on latency, keyed by wake_cycle<<32 | age
+        # warps ready to issue, oldest (smallest age) first
+        self._ready: list[tuple[int, WarpContext]] = []
+        # warps waiting on latency, keyed by (wake cycle, age)
         self._stalled: list[tuple[int, int, WarpContext]] = []
         self._current: Optional[WarpContext] = None  # GTO greedy target
         self._age_counter = itertools.count()
         self._policy = config.warp_scheduler
         # policy flags hoisted out of the per-issue hot path
         self._is_gto = self._policy == "gto"
-        self._is_tl = self._policy == "tl"
-        # two-level active set (identity-keyed: ages rotate under LRR/TL)
-        self._active: set[int] = set()
         self.resident_tbs: set[ThreadBlock] = set()
         # earliest scheduled engine visit (the wake-calendar handle);
         # owned by Engine, None = not scheduled
@@ -194,21 +190,16 @@ class SMX:
 
     # ----- issue -----------------------------------------------------------
     def _push_ready(self, warp: WarpContext) -> None:
-        tier = 1 if self._is_tl and id(warp) not in self._active else 0
-        _heappush(self._ready, (tier, warp.age, warp))
+        _heappush(self._ready, (warp.age, warp))
 
-    def _park(self, warp: WarpContext, wake_at: int, now: int) -> None:
-        """Move a stalling warp to the wait heap; long memory stalls expel
-        it from the two-level active set."""
-        if self._is_tl and wake_at - now > self.config.tl_demote_stall:
-            self._active.discard(id(warp))
+    def _park(self, warp: WarpContext, wake_at: int) -> None:
+        """Move a stalling warp to the wait heap."""
         _heappush(self._stalled, (wake_at, warp.age, warp))
 
     def _pick_warp(self, now: int) -> Optional[WarpContext]:
         """Warp-scheduler policy. GTO keeps the greedy warp until it stalls
         or retires, falling back oldest-first; LRR rotates over all ready
-        warps; TL rotates over the bounded active set, promoting the oldest
-        pending warp only when a slot is free."""
+        warps."""
         stalled = self._stalled
         if stalled and stalled[0][0] <= now:
             # wake every warp whose stall has elapsed
@@ -223,16 +214,10 @@ class SMX:
             # demote: the greedy warp stalled between issues; park it so it
             # is not lost while a different warp becomes current
             self._current = None
-            self._park(current, current.ready_at, now)
+            self._park(current, current.ready_at)
         if not self._ready:
             return None
-        tier, _, warp = self._ready[0]
-        if tier == 1:  # only possible under TL: warp outside the active set
-            if len(self._active) >= self.config.tl_active_warps:
-                return None  # wait for an active warp to become ready
-            self._active.add(id(warp))
-        _heappop(self._ready)
-        return warp
+        return _heappop(self._ready)[1]
 
     def try_issue(self, now: int, engine: "Engine") -> bool:
         """Issue at most one instruction; return True if one issued."""
@@ -265,7 +250,7 @@ class SMX:
                         )
                     )
                 warp.ready_at = warp.outstanding
-                self._park(warp, warp.outstanding, now)
+                self._park(warp, warp.outstanding)
                 continue
             break
         op = ops[pc]
@@ -308,7 +293,6 @@ class SMX:
 
         if warp.pc >= warp.n:  # warp.done, inlined
             self._current = None
-            self._active.discard(id(warp))
             tb = warp.tb
             tb.active_warps -= 1
             if tb.active_warps == 0:
@@ -322,12 +306,12 @@ class SMX:
             else:
                 self._current = None
                 if not gto:
-                    # LRR/TL: reissue age so warps rotate round-robin
+                    # LRR: reissue age so warps rotate round-robin
                     warp.age = next(self._age_counter)
                 if warp.ready_at <= now + 1:
                     self._push_ready(warp)
                 else:
-                    self._park(warp, warp.ready_at, now)
+                    self._park(warp, warp.ready_at)
         return True
 
     def next_event_time(self, now: int) -> Optional[int]:

@@ -27,9 +27,9 @@ class DRAM:
     """Bandwidth-limited fixed-latency DRAM.
 
     ``service(now)`` returns the absolute cycle at which a new line
-    transaction issued at cycle ``now`` completes. The monolithic-L2
-    memory walk (``MemoryHierarchy._make_accessor``) inlines the same
-    arithmetic; a partitioned L2 calls this method.
+    transaction issued at cycle ``now`` completes. The memory walk
+    (``MemoryHierarchy._make_accessor``) inlines the same arithmetic; the
+    reference walk (``tests/memory_reference.py``) calls this method.
     """
 
     def __init__(self, latency: int, lines_per_cycle: float) -> None:

@@ -15,7 +15,7 @@ track dirty data), but allocate in L2.
 
 from __future__ import annotations
 
-from repro.gpu.config import CacheConfig, GPUConfig
+from repro.gpu.config import GPUConfig
 from repro.memory.cache import Cache, CacheStats
 
 #: miss sentinel for the single-probe (open-addressed dict) set walk:
@@ -49,24 +49,8 @@ class MemoryHierarchy:
         clusters = [Cache(config.l1, name=f"L1[cluster {c}]") for c in range(config.num_clusters)]
         self.l1s = [clusters[config.cluster_of(i)] for i in range(config.num_smx)]
         self._cluster_l1s = clusters
-        # the L2 and its DRAM bandwidth split across address-interleaved
-        # partitions (line -> partition = line % P), each with its own
-        # memory channel; P=1 keeps the classic monolithic view
-        parts = config.l2_partitions
-        part_config = CacheConfig(
-            size_bytes=config.l2.size_bytes // parts,
-            line_bytes=config.l2.line_bytes,
-            associativity=config.l2.associativity,
-            hit_latency=config.l2.hit_latency,
-        )
-        self.l2_parts = [Cache(part_config, name=f"L2[{p}]") for p in range(parts)]
-        self.drams = [
-            DRAM(config.dram_latency, config.dram_lines_per_cycle / parts)
-            for _ in range(parts)
-        ]
-        # aliases for the common monolithic configuration
-        self.l2 = self.l2_parts[0]
-        self.dram = self.drams[0]
+        self.l2 = Cache(config.l2, name="L2")
+        self.dram = DRAM(config.dram_latency, config.dram_lines_per_cycle)
         # the MSHR table: line -> completion time of its latest DRAM fill
         self._inflight: dict[int, int] = {}
         self.mshr_merges = 0
@@ -101,30 +85,21 @@ class MemoryHierarchy:
         LRU-unlink in one hash lookup). Only hits and evictions are
         counted per line; accesses, misses and write counts follow from
         the span length and ``is_write`` (one call is all loads or all
-        stores) and are flushed once per call. A partitioned L2 rebinds
-        the L2 defaults to partition ``line % P`` for every line that
-        reaches it, settling the previous line's counters on the
-        partition that served it; the monolithic L2 pays one flag test.
+        stores) and are flushed once per call.
 
-        On the monolithic L2, a miss is serviced inside the walk rather
-        than through :meth:`DRAM.service`: the DRAM bus-free time is read
-        into a local at call start and written back only if the call
-        reached DRAM, with the same float arithmetic as ``DRAM.service``,
-        and the DRAM's transaction, latency and queue-delay counters are
-        flushed once per call like the cache counters. A partitioned L2
-        still calls ``DRAM.service`` of the partition's channel. Either
-        way a load's fill is one store into the MSHR table,
-        ``_inflight[line] = done``.
+        An L2 miss is serviced inside the walk rather than through
+        :meth:`DRAM.service`: the DRAM bus-free time is read into a local
+        at call start and written back only if the call reached DRAM,
+        with the same float arithmetic as ``DRAM.service``, and the
+        DRAM's transaction, latency and queue-delay counters are flushed
+        once per call like the cache counters. A load's fill is one store
+        into the MSHR table, ``_inflight[line] = done``.
 
         Merging needs no flag: with ``mshr_merging`` off nothing is ever
         stored, so every fill probe reads 0 and no request merges.
         """
         l1 = self.l1s[smx_id]
-        l2_fast = [
-            (part._sets, part.num_sets, part.associativity, part.stats, dram.service)
-            for part, dram in zip(self.l2_parts, self.drams)
-        ]
-        l2_sets, l2_num_sets, l2_assoc, l2_stats, dram_service = l2_fast[0]
+        l2 = self.l2
         config = self.config
 
         def access(
@@ -137,17 +112,13 @@ class MemoryHierarchy:
             _l1_num_sets=l1.num_sets,
             _l1_assoc=l1.associativity,
             _l1_stats=l1.stats,
-            _l2_sets=l2_sets,
-            _l2_num_sets=l2_num_sets,
-            _l2_assoc=l2_assoc,
-            _l2_stats=l2_stats,
-            _dram_service=dram_service,
+            _l2_sets=l2._sets,
+            _l2_num_sets=l2.num_sets,
+            _l2_assoc=l2.associativity,
+            _l2_stats=l2.stats,
             _dram=self.dram,
             _dram_lat=self.dram.latency,
             _dram_cpl=self.dram.cycles_per_line,
-            _parts=config.l2_partitions,
-            _multi=config.l2_partitions > 1,
-            _l2_fast=l2_fast,
             _inflight=self._inflight,
             _inflight_get=self._inflight.get,
             _cfg_merging=config.mshr_merging,
@@ -158,9 +129,9 @@ class MemoryHierarchy:
         ):
             complete_at = now
             l1_hit = l1_evict = 0
-            l2_acc = l2_hit = l2_evict = 0
-            # monolithic DRAM: bus-free time, and the transactions and the
-            # sum of their completion times this call
+            l2_hit = l2_evict = 0
+            # DRAM bus-free time, and the transactions and the sum of
+            # their completion times this call
             bus = _dram._bus_free
             dram_n = dram_done_sum = 0
             for k in range(begin, end):
@@ -188,20 +159,6 @@ class MemoryHierarchy:
                         del cache_set[next(iter(cache_set))]
                         l1_evict += 1
                     cache_set[line] = None
-                if _multi:
-                    if l2_acc:
-                        _l2_stats.accesses += 1
-                        _l2_stats.hits += l2_hit
-                        _l2_stats.misses += 1 - l2_hit
-                        _l2_stats.evictions += l2_evict
-                        if is_write:
-                            _l2_stats.write_accesses += 1
-                            _l2_stats.write_hits += l2_hit
-                    l2_acc = 1
-                    l2_hit = l2_evict = 0
-                    _l2_sets, _l2_num_sets, _l2_assoc, _l2_stats, _dram_service = (
-                        _l2_fast[line % _parts]
-                    )
                 # L2 allocates on both loads and stores (tag at miss time)
                 l2_set = _l2_sets[line % _l2_num_sets]
                 if l2_set.pop(line, _miss) is not _miss:
@@ -224,15 +181,12 @@ class MemoryHierarchy:
                         del l2_set[next(iter(l2_set))]
                         l2_evict += 1
                     l2_set[line] = None
-                    if _multi:
-                        done = _dram_service(now)
-                    else:
-                        # DRAM.service: start = max(float(now), bus)
-                        start = bus if bus > now else float(now)
-                        bus = start + _dram_cpl
-                        done = int(start) + _dram_lat
-                        dram_n += 1
-                        dram_done_sum += done
+                    # DRAM.service: start = max(float(now), bus)
+                    start = bus if bus > now else float(now)
+                    bus = start + _dram_cpl
+                    done = int(start) + _dram_lat
+                    dram_n += 1
+                    dram_done_sum += done
                     if not is_write and _cfg_merging:
                         # only loads put a fill in flight to merge into
                         _inflight[line] = done
@@ -244,9 +198,8 @@ class MemoryHierarchy:
             _l1_stats.misses += n - l1_hit
             if l1_evict:
                 _l1_stats.evictions += l1_evict
-            if not _multi:
-                # every line reaches L2 except the L1 read hits
-                l2_acc = n if is_write else n - l1_hit
+            # every line reaches L2 except the L1 read hits
+            l2_acc = n if is_write else n - l1_hit
             _l2_stats.accesses += l2_acc
             _l2_stats.hits += l2_hit
             _l2_stats.misses += l2_acc - l2_hit
@@ -282,21 +235,15 @@ class MemoryHierarchy:
     def l1_hit_rate(self) -> float:
         return self.l1_stats_merged().hit_rate
 
-    def l2_stats_merged(self) -> CacheStats:
-        merged = CacheStats()
-        for part in self.l2_parts:
-            merged.merge(part.stats)
-        return merged
-
     def dram_transactions(self) -> int:
-        return sum(d.stats.transactions for d in self.drams)
+        return self.dram.stats.transactions
 
     def dram_mean_latency(self) -> float:
         total = self.dram_transactions()
         if not total:
             return 0.0
-        return sum(d.stats.total_latency for d in self.drams) / total
+        return self.dram.stats.total_latency / total
 
     @property
     def l2_hit_rate(self) -> float:
-        return self.l2_stats_merged().hit_rate
+        return self.l2.stats.hit_rate

@@ -24,8 +24,6 @@ from repro.search.report import (
 from repro.search.space import (
     dedup_names,
     enumerate_space,
-    random_spec_string,
-    random_spelling,
     sample_specs,
     space_names,
     spec_names,
@@ -55,8 +53,6 @@ __all__ = [
     "get_objective",
     "pareto_frontier",
     "plan_counts",
-    "random_spec_string",
-    "random_spelling",
     "render_leaderboard",
     "resolve_objectives",
     "sample_specs",

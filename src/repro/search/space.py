@@ -9,10 +9,6 @@ This module makes that space a first-class object:
   rejects (stealing needs bound queues) — in a deterministic order.
 * :func:`sample_specs` draws a seeded, duplicate-free subset, so a
   budgeted search explores the same candidates on every rerun.
-* :func:`random_spec_string` / :func:`random_spelling` produce randomly
-  aliased, reordered, re-spaced spellings of a spec. They exist for the
-  round-trip property tests (every spelling must canonicalize to the
-  same point) and double as a fuzzer for the grammar itself.
 
 Deduplication is canonicalization-based throughout: two spellings of the
 same policy share one canonical name, one search candidate and one
@@ -27,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 from repro.core.components import (
     NAMED_COMPOSITIONS,
     SchedulerSpec,
-    axis_spellings,
     canonical_name,
     canonical_scheduler_name,
     describe_components,
@@ -111,51 +106,6 @@ def sample_specs(
     rng = rng if rng is not None else random.Random(seed)
     space = enumerate_space(include_throttle)
     return rng.sample(space, min(k, len(space)))
-
-
-def random_spec_string(spec: SchedulerSpec, rng: random.Random) -> str:
-    """A random grammar spelling of ``spec`` that :func:`parse_spec` accepts.
-
-    Randomizes alias choice per axis, axis order, whitespace, and whether
-    defaulted axes are spelled at all (at least one axis always is, since
-    the grammar rejects empty specs). ``admit=throttle`` is spelled
-    inline — see :func:`random_spelling` for the ``+throttle``-suffix and
-    named-composition forms, which only :func:`resolve_scheduler` takes.
-    """
-    spellings = axis_spellings()
-    defaults = SchedulerSpec()
-    parts: list[str] = []
-    for axis, aliases in spellings.items():
-        value = getattr(spec, axis)
-        if value == getattr(defaults, axis) and rng.random() < 0.5:
-            continue  # defaulted axes may be omitted
-        spelling = rng.choice([s for s, canon in aliases.items() if canon == value])
-        pad = rng.choice(["", " "])
-        parts.append(f"{pad}{axis}{pad}={pad}{spelling}{pad}")
-    if not parts:
-        axis = rng.choice(list(spellings))
-        parts.append(f"{axis}={getattr(defaults, axis)}")
-    rng.shuffle(parts)
-    return ",".join(parts)
-
-
-def random_spelling(spec: SchedulerSpec, rng: random.Random) -> str:
-    """Any spelling :func:`resolve_scheduler` accepts for ``spec``.
-
-    Beyond :func:`random_spec_string`, this may use the composition name
-    (when the spec has one) and may split ``admit=throttle`` off into the
-    ``+throttle`` suffix.
-    """
-    name = canonical_name(spec)
-    base = name.partition("+")[0]
-    if base in NAMED_COMPOSITIONS and rng.random() < 0.4:
-        return name
-    if spec.admit == "throttle" and rng.random() < 0.5:
-        from dataclasses import replace
-
-        unthrottled = replace(spec, admit="none")
-        return f"{random_spec_string(unthrottled, rng)}+throttle"
-    return random_spec_string(spec, rng)
 
 
 def spec_names(specs: Sequence[SchedulerSpec]) -> list[str]:

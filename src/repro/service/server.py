@@ -181,7 +181,9 @@ class ServiceServer:
         data.setdefault("model", "dtbl")
         try:
             spec = RunSpec.from_dict(data)
-        except TypeError as exc:
+            # refuse a machine description no worker could rebuild
+            spec.gpu_config()
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad spec: {exc}") from None
         if spec.benchmark not in self._benchmarks:
             raise ValueError(

@@ -56,7 +56,6 @@ def access_lines(
     """Walk coalesced ``lines`` through ``mem`` as SMX ``smx_id`` at ``now``."""
     config = mem.config
     l1 = mem.l1s[smx_id]
-    parts = config.l2_partitions
     inflight = mem._inflight
     complete_at = now
     l1_hits = l2_hits = dram_accesses = merges = 0
@@ -83,8 +82,7 @@ def access_lines(
                 # write hit: write-through still goes to L2 below
                 l1_hits += 1
         # L2 allocates on both loads and stores (tag at miss time)
-        part = line % parts
-        if mem.l2_parts[part].access(line, is_write=is_write, allocate=True):
+        if mem.l2.access(line, is_write=is_write, allocate=True):
             fill = inflight.get(line, 0)
             if fill > now:
                 # the tag is resident but the fill is still in flight: this
@@ -98,7 +96,7 @@ def access_lines(
                 wait(now + config.l2_hit_latency)
         else:
             dram_accesses += 1
-            done = mem.drams[part].service(now)
+            done = mem.dram.service(now)
             if config.mshr_merging and not is_write:
                 # stores write through without fetching: only loads put a
                 # fill in flight that later requests can merge into

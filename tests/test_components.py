@@ -37,11 +37,6 @@ class TestSpecGrammar:
         assert parse_spec("pri=level") == SchedulerSpec(pri="level")
         assert parse_spec("bind=l2,pri=level") == NAMED_COMPOSITIONS["l2-bind"]
 
-    def test_aliases(self):
-        spec = parse_spec("pri=nesting-level,bind=parent-smx-bind,steal=backup-smx")
-        assert spec == NAMED_COMPOSITIONS["adaptive-bind"]
-        assert parse_spec("bind=l2-cluster-bind,pri=level") == NAMED_COMPOSITIONS["l2-bind"]
-
     def test_whitespace_tolerated(self):
         assert parse_spec(" pri = level , bind = smx ") == NAMED_COMPOSITIONS["smx-bind"]
 
@@ -56,6 +51,14 @@ class TestSpecGrammar:
             "pri=level,pri=fifo",
             "steal=backup",  # stealing needs bound queues
             "bind=any,steal=backup",
+            # retired alias spellings: one spelling per value
+            "pri=nesting-level",
+            "bind=any-smx",
+            "bind=parent-smx",
+            "bind=parent-smx-bind",
+            "bind=l2-cluster",
+            "bind=l2-cluster-bind",
+            "bind=smx,steal=backup-smx",
         ],
     )
     def test_rejects_bad_specs(self, bad):
@@ -123,7 +126,7 @@ class TestRunSpecCanonicalization:
         assert a.cache_key() == b.cache_key()
 
     def test_alias_spelling_canonicalized(self):
-        spec = RunSpec("bfs-citation", "bind=parent-smx,pri=nesting-level", "dtbl")
+        spec = RunSpec("bfs-citation", "bind=smx,pri=level", "dtbl")
         assert spec.scheduler == "smx-bind"
 
     def test_unknown_scheduler_rejected_at_construction(self):

@@ -55,6 +55,8 @@ class TestGPUConfig:
     def test_unknown_warp_scheduler_rejected(self):
         with pytest.raises(ValueError):
             GPUConfig(warp_scheduler="magic")
+        with pytest.raises(ValueError, match="'tl'"):
+            GPUConfig(warp_scheduler="tl")  # the retired two-level policy
 
     def test_lrr_accepted(self):
         assert GPUConfig(warp_scheduler="lrr").warp_scheduler == "lrr"

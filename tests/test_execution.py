@@ -114,7 +114,7 @@ class TestRunSpec:
             benchmark="bfs-citation", scheduler="adaptive-bind", model="dtbl", scale="tiny", seed=7
         )
         assert spec.cache_key() == (
-            "2139bb7b516597b5adbf22725023643c96016a37eb81a1026b79cec5d781219e"
+            "06da033ccd3f4e271e23f9d52f0148e5c437b7a43e92a0fa44d2a86dced2d12f"
         )
 
 

@@ -61,10 +61,7 @@ PINNED_SCHEDULERS = (
 #: (scheduler, config field, value): configurations whose fast paths
 #: differ from the default one
 CONFIG_PINS = [
-    ("rr", "l2_partitions", 2),
-    ("adaptive-bind", "l2_partitions", 2),
     ("adaptive-bind", "warp_scheduler", "lrr"),
-    ("adaptive-bind", "warp_scheduler", "tl"),
 ]
 
 #: ``small``-scale CDP pins, as (benchmark, scheduler, model): the KMU
@@ -128,7 +125,8 @@ def test_stats_match_pre_refactor_engine(key):
 
 
 def variant_id(key: str) -> str:
-    """``bfs-citation|rr|dtbl|l2_partitions=2`` -> ``rr|l2_partitions=2``:
+    """``bfs-citation|adaptive-bind|dtbl|warp_scheduler=lrr`` ->
+    ``adaptive-bind|warp_scheduler=lrr``:
     the bfs-citation/dtbl pins share the benchmark and model, so their
     test ids keep only the parts that tell them apart (and stay stable as
     other pins are added); any other pin keeps its whole key."""

@@ -1,14 +1,9 @@
-"""Reuse-distance and inter-TB reuse analyses."""
+"""Inter-TB reuse analysis."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.locality import (
-    COLD,
-    inter_tb_reuse,
-    reuse_distance_histogram,
-    reuse_distances,
-)
+from repro.analysis.locality import inter_tb_reuse
 from repro.gpu.trace import TBBody, load
 
 
@@ -23,40 +18,6 @@ def bodies_from_streams(*streams):
     for stream in streams:
         out.append(TBBody(warps=[[load([line * 128]) for line in stream]]))
     return out
-
-
-class TestReuseDistances:
-    def test_first_touch_is_cold(self):
-        distances = list(reuse_distances(bodies_from_streams([1, 2, 3])))
-        assert distances == [COLD, COLD, COLD]
-
-    def test_immediate_reuse_distance_zero(self):
-        distances = list(reuse_distances(bodies_from_streams([1, 1])))
-        assert distances == [COLD, 0]
-
-    def test_stack_distance_counts_distinct_intervening(self):
-        # 1, 2, 3, then 1 again: distance 2 (lines 2 and 3 in between)
-        distances = list(reuse_distances(bodies_from_streams([1, 2, 3, 1])))
-        assert distances == [COLD, COLD, COLD, 2]
-
-    def test_repeats_do_not_inflate_distance(self):
-        # 1, 2, 2, 2, 1 -> line 1's distance is 1 (only line 2 intervened)
-        distances = list(reuse_distances(bodies_from_streams([1, 2, 2, 2, 1])))
-        assert distances[-1] == 1
-
-    def test_histogram_buckets(self):
-        hist = reuse_distance_histogram(
-            bodies_from_streams([1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1]),
-            buckets=(4, 16),
-        )
-        assert hist["cold"] == 9
-        assert hist["<4"] == 1  # the immediate 1->1 reuse
-        assert hist["<16"] == 1  # the long-range 1 reuse (distance 8)
-
-    def test_histogram_overflow_bucket(self):
-        stream = [0] + list(range(1, 40)) + [0]
-        hist = reuse_distance_histogram(bodies_from_streams(stream), buckets=(4, 8))
-        assert hist[">=8"] == 1
 
 
 class TestInterTBReuse:
@@ -81,24 +42,6 @@ class TestInterTBReuse:
         assert r.intra_tb == 1  # the 1,1 within TB0
         assert r.inter_tb == 2  # TB1's 1 and TB2's 2
         assert r.cold == 2
-
-
-@settings(max_examples=100, deadline=None)
-@given(stream=st.lists(st.integers(0, 20), min_size=1, max_size=120))
-def test_distance_count_matches_references(stream):
-    bodies = bodies_from_streams(stream)
-    distances = list(reuse_distances(bodies))
-    assert len(distances) == len(stream)
-    colds = sum(1 for d in distances if d == COLD)
-    assert colds == len(set(stream))
-
-
-@settings(max_examples=100, deadline=None)
-@given(stream=st.lists(st.integers(0, 10), min_size=1, max_size=80))
-def test_distance_bounded_by_distinct_lines(stream):
-    for d in reuse_distances(bodies_from_streams(stream)):
-        if d != COLD:
-            assert 0 <= d < len(set(stream))
 
 
 @settings(max_examples=50, deadline=None)

@@ -135,7 +135,7 @@ def _random_spans(rng: random.Random, num_sets: int):
     return spans
 
 
-def check_accessor_against_reference(seed, l2_partitions, *, lines_per_cycle=None, merging=True):
+def check_accessor_against_reference(seed, *, lines_per_cycle=None, merging=True):
     """Drive the per-SMX accessor and the reference walk
     (``tests/memory_reference.py``) with the same random spans; every
     completion time and every piece of cache, DRAM and MSHR state must
@@ -145,7 +145,6 @@ def check_accessor_against_reference(seed, l2_partitions, *, lines_per_cycle=Non
         num_smx=4,
         l1=CacheConfig(size_bytes=4 * 1024, associativity=4),
         l2=CacheConfig(size_bytes=32 * 1024, associativity=8),
-        l2_partitions=l2_partitions,
         mshr_merging=merging,
     )
     if lines_per_cycle is not None:
@@ -158,40 +157,34 @@ def check_accessor_against_reference(seed, l2_partitions, *, lines_per_cycle=Non
         ref = access_lines(ref_hier, 0, list(lines), now, is_write=is_write)
         assert fast == ref.complete_at, f"completion diverged at t={now} lines={lines.tolist()}"
         now += rng.randint(0, 40)
-    pairs = [(fast_hier.l1s[0], ref_hier.l1s[0])]
-    pairs += list(zip(fast_hier.l2_parts, ref_hier.l2_parts))
-    for fast_cache, ref_cache in pairs:
+    for fast_cache, ref_cache in [(fast_hier.l1s[0], ref_hier.l1s[0]), (fast_hier.l2, ref_hier.l2)]:
         assert fast_cache.stats == ref_cache.stats, fast_cache.name
         assert fast_cache.resident_lines() == ref_cache.resident_lines(), fast_cache.name
-    for fast_dram, ref_dram in zip(fast_hier.drams, ref_hier.drams):
-        assert fast_dram.stats == ref_dram.stats
-        assert fast_dram._bus_free == ref_dram._bus_free
+    assert fast_hier.dram.stats == ref_hier.dram.stats
+    assert fast_hier.dram._bus_free == ref_hier.dram._bus_free
     assert fast_hier.mshr_merges == ref_hier.mshr_merges
     assert fast_hier._inflight == ref_hier._inflight
     assert fast_hier.dram_transactions() == ref_hier.dram_transactions()
     return fast_hier
 
 
-@pytest.mark.parametrize("l2_partitions", [1, 2])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_accessor_matches_reference_walk(seed, l2_partitions):
-    check_accessor_against_reference(seed, l2_partitions)
+def test_accessor_matches_reference_walk(seed):
+    check_accessor_against_reference(seed)
 
 
-@pytest.mark.parametrize("l2_partitions", [1, 2])
-def test_accessor_matches_reference_walk_without_merging(l2_partitions):
+def test_accessor_matches_reference_walk_without_merging():
     """With ``mshr_merging`` off the table stays empty and nothing merges."""
-    hier = check_accessor_against_reference(1, l2_partitions, lines_per_cycle=0.5, merging=False)
+    hier = check_accessor_against_reference(1, lines_per_cycle=0.5, merging=False)
     assert hier._inflight == {} and hier.mshr_merges == 0
 
 
 @pytest.mark.parametrize("lines_per_cycle", [0.5, 3.0])
-@pytest.mark.parametrize("l2_partitions", [1, 2])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_accessor_matches_reference_walk_with_full_mshr(seed, l2_partitions, lines_per_cycle):
+def test_accessor_matches_reference_walk_with_full_mshr(seed, lines_per_cycle):
     """A fractional DRAM rate exercises the float bus-free arithmetic, and
     a slow one queues fills so the table fills up with in-flight lines
     that later requests merge into."""
-    hier = check_accessor_against_reference(seed, l2_partitions, lines_per_cycle=lines_per_cycle)
+    hier = check_accessor_against_reference(seed, lines_per_cycle=lines_per_cycle)
     assert hier.mshr_merges > 0
-    assert max(d.stats.max_queue_delay for d in hier.drams) > 0
+    assert hier.dram.stats.max_queue_delay > 0

@@ -13,7 +13,6 @@ from repro.gpu.kdu import KDU
 from repro.gpu.kernel import Kernel, KernelSpec, ResourceReq
 from repro.gpu.kmu import KMU
 from repro.gpu.trace import TBBody, compute
-from tests.conftest import tiny_workload
 
 
 def small_config(**overrides):
@@ -130,12 +129,3 @@ class TestMiscEdges:
         result = analyze_footprint(spec)
         assert result.num_direct_parents == 0
         assert result.parent_child == 0.0
-
-    def test_reuse_histogram_on_real_workload(self):
-        from repro.analysis import reuse_distance_histogram
-        from repro.gpu.trace import walk_bodies
-
-        bodies = walk_bodies(tiny_workload("join", "gaussian").kernel().bodies)[:40]
-        hist = reuse_distance_histogram(bodies)
-        assert hist.get("cold", 0) > 0
-        assert sum(hist.values()) > 0

@@ -3,7 +3,7 @@
 Includes the acceptance proofs from the search subsystem's spec: the
 legal space enumerates to 28/14 points with no duplicate canonical
 names; ``parse_spec -> canonical_scheduler_name -> parse_spec`` is
-idempotent over randomly sampled legal specs and random spellings; a
+idempotent over every legal spec and each of its spellings; a
 fixed-seed ``tune`` is deterministic, its top candidate scores at least
 as well as the ``adaptive-bind`` preset, and an immediate warm-cache
 rerun constructs zero engines.
@@ -12,7 +12,6 @@ rerun constructs zero engines.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import replace
 
 import pytest
@@ -38,8 +37,6 @@ from repro.search import (
     get_objective,
     pareto_frontier,
     plan_counts,
-    random_spec_string,
-    random_spelling,
     resolve_objectives,
     sample_specs,
     space_names,
@@ -154,34 +151,32 @@ class TestSpellingRoundTrip:
     """Satellite 3: parse -> canonicalize -> parse is idempotent."""
 
     def test_parse_canonical_parse_idempotent(self):
-        rng = random.Random(1234)
-        for spec in sample_specs(28, rng=rng):
-            spelling = random_spec_string(spec, rng)
-            parsed = parse_spec(spelling)
-            assert parsed.canonical == spec.canonical
+        for spec in enumerate_space():
+            parsed = parse_spec(spec.canonical)
+            assert parsed == spec
             # parsing the canonical spec string is idempotent
-            assert parse_spec(parsed.canonical).canonical == spec.canonical
+            assert parse_spec(parsed.canonical) == spec
             # canonicalization of the scheduler name is a fixed point
-            name = canonical_scheduler_name(spelling)
+            name = canonical_scheduler_name(spec.canonical)
             assert canonical_scheduler_name(name) == name
-            assert resolve_scheduler(name)[1].canonical == spec.canonical
+            assert resolve_scheduler(name)[1] == spec
 
-    def test_random_spellings_resolve_to_same_point(self):
-        rng = random.Random(99)
-        for spec in sample_specs(28, rng=rng):
-            for _ in range(4):
-                spelling = random_spelling(spec, rng)
-                assert resolve_scheduler(spelling)[1].canonical == spec.canonical
-                canonical = canonical_scheduler_name(spelling)
-                assert canonical_scheduler_name(canonical) == canonical
+    def test_every_spelling_resolves_to_same_point(self):
+        for spec in enumerate_space():
+            name = canonical_name(spec)
+            spellings = [spec.canonical, name]
+            if spec.admit == "throttle":
+                spellings.append(f"{canonical_name(replace(spec, admit='none'))}+throttle")
+            for spelling in spellings:
+                assert resolve_scheduler(spelling) == (name, spec)
+            assert canonical_scheduler_name(name) == name
 
     def test_throttle_suffix_spelling_round_trips(self):
-        rng = random.Random(5)
         throttled = [s for s in enumerate_space() if s.admit == "throttle"]
         for spec in throttled:
             unthrottled = replace(spec, admit="none")
-            spelling = f"{random_spec_string(unthrottled, rng)}+throttle"
-            assert resolve_scheduler(spelling)[1].canonical == spec.canonical
+            spelling = f"{unthrottled.canonical}+throttle"
+            assert resolve_scheduler(spelling)[1] == spec
 
 
 class TestObjectives:

@@ -233,10 +233,9 @@ class TestConfigRoundTrip:
             num_smx=8,
             smxs_per_cluster=2,
             l1=CacheConfig(size_bytes=64 * 1024, associativity=8, hit_latency=2),
-            warp_scheduler="tl",
+            warp_scheduler="lrr",
             dram_lines_per_cycle=3.5,
             mshr_merging=False,
-            l2_partitions=2,
         )
         assert config_from_obj(config_to_obj(config)) == config
 

@@ -19,7 +19,7 @@ import pytest
 from repro.harness import execution
 from repro.harness.cache import ResultCache
 from repro.harness.execution import RunSpec, SerialExecutor
-from repro.harness.registry import catalog_dict
+from repro.harness.registry import catalog_dict, experiment_config
 from repro.service import (
     AdmissionError,
     Broker,
@@ -374,15 +374,29 @@ class TestServiceHTTP:
             client.submit("not-a-benchmark", scale="tiny")
         assert err.value.status == 400
 
-    def test_bad_json_is_400(self, service):
+    def test_bad_json_is_400(self, service, client):
         import http.client
 
+        jobs_before = len(client.jobs())
         bodies = [
             (b"{nope", "JSON"),
             # a field RunSpec does not have is refused by name
             (
                 json.dumps({"benchmark": "amr", "scale": "tiny", "backend": "vector"}).encode(),
                 "backend",
+            ),
+            # a config_json naming a retired GPUConfig field is refused at
+            # admission, before any worker starts
+            (
+                json.dumps({
+                    "benchmark": "amr", "scale": "tiny",
+                    "config_json": json.dumps({**experiment_config().to_dict(), "l2_partitions": 2}),
+                }).encode(),
+                "l2_partitions",
+            ),
+            (
+                json.dumps({"benchmark": "amr", "scale": "tiny", "config_json": "not json"}).encode(),
+                "bad spec",
             ),
         ]
         for body, named in bodies:
@@ -397,6 +411,8 @@ class TestServiceHTTP:
                 assert named in json.loads(response.read())["error"]
             finally:
                 conn.close()
+        # a refused body never becomes a job, so no worker ever sees it
+        assert len(client.jobs()) == jobs_before
 
     def test_health(self, client):
         out = client.health()
