@@ -99,6 +99,9 @@ CDP_ROW = "adaptive-bind@sssp-cage15/small/cdp"
 #: cell pays it: datagen and trace build, the trace store into an empty
 #: workload cache, and the first engine run of that trace
 COLD_ROW = "cold:adaptive-bind@clr-graph500/small/dtbl"
+#: the cold row whose trace is nearly all range accesses, which the trace
+#: stores as lane runs rather than one address per lane
+COLD_RUNS_ROW = "cold:adaptive-bind@amr/small/dtbl"
 COLD_PREFIX = "cold:"
 
 #: a row prefixed ``walk:`` times the L1/L2/DRAM walk alone: it records
@@ -356,7 +359,7 @@ def main(argv=None) -> int:
         # the paper's four plus one composed policy (admission control on
         # top of LaPerm) so the throttle/admission path can't regress
         # silently, the CDP row for the KMU backlog and DRAM queue, the
-        # cold row for build, trace store and first run, and the walk row
+        # cold rows for build, trace store and first run, and the walk row
         # for the L1/L2/DRAM walk alone
         default=[
             "rr",
@@ -366,6 +369,7 @@ def main(argv=None) -> int:
             "adaptive-bind+throttle",
             CDP_ROW,
             COLD_ROW,
+            COLD_RUNS_ROW,
             WALK_ROW,
             *START_ROWS,
         ],

@@ -4,10 +4,11 @@ A :class:`~repro.gpu.trace.TBBody` is stored as its lowering: the flat
 ``array('q')`` columns of a :class:`CompiledBody` that the SMX issue
 loop replays, written by :class:`~repro.gpu.trace.WarpTrace` while the
 trace is built at ``LINE_BYTES``-byte lines. :func:`compile_body`
-lowers a body again from its per-lane address pool, coalescing every
-access: :meth:`TBBody.compiled` calls it only for a machine whose line
-size differs from the one the body was built at, and the tests use it
-as the reference the builder's arithmetic lowering must match.
+lowers a body again from its per-lane addresses (runs expanded by
+:meth:`TBBody.accesses`), coalescing every access:
+:meth:`TBBody.compiled` calls it only for a machine whose line size
+differs from the one the body was built at, and the tests use it as the
+reference the builder's arithmetic lowering must match.
 
 The lowering is purely structural: op codes, latencies and coalesced
 line addresses are exactly what interpreting each instruction would
@@ -37,20 +38,17 @@ def compile_body(body: "TBBody", line_bytes: int) -> CompiledBody:
     body's own columns; LOAD/STORE line spans are coalesced afresh.
     """
     native = body.columns
-    counts, lanes = body.lane_counts, body.lanes
+    accesses = body.accesses()
     warp_args: list[array] = []
     warp_offs: list[array] = []
     lines = array("q")
-    access = pos = 0
     for ops, native_args in zip(native.warp_ops, native.warp_args):
         args = array("q")
         offs = array("q")
         for op, arg in zip(ops, native_args):
             if op == OP_LOAD or op == OP_STORE:
-                n = counts[access]
-                access += 1
-                coalesced = coalesce(lanes[pos : pos + n].tolist(), line_bytes)
-                pos += n
+                _, lanes = next(accesses)
+                coalesced = coalesce(lanes.tolist(), line_bytes)
                 args.append(len(coalesced))
                 offs.append(len(lines))
                 lines.extend(coalesced)

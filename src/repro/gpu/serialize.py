@@ -6,17 +6,19 @@ complete launch tree included — as one binary record and loads it back,
 preserving body sharing (a `TBBody` referenced by several launches
 round-trips to a single object).
 
-Format (``FORMAT_VERSION`` 3): a magic and version prefix, then one zlib
+Format (``FORMAT_VERSION`` 4): a magic and version prefix, then one zlib
 stream holding a small JSON header (name, resources, line size, launch
 table, roots) and the lowered columns every `TBBody` holds, concatenated
 — warps per body, instructions per warp, op codes, arguments, the
-coalesced line pool, and the per-lane address pool with its lane counts.
-Storing a trace is one join and one compression pass; loading one slices
-the columns back, so a loaded trace replays with no coalescing. Bodies
-and launches are referenced by table index, so arbitrarily deep launch
-trees serialize without recursion. Decoding validates every length, op
-code and index and never evaluates the record (no pickle, marshal or
-eval). Format 1 (gzip JSON) and format 2 (per-instruction records)
+coalesced line pool, and the per-lane address pool with its lane counts
+and lane steps (a range access is stored as a run: its first address
+and stride). Storing a trace is one join and one compression pass;
+loading one slices the columns back, so a loaded trace replays with no
+coalescing. Bodies and launches are referenced by table index, so
+arbitrarily deep launch trees serialize without recursion. Decoding
+validates every length, op code and index and never evaluates the
+record (no pickle, marshal or eval). Format 1 (gzip JSON), format 2
+(per-instruction records) and format 3 (every lane address listed)
 files are rejected with a message naming their format.
 
 It also provides the plain-object round trips the execution layer is
@@ -46,6 +48,7 @@ from repro.gpu.trace import (
     OP_LAUNCH,
     OP_LOAD,
     OP_STORE,
+    WARP_SIZE,
     CompiledBody,
     LaunchSpec,
     TBBody,
@@ -56,8 +59,12 @@ if TYPE_CHECKING:
     from numpy import ndarray
 
 #: Layout version of the binary trace record. 1 was gzip-compressed JSON,
-#: 2 one record per instruction (addresses only, coalesced at load).
-FORMAT_VERSION = 3
+#: 2 one record per instruction (addresses only, coalesced at load), 3 the
+#: columns of format 4 without lane steps (every lane address listed).
+FORMAT_VERSION = 4
+
+#: what the formats this version no longer reads held
+_RETIRED_FORMATS = {2: "instruction records", 3: "every lane address listed"}
 
 
 def canonical_json(obj) -> str:
@@ -139,7 +146,11 @@ def _collect(spec: KernelSpec):
 #                LAUNCH: index into the body's launch list    (one per instr)
 #   lines        every body's coalesced line pool, body after body
 #   lane_counts  lanes per LOAD/STORE, in trace order
-#   lanes        every LOAD/STORE's per-lane byte addresses, in trace order
+#   lane_steps   per LOAD/STORE: 0 when its lanes are listed in ``lanes``;
+#                s > 0 for a run, whose first address alone is in ``lanes``
+#                and whose lane k is at first + k*s
+#   lanes        per LOAD/STORE, in trace order: its lane addresses, or a
+#                run's first address
 #   launch_refs  each body's launch list as launch-table indices
 #
 # These are the columns a TBBody holds (repro.gpu.trace), concatenated:
@@ -155,7 +166,10 @@ _HEADER_LEN = struct.Struct("<Q")
 _GZIP_MAGIC = b"\x1f\x8b"
 _ITEM = array("q").itemsize
 _NATIVE_LE = sys.byteorder == "little"
-_N_COLUMNS = 8
+_COLUMNS = (
+    "body_warps", "warp_instrs", "ops", "args", "lines",
+    "lane_counts", "lane_steps", "lanes", "launch_refs",
+)
 
 
 def _le(columns: list[array]) -> bytes:
@@ -179,6 +193,7 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
     args: list[array] = []
     lines: list[array] = []
     lane_counts: list[array] = []
+    lane_steps: list[array] = []
     lanes: list[array] = []
     for body in bodies:
         columns = body.columns
@@ -188,6 +203,7 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
         args += columns.warp_args
         lines.append(columns.lines)
         lane_counts.append(body.lane_counts)
+        lane_steps.append(body.lane_steps)
         lanes.append(body.lanes)
         launch_refs.extend([launch_ids[id(launch_spec)] for launch_spec in columns.launches])
     data = [
@@ -197,6 +213,7 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
         _le(args),
         _le(lines),
         _le(lane_counts),
+        _le(lane_steps),
         _le(lanes),
         _le([launch_refs]),
     ]
@@ -268,7 +285,7 @@ def _bounds(values: ndarray) -> ndarray:
     return out
 
 
-def _check_columns(body_warps, warp_instrs, ops, args, lane_counts, launch_refs, counts, n_launches):
+def _check_columns(columns: list[array], n_launches: int):
     """Validate the columns against each other; return the per-instruction
     line offsets and, per body, its bounds in the warp, line, access,
     lane and launch-ref columns.
@@ -280,15 +297,12 @@ def _check_columns(body_warps, warp_instrs, ops, args, lane_counts, launch_refs,
     """
     import numpy as np
 
-    n_bodies, n_warps, n_instrs, n_args, n_lines, n_accesses, n_lanes, n_refs = counts
+    bw, wi, op, arg, _, lc, ls, lane, refs = (np.frombuffer(c, dtype=np.int64) for c in columns)
+    n_bodies, n_warps, n_instrs, n_args, n_lines, n_accesses, n_steps, n_lanes, n_refs = (
+        len(c) for c in columns
+    )
     if n_args != n_instrs:
         raise _corrupt("args disagree with ops")
-    bw = np.frombuffer(body_warps, dtype=np.int64)
-    wi = np.frombuffer(warp_instrs, dtype=np.int64)
-    op = np.frombuffer(ops, dtype=np.int64)
-    arg = np.frombuffer(args, dtype=np.int64)
-    lc = np.frombuffer(lane_counts, dtype=np.int64)
-    refs = np.frombuffer(launch_refs, dtype=np.int64)
     if bw.size and bw.min() < 1 or bw.sum() != n_warps:
         raise _corrupt("warps per body disagree with warp count")
     if wi.size and wi.min() < 0 or wi.sum() != n_instrs:
@@ -305,8 +319,23 @@ def _check_columns(body_warps, warp_instrs, ops, args, lane_counts, launch_refs,
         raise _corrupt("line counts disagree with the line pool")
     if int(is_access.sum()) != n_accesses:
         raise _corrupt("accesses disagree with the lane counts")
-    if lc.size and lc.min() < 0 or lc.sum() != n_lanes:
+    if n_steps != n_accesses:
+        raise _corrupt("lane steps disagree with the lane counts")
+    if lc.size and lc.min() < 0:
+        raise _corrupt("negative lane count")
+    if ls.size and ls.min() < 0:
+        raise _corrupt("negative lane step")
+    is_run = ls > 0
+    lane_bounds = _bounds(np.where(is_run, 1, lc))
+    if lane_bounds[-1] != n_lanes:
         raise _corrupt("lane counts disagree with the lane pool")
+    run_lanes, run_step, run_first = lc[is_run], ls[is_run], lane[lane_bounds[:-1][is_run]]
+    if np.any(run_lanes < 1) or np.any(run_lanes > WARP_SIZE):
+        raise _corrupt(f"a lane run needs 1 to {WARP_SIZE} lanes")
+    # the last lane, first + (lanes - 1) * step, must be an int64 too
+    room = (np.iinfo(np.int64).max - np.maximum(run_first, 0)) // np.maximum(run_lanes - 1, 1)
+    if np.any(run_first < 0) or np.any(run_step > room):
+        raise _corrupt("a lane run outside the address space")
     if int(is_launch.sum()) != n_refs:
         raise _corrupt("launches disagree with the launch references")
     if refs.size and (refs.min() < 0 or refs.max() >= n_launches):
@@ -329,7 +358,7 @@ def _check_columns(body_warps, warp_instrs, ops, args, lane_counts, launch_refs,
     if np.any(arg[is_launch] != launch_index[is_launch]):
         raise _corrupt("launch index out of order")
     _, body_access_bounds = per_body(is_access.astype(np.int64))
-    body_lane_bounds = _bounds(lc)[body_access_bounds]
+    body_lane_bounds = lane_bounds[body_access_bounds]
     offs = np.where(is_access, offs, 0)
     return (
         array("q", offs.tobytes()),
@@ -362,10 +391,10 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
     magic, version = _PREFIX.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError("not a repro trace record (bad magic)")
-    if version == 2:
+    if version in _RETIRED_FORMATS:
         raise ValueError(
-            "trace file is format 2 (instruction records), which this version no "
-            f"longer reads; re-snapshot it to write format {FORMAT_VERSION}"
+            f"trace file is format {version} ({_RETIRED_FORMATS[version]}), which this "
+            f"version no longer reads; re-snapshot it to write format {FORMAT_VERSION}"
         )
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version}")
@@ -383,15 +412,14 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
     header = json.loads(bytes(payload[_HEADER_LEN.size:offset]).decode("utf-8"))
     if not isinstance(header, dict):
         raise ValueError("corrupt trace record: header is not an object")
-    counts = _int_fields(header.get("counts"), _N_COLUMNS, "counts")
+    counts = _int_fields(header.get("counts"), len(_COLUMNS), "counts")
     columns = []
-    for count, what in zip(counts, ("body_warps", "warp_instrs", "ops", "args", "lines",
-                                    "lane_counts", "lanes", "launch_refs")):
+    for count, what in zip(counts, _COLUMNS):
         column, offset = _column(payload, offset, count, what)
         columns.append(column)
     if offset != len(payload):
         raise ValueError("corrupt trace record: trailing bytes after the columns")
-    body_warps, warp_instrs, ops, args, lines, lane_counts, lanes, launch_refs = columns
+    _, _, ops, args, lines, lane_counts, lane_steps, lanes, launch_refs = columns
     n_bodies = counts[0]
     if header.get("line_bytes") != LINE_BYTES:
         raise ValueError("corrupt trace record: bad line size")
@@ -420,7 +448,7 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
         )
 
     offs, warps, body_warps_at, body_lines, body_accesses, body_lanes, body_refs = _check_columns(
-        body_warps, warp_instrs, ops, args, lane_counts, launch_refs, counts, len(launch_specs)
+        columns, len(launch_specs)
     )
     refs = launch_refs.tolist()
     bodies = []
@@ -434,10 +462,12 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
             lines[body_lines[b]:body_lines[b + 1]],
             [launch_specs[r] for r in refs[body_refs[b]:body_refs[b + 1]]],
         )
+        accesses = slice(body_accesses[b], body_accesses[b + 1])
         bodies.append(
             TBBody.from_columns(
                 compiled,
-                lane_counts[body_accesses[b]:body_accesses[b + 1]],
+                lane_counts[accesses],
+                lane_steps[accesses],
                 lanes[body_lanes[b]:body_lanes[b + 1]],
             )
         )

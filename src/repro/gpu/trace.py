@@ -22,11 +22,13 @@ Traces are built by :class:`WarpTrace`, which lowers every instruction
 as it is appended: it writes the flat columns the SMX issue loop
 replays (a :class:`CompiledBody` at ``LINE_BYTES``-byte lines), so a
 trace is coalesced once, when it is built, and never at place time.
-Ranges of consecutive elements are lowered arithmetically; scattered
-accesses go through the coalescer once. The builder also keeps every
-memory access's per-lane byte addresses in one flat pool, which the
-static analyses, the trace record and re-lowering for another line size
-(:func:`repro.gpu.compiled.compile_body`) read.
+Ranges of elements are lowered arithmetically; scattered accesses go
+through the coalescer once. The builder also keeps every memory
+access's per-lane byte addresses in one flat pool, which the static
+analyses, the trace record and re-lowering for another line size
+(:func:`repro.gpu.compiled.compile_body`) read. A scattered access lists
+its lanes there; a range access keeps a *run*, its first address and
+its stride (``lane_steps``), and :meth:`TBBody.accesses` expands it.
 
 :class:`Instr` and the :func:`compute`/:func:`load`/:func:`store`/
 :func:`launch` helpers describe single hand-written instructions (tests,
@@ -154,14 +156,17 @@ class WarpTrace:
     :class:`CompiledBody` columns at ``LINE_BYTES`` (offsets and launch
     indices local to the warp); ``lane_counts`` holds the lane count of
     each LOAD/STORE and ``lanes`` their per-lane byte addresses, in trace
-    order. The array-level methods take any object with ``addrs(indices)``
-    and ``addr_range(start, stop)`` (:class:`repro.workloads.base.Array`)
-    and issue one instruction per ``WARP_SIZE`` elements.
+    order. ``lane_steps`` holds each access's stride: 0 when ``lanes``
+    lists its addresses, ``s > 0`` when ``lanes`` holds only its first
+    address and lane ``k`` is at ``first + k*s`` (a run). The array-level
+    methods take any object with ``addrs(indices)`` and
+    ``addr_range(start, stop)`` (:class:`repro.workloads.base.Array`) and
+    issue one instruction per ``WARP_SIZE`` elements.
 
     A trace must not be appended to once a :class:`TBBody` holds it.
     """
 
-    __slots__ = ("ops", "args", "offs", "lines", "lane_counts", "lanes", "launches")
+    __slots__ = ("ops", "args", "offs", "lines", "lane_counts", "lane_steps", "lanes", "launches")
 
     def __init__(self) -> None:
         self.ops = array("q")
@@ -169,6 +174,7 @@ class WarpTrace:
         self.offs = array("q")
         self.lines = array("q")
         self.lane_counts = array("q")
+        self.lane_steps = array("q")
         self.lanes = array("q")
         self.launches: list[LaunchSpec] = []
 
@@ -182,6 +188,7 @@ class WarpTrace:
         self.offs.append(len(self.lines))
         self.lines.extend(lines)
         self.lane_counts.append(len(addresses))
+        self.lane_steps.append(0)
         self.lanes.extend(addresses)
         return self
 
@@ -189,30 +196,27 @@ class WarpTrace:
         """LOAD/STOREs over an ascending, non-negative ``range`` of byte
         addresses, one instruction per ``WARP_SIZE`` lanes.
 
-        With a step of at most one line, every line between a warp's
-        first and last address is touched, so the coalesced span is the
-        closed line interval: no per-lane work.
+        Each instruction keeps its lanes as a run (first address and
+        step), and :func:`_run_lines` coalesces it arithmetically.
         """
-        step = addresses.step
-        if step > LINE_BYTES:
-            return self._accesses(op, list(addresses))
+        if addresses.step < 0 or addresses.start < 0:
+            raise ValueError(f"access_range needs an ascending, non-negative range: {addresses}")
         if not addresses:
             return self
-        lines = self.lines
-        self.lanes.extend(addresses)
+        ops, args, offs, lines = self.ops, self.args, self.offs, self.lines
+        step = addresses.step
         final = addresses[-1]
         width = WARP_SIZE * step
         for begin in range(addresses.start, final + 1, width):
             last = min(begin + width - step, final)
-            first_line, last_line = begin // LINE_BYTES, last // LINE_BYTES
-            self.ops.append(op)
-            self.args.append(last_line - first_line + 1)
-            self.offs.append(len(lines))
-            if first_line == last_line:
-                lines.append(first_line)
-            else:
-                lines.extend(range(first_line, last_line + 1))
+            span = _run_lines(begin, last, step, LINE_BYTES)
+            ops.append(op)
+            args.append(len(span))
+            offs.append(len(lines))
+            lines.extend(span)
             self.lane_counts.append((last - begin) // step + 1)
+            self.lane_steps.append(step)
+            self.lanes.append(begin)
         return self
 
     def append(self, instr: Instr) -> "WarpTrace":
@@ -274,6 +278,21 @@ class WarpTrace:
         return self
 
 
+def _run_lines(first: int, last: int, step: int, line_bytes: int) -> Sequence[int]:
+    """Coalesced lines of the lanes ``first, first + step, ..., last``
+    (non-negative, ``step > 0``), ascending like :func:`coalesce`'s.
+
+    A step of at most one line touches every line between the two ends;
+    a longer one puts each lane on a line of its own.
+    """
+    first_line, last_line = first // line_bytes, last // line_bytes
+    if first_line == last_line:
+        return (first_line,)
+    if step <= line_bytes:
+        return range(first_line, last_line + 1)
+    return [a // line_bytes for a in range(first, last + 1, step)]
+
+
 def _rebase_offs(ops: array, offs: array, base: int) -> array:
     """A warp's line offsets moved ``base`` entries into the body's pool."""
     return array(
@@ -292,11 +311,11 @@ class TBBody:
     ``warps`` is a list of :class:`WarpTrace` builders (or of lists of
     :class:`Instr`, lowered here). The body stores only the lowered
     columns (``columns``, a :class:`CompiledBody` at ``LINE_BYTES``) and
-    the per-lane address pool (``lane_counts``/``lanes``), joined
-    across its warps.
+    the per-lane address pool (``lane_counts``/``lane_steps``/``lanes``,
+    laid out as in :class:`WarpTrace`), joined across its warps.
     """
 
-    __slots__ = ("columns", "lane_counts", "lanes", "_relowered")
+    __slots__ = ("columns", "lane_counts", "lane_steps", "lanes", "_relowered")
 
     def __init__(self, warps: Sequence[WarpTrace | Iterable[Instr]]) -> None:
         if not warps:
@@ -304,12 +323,13 @@ class TBBody:
         traces = [w if isinstance(w, WarpTrace) else _lower(w) for w in warps]
         first, *rest = traces
         warp_args, warp_offs = [first.args], [first.offs]
-        lines, lane_counts, lanes = first.lines, first.lane_counts, first.lanes
-        launches = first.launches
+        lines, lanes, launches = first.lines, first.lanes, first.launches
+        lane_counts, lane_steps = first.lane_counts, first.lane_steps
         if rest:
             # later warps append to copies of the first warp's pools, and
             # their offsets and launch indices move past what precedes them
-            lines, lane_counts, lanes = lines[:], lane_counts[:], lanes[:]
+            lines, lanes = lines[:], lanes[:]
+            lane_counts, lane_steps = lane_counts[:], lane_steps[:]
             launches = list(launches)
             for t in rest:
                 warp_offs.append(_rebase_offs(t.ops, t.offs, len(lines)))
@@ -318,21 +338,26 @@ class TBBody:
                 )
                 lines += t.lines
                 lane_counts += t.lane_counts
+                lane_steps += t.lane_steps
                 lanes += t.lanes
                 launches += t.launches
         self.columns = CompiledBody(
             LINE_BYTES, [t.ops for t in traces], warp_args, warp_offs, lines, launches
         )
         self.lane_counts = lane_counts
+        self.lane_steps = lane_steps
         self.lanes = lanes
         self._relowered = None
 
     @classmethod
-    def from_columns(cls, columns: CompiledBody, lane_counts: array, lanes: array) -> "TBBody":
+    def from_columns(
+        cls, columns: CompiledBody, lane_counts: array, lane_steps: array, lanes: array
+    ) -> "TBBody":
         """A body over already-lowered columns (the trace-record decoder)."""
         body = cls.__new__(cls)
         body.columns = columns
         body.lane_counts = lane_counts
+        body.lane_steps = lane_steps
         body.lanes = lanes
         body._relowered = None
         return body
@@ -372,22 +397,28 @@ class TBBody:
         return list(self.columns.launches)
 
     def accesses(self) -> Iterator[tuple[int, array]]:
-        """``(op, per-lane byte addresses)`` of each LOAD/STORE, in trace order."""
-        counts, lanes = self.lane_counts, self.lanes
+        """``(op, per-lane byte addresses)`` of each LOAD/STORE, in trace
+        order, with every run expanded."""
+        counts, steps, lanes = self.lane_counts, self.lane_steps, self.lanes
         access = pos = 0
         for ops in self.columns.warp_ops:
             for op in ops:
                 if op == OP_LOAD or op == OP_STORE:
-                    n = counts[access]
+                    n, step = counts[access], steps[access]
                     access += 1
-                    yield op, lanes[pos : pos + n]
-                    pos += n
+                    if step:
+                        first = lanes[pos]
+                        yield op, array("q", range(first, first + n * step, step))
+                        pos += 1
+                    else:
+                        yield op, lanes[pos : pos + n]
+                        pos += n
 
     def touched_lines(self, line_bytes: int = LINE_BYTES) -> set[int]:
         """Cache lines referenced by this body's loads and stores."""
         if line_bytes == self.columns.line_bytes:
             return set(self.columns.lines)
-        return {a // line_bytes for a in self.lanes if a >= 0}
+        return {a // line_bytes for _, lanes in self.accesses() for a in lanes if a >= 0}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TBBody({self.columns!r})"

@@ -45,7 +45,7 @@ from repro.harness.execution import (
     RunSpec,
     make_executor,
 )
-from repro.search.objectives import Objective, pareto_frontier, resolve_objectives
+from repro.search.objectives import pareto_frontier, resolve_objectives
 from repro.search.space import dedup_names, space_names
 from repro.telemetry.events import NULL_SINK, SearchProgress, TelemetrySink
 

@@ -27,7 +27,6 @@ from repro.gpu.engine import Engine
 from repro.harness.execution import DEFAULT_MAX_CYCLES, RunSpec, make_executor
 from repro.harness.registry import experiment_config
 from repro.search import (
-    OBJECTIVES,
     ProgressPrinter,
     Rung,
     dedup_names,

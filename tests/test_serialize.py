@@ -19,7 +19,19 @@ from repro.gpu.serialize import (
     spec_from_bytes,
     spec_to_bytes,
 )
-from repro.gpu.trace import LaunchSpec, Op, TBBody, compute, launch, load, store, walk_bodies
+from repro.gpu.trace import (
+    OP_LOAD,
+    OP_STORE,
+    LaunchSpec,
+    Op,
+    TBBody,
+    WarpTrace,
+    compute,
+    launch,
+    load,
+    store,
+    walk_bodies,
+)
 from repro.harness.registry import experiment_config
 from tests.conftest import tiny_workload
 
@@ -39,7 +51,9 @@ def traces_equal(a: KernelSpec, b: KernelSpec) -> bool:
             cb.line_bytes, cb.warp_ops, cb.warp_args, cb.warp_offs, cb.lines
         ):
             return False
-        if (body_a.lane_counts, body_a.lanes) != (body_b.lane_counts, body_b.lanes):
+        if (body_a.lane_counts, body_a.lane_steps, body_a.lanes) != (
+            body_b.lane_counts, body_b.lane_steps, body_b.lanes
+        ):
             return False
         if [_launch_shape(s) for s in ca.launches] != [_launch_shape(s) for s in cb.launches]:
             return False
@@ -206,8 +220,73 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="format 2.*re-snapshot"):
             spec_from_bytes(bytes(data))
 
+    def test_format_3_record_names_the_format(self):
+        data = bytearray(spec_to_bytes(sample_spec()))
+        struct.pack_into("<I", data, 8, 3)
+        with pytest.raises(ValueError, match="format 3.*re-snapshot"):
+            spec_from_bytes(bytes(data))
+
     def test_current_version(self):
         assert spec_to_bytes(sample_spec())[8:12] == struct.pack("<I", FORMAT_VERSION)
+
+
+#: position of each lane column among the record's columns
+LANE_COLUMNS = {"lane_counts": 5, "lane_steps": 6, "lanes": 7}
+
+
+def run_spec() -> KernelSpec:
+    """A one-body spec whose lane pool holds a listed access, then two runs."""
+    trace = WarpTrace().access(OP_LOAD, [512, 8]).access_range(OP_STORE, range(0, 40 * 8, 8))
+    return KernelSpec(name="runs", bodies=[TBBody(warps=[trace])], resources=ResourceReq(threads=32))
+
+
+def edit_lane_column(data: bytes, column: str, index: int, value: int) -> bytes:
+    """``data`` with entry ``index`` of one lane column set to ``value``."""
+    header, offset = header_of(data)
+    at = offset + 8 * (sum(header["counts"][: LANE_COLUMNS[column]]) + index)
+
+    def edit(body: bytes) -> bytes:
+        return body[:at] + struct.pack("<q", value) + body[at + 8:]
+
+    return repack(data, edit)
+
+
+class TestLaneRuns:
+    def test_runs_round_trip(self):
+        spec = run_spec()
+        body = spec.bodies[0]
+        assert list(body.lane_counts) == [2, 32, 8]
+        assert list(body.lane_steps) == [0, 8, 8]
+        assert list(body.lanes) == [512, 8, 0, 256]
+        rebuilt = spec_from_bytes(spec_to_bytes(spec))
+        assert traces_equal(spec, rebuilt)
+        assert [list(a) for _, a in rebuilt.bodies[0].accesses()] == [
+            [512, 8], list(range(0, 256, 8)), list(range(256, 320, 8))
+        ]
+
+    def test_negative_step_is_rejected(self):
+        data = edit_lane_column(spec_to_bytes(run_spec()), "lane_steps", 1, -8)
+        with pytest.raises(ValueError, match="negative lane step"):
+            spec_from_bytes(data)
+
+    @pytest.mark.parametrize("lanes", [0, 33, 1 << 40])
+    def test_run_without_lanes_or_wider_than_a_warp_is_rejected(self, lanes):
+        data = edit_lane_column(spec_to_bytes(run_spec()), "lane_counts", 2, lanes)
+        with pytest.raises(ValueError, match="lane run needs 1 to 32 lanes"):
+            spec_from_bytes(data)
+
+    def test_pool_length_must_match_the_runs(self):
+        # a run read as a listed access claims 32 pool entries, not one
+        data = edit_lane_column(spec_to_bytes(run_spec()), "lane_steps", 1, 0)
+        with pytest.raises(ValueError, match="lane counts disagree with the lane pool"):
+            spec_from_bytes(data)
+
+    @pytest.mark.parametrize("first,step", [(-8, 8), (0, 1 << 62)])
+    def test_run_outside_the_address_space_is_rejected(self, first, step):
+        data = edit_lane_column(spec_to_bytes(run_spec()), "lanes", 2, first)
+        data = edit_lane_column(data, "lane_steps", 1, step)
+        with pytest.raises(ValueError, match="lane run outside the address space"):
+            spec_from_bytes(data)
 
 
 class TestConfigRoundTrip:

@@ -199,3 +199,56 @@ def test_shared_body_shares_one_compiled_object():
         id(b.compiled(LINE_BYTES)) for b in walk_bodies([parent_a, parent_b]) if b is child
     }
     assert len(seen) == 1
+
+
+# --- lane runs ---------------------------------------------------------------
+#
+# A range access stores each instruction's lanes as a run (first address and
+# step); the same addresses given as a list are stored lane by lane. Every
+# reader must see the two alike.
+
+
+def listed_and_run_bodies(addresses: range) -> tuple[TBBody, TBBody]:
+    """One body per storage, each with a gather and ``addresses`` loaded in
+    one warp and stored in another."""
+
+    def body(as_run: bool) -> TBBody:
+        first, second = WarpTrace().access(OP_LOAD, [300, 17]), WarpTrace()
+        for trace, op in ((first, OP_LOAD), (second, OP_STORE)):
+            if as_run:
+                trace.access_range(op, addresses)
+            else:
+                for i in range(0, len(addresses), 32):
+                    trace.access(op, list(addresses[i : i + 32]))
+            trace.compute(2)
+        return TBBody(warps=[first, second])
+
+    return body(False), body(True)
+
+
+@pytest.mark.parametrize("step", [1, 4, 8, 128, 136, 256, 1000])
+@pytest.mark.parametrize("start,count", [(0, 70), (4000, 33), (5, 1)])
+def test_a_run_reads_like_its_listed_lanes(step, start, count):
+    from repro.analysis.locality import inter_tb_reuse
+
+    addresses = range(start, start + count * step, step)
+    listed, run = listed_and_run_bodies(addresses)
+    instrs = -(-count // 32)
+    assert list(run.lane_steps) == [0] + [step] * instrs + [step] * instrs
+    assert len(run.lanes) == 2 + 2 * instrs  # the gather's lanes, then one per run
+    assert [(op, list(a)) for op, a in run.accesses()] == [
+        (op, list(a)) for op, a in listed.accesses()
+    ]
+    for line_bytes in (32, 64, 128, 256):
+        assert_same_columns(run.compiled(line_bytes), listed.compiled(line_bytes))
+        assert run.touched_lines(line_bytes) == listed.touched_lines(line_bytes)
+        assert inter_tb_reuse([run, listed, run], line_bytes) == inter_tb_reuse(
+            [listed, run, listed], line_bytes
+        )
+
+
+def test_access_range_rejects_descending_and_negative_ranges():
+    with pytest.raises(ValueError, match="ascending, non-negative"):
+        WarpTrace().access_range(OP_LOAD, range(64, 0, -4))
+    with pytest.raises(ValueError, match="ascending, non-negative"):
+        WarpTrace().access_range(OP_LOAD, range(-8, 64, 4))

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.gpu.serialize import spec_from_bytes, spec_to_bytes
 from repro.gpu.trace import walk_bodies
 from repro.harness.registry import benchmark_names, load_benchmark
 
@@ -46,8 +47,13 @@ def _le(values) -> bytes:
 
 
 def lane_columns(body) -> tuple[array, array]:
-    """(lanes per memory instruction, every lane address), in trace order."""
-    return body.lane_counts, body.lanes
+    """(lanes per memory instruction, every lane address), in trace order,
+    rebuilt from :meth:`TBBody.accesses` so that a run counts all its lanes."""
+    counts, lanes = array("q"), array("q")
+    for _, access in body.accesses():
+        counts.append(len(access))
+        lanes += access
+    return counts, lanes
 
 
 def trace_digest(spec) -> str:
@@ -94,3 +100,9 @@ def test_trace_digest(name, scale, pinned):
         f"{name} at {scale} builds a different trace; if intended, bump "
         "TRACE_VERSION and regenerate tests/trace_digests.json"
     )
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_stored_trace_has_the_built_digest(name):
+    spec = load_benchmark(name, scale="tiny", seed=SEED).kernel()
+    assert trace_digest(spec_from_bytes(spec_to_bytes(spec))) == trace_digest(spec)

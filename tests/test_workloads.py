@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpu.trace import Op, walk_bodies
+from repro.gpu.trace import Op, TBBody, walk_bodies
 from repro.workloads import APPLICATIONS, make_workload
 from tests.conftest import TINY_PAIRS, tiny_workload
 
@@ -48,13 +48,14 @@ class TestStructure:
         w = any_tiny_workload
         top = w.space.total_bytes
         for body in walk_bodies(w.kernel().bodies):
-            if body.lanes:
-                assert max(body.lanes) < top
-                assert min(body.lanes) >= 0
+            for _, lanes in body.accesses():
+                if lanes:
+                    assert max(lanes) < top
+                    assert min(lanes) >= 0
 
     def test_warp_width_respected(self, any_tiny_workload):
         for body in walk_bodies(any_tiny_workload.kernel().bodies):
-            assert all(0 < n <= 32 for n in body.lane_counts)
+            assert all(0 < len(lanes) <= 32 for _, lanes in body.accesses())
 
     def test_resources_sane(self, any_tiny_workload):
         res = any_tiny_workload.kernel().resources
@@ -213,7 +214,10 @@ class TestSharedHelpers:
         wt.load_range(arr, 0, 70)
         assert list(wt.ops) == [Op.LOAD] * 3
         assert list(wt.lane_counts) == [32, 32, 6]
-        assert list(wt.lanes) == arr.addrs(range(70))
+        assert list(wt.lane_steps) == [arr.elem_bytes] * 3
+        assert list(wt.lanes) == arr.addrs(range(0, 70, 32))
+        lanes = [a for _, access in TBBody([wt]).accesses() for a in access]
+        assert lanes == arr.addrs(range(70))
 
     def test_chunked(self):
         from repro.workloads.base import chunked
