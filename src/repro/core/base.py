@@ -30,15 +30,15 @@ class TBScheduler(ABC):
     #: whether the KMU should admit device kernels highest-priority-first
     #: (True for all LaPerm variants, False for the baseline)
     prioritized_kmu: bool = False
-    #: True when a ``dispatch`` call that returns None (and bumps no
-    #: ``steals`` counter) leaves all observable scheduler state unchanged.
-    #: The engine then skips dispatch until a queue- or resource-changing
-    #: event (delivery, kernel admission, TB retire, placement) occurs.
+    #: True when a ``dispatch`` call that returns None would return None
+    #: again, changing nothing observable, until a queue- or
+    #: resource-changing event (delivery, kernel admission, TB retire,
+    #: placement) occurs. The engine then skips dispatch until one does.
     #: Policies with time-gated side effects inside dispatch (e.g. the
     #: throttle admission component's cap adjustment) must set this False.
     idle_dispatch_pure: bool = True
-    #: stage-3 work-steal count; stealing policies shadow this with an
-    #: instance counter, everything else reports 0
+    #: TBs placed by stage-3 work stealing; stealing policies shadow this
+    #: with an instance counter, everything else reports 0
     steals: int = 0
 
     def __init__(self) -> None:

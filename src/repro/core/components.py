@@ -36,7 +36,7 @@ from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.queues import Entry, MultiLevelQueue
 from repro.gpu.kernel import Kernel, ThreadBlock
-from repro.telemetry.events import QueueOverflow, WorkStolen
+from repro.telemetry.events import QueueOverflow
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.composed import ComposedScheduler
@@ -451,7 +451,9 @@ class StealPolicy:
     def begin_dispatch(self) -> None:
         """Reset per-dispatch-call scan state."""
 
-    def candidate(self, smx_id: int, now: int) -> Optional[Entry]:
+    def candidate(self, smx_id: int) -> Optional[tuple[Entry, int]]:
+        """The entry SMX ``smx_id`` may adopt and its victim domain, or
+        None. The scheduler counts a steal only when it places the TB."""
         raise NotImplementedError
 
 
@@ -463,7 +465,7 @@ class BackupSteal(StealPolicy):
     together on the thief SMX and bounds reconfiguration churn;
     ``fixed=False`` is the ablated re-scan-every-time variant."""
 
-    __slots__ = ("name", "fixed", "_backup", "_stage3_dry", "_scheduler", "_placement")
+    __slots__ = ("name", "fixed", "_backup", "_stage3_dry", "_placement")
 
     def __init__(self, fixed: bool = True) -> None:
         self.fixed = fixed
@@ -476,7 +478,6 @@ class BackupSteal(StealPolicy):
             raise ValueError(
                 f"steal={self.name} requires a binding placement, got bind={placement.name}"
             )
-        self._scheduler = scheduler
         self._placement = placement
         self._backup = [None] * engine.config.num_smx
         # True once a scan found no victim during the current dispatch
@@ -487,7 +488,7 @@ class BackupSteal(StealPolicy):
     def begin_dispatch(self) -> None:
         self._stage3_dry = False
 
-    def _victim_entry(self, smx_id: int) -> Optional[tuple[Entry, int]]:
+    def candidate(self, smx_id: int) -> Optional[tuple[Entry, int]]:
         placement = self._placement
         queues = placement.queues
         if not placement.bound_any or self._stage3_dry:
@@ -519,27 +520,6 @@ class BackupSteal(StealPolicy):
                 return entry, victim
         self._stage3_dry = True
         return None
-
-    def candidate(self, smx_id: int, now: int) -> Optional[Entry]:
-        adopted = self._victim_entry(smx_id)
-        if adopted is None:
-            return None
-        entry, victim = adopted
-        scheduler = self._scheduler
-        scheduler.steals += 1
-        telemetry = scheduler.engine.telemetry
-        if telemetry.enabled:
-            tb = entry.peek()
-            telemetry.emit(
-                WorkStolen(
-                    time=now,
-                    thief_smx_id=smx_id,
-                    victim_cluster=victim,
-                    tb_id=tb.tb_id,
-                    priority=tb.priority,
-                )
-            )
-        return entry
 
 
 # --- admission policies -------------------------------------------------------

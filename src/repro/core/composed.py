@@ -43,6 +43,7 @@ from repro.core.components import (
     parse_spec,
 )
 from repro.gpu.kernel import Kernel, ThreadBlock
+from repro.telemetry.events import WorkStolen
 
 
 class ComposedScheduler(TBScheduler):
@@ -175,16 +176,20 @@ class ComposedScheduler(TBScheduler):
                 continue
             # stage 1: the SMX's own (bound) queue set
             entry = None
+            victim = None
             if bound_any:
                 queue = queues[domain_of[smx_id]]
                 if queue.entries:
                     entry = queue.head()
             if entry is None:
                 entry = shared  # stage 2: shared parent queue
-                if entry is None and steal is not None:
-                    entry = steal.candidate(smx_id, now)  # stage 3
                 if entry is None:
-                    continue
+                    if steal is None:
+                        continue
+                    adopted = steal.candidate(smx_id)  # stage 3
+                    if adopted is None:
+                        continue
+                    entry, victim = adopted
             tb = entry.peek()
             # SMX.can_fit, inlined (hot rotation; kept in sync with smx.py)
             res = tb.resources
@@ -198,6 +203,20 @@ class ComposedScheduler(TBScheduler):
             delay = entry.dispatch_penalty(self._overflow_penalty)
             entry.pop()
             self._smx_ptr = smx_id
+            if victim is not None:
+                # a steal counts once its TB is placed, not at the lookup
+                self.steals += 1
+                telemetry = self.engine.telemetry
+                if telemetry.enabled:
+                    telemetry.emit(
+                        WorkStolen(
+                            time=now,
+                            thief_smx_id=smx_id,
+                            victim_cluster=victim,
+                            tb_id=tb.tb_id,
+                            priority=tb.priority,
+                        )
+                    )
             return self._place(tb, smx, now, delay=delay)
         return None
 

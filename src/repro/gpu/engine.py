@@ -11,20 +11,21 @@ advances a global clock. Each cycle it:
    SMX (the paper's one-TB-per-cycle dispatch stage),
 4. lets every SMX *that can act this cycle* issue at most one instruction.
 
-Step 4 is event-driven: the engine keeps a wake calendar — a min-heap of
-``(cycle, smx_id)`` entries — and each SMX reports its next possible issue
-cycle (:meth:`SMX.next_event_time`) after every visit; a TB placement
-re-arms its SMX for the current cycle. Only wake-due SMXs are visited, in
-ascending SMX id within a cycle (the fixed sweep order the memory system's
-shared state depends on), so idle and port-busy SMXs cost nothing. The
-calendar uses lazy invalidation: ``SMX.wake_at`` holds the authoritative
-wake cycle and stale heap entries are skipped on pop. This visits an SMX
-on exactly the cycles the classic every-SMX sweep would have issued or
-re-queued a warp on, so simulated results are cycle-exact with the
-pre-calendar engine (pinned by tests/golden_equivalence.json).
+Step 4 reads one number per SMX: ``SMX.wake_at``, its next possible issue
+cycle (``None`` when it holds no work). Each executed cycle the engine
+walks its SMXs in id order — the fixed sweep order the memory system's
+shared state depends on — and visits every SMX whose ``wake_at`` has
+arrived; after the visit it sets ``wake_at`` from
+:meth:`SMX.next_event_time`. A TB placement sets its SMX's ``wake_at`` to
+the current cycle. Idle and port-busy SMXs are never visited, and an SMX
+is visited on exactly the cycles a sweep over every SMX would have issued
+or re-queued a warp on, so simulated results are cycle-exact with that
+sweep (``tests/engine_reference.py``; pinned by
+tests/golden_equivalence.json). With the paper's 13 SMXs, reading every
+``wake_at`` each cycle costs less than keeping them in a heap.
 
 When nothing can happen, the clock jumps to the next event — the earliest
-of the retire heap, the launch-delivery queue, and the wake calendar — so
+of the retire heap, the launch-delivery queue, and the SMXs' ``wake_at`` — so
 that memory-stall-dominated regions do not cost wall-clock time.
 """
 
@@ -90,9 +91,6 @@ class Engine:
         self.stats = SimStats()
         self._retire_heap: list[tuple[int, int, ThreadBlock]] = []
         self._retire_seq = itertools.count()
-        # the SMX wake calendar: (cycle, smx_id) entries, lazily invalidated
-        # against the authoritative SMX.wake_at (see module docstring)
-        self._wake_heap: list[tuple[int, int]] = []
         self._live_tbs = 0
         self._finished = False
         # telemetry sink (docs/telemetry.md): every emit site guards on
@@ -221,30 +219,15 @@ class Engine:
             or not self.kmu.drained
         )
 
-    # ----- the SMX wake calendar -------------------------------------------
-    def _wake_smx(self, smx: SMX, at: int) -> None:
-        """Arm (or advance) an SMX's next visit to cycle ``at``."""
-        wake = smx.wake_at
-        if wake is None or at < wake:
-            smx.wake_at = at
-            heapq.heappush(self._wake_heap, (at, smx.smx_id))
-
     def _next_event_time(self) -> Optional[int]:
         """Earliest cycle at which anything can happen, or None."""
-        best = self._retire_heap[0][0] if self._retire_heap else None
+        times = [smx.wake_at for smx in self.smxs if smx.wake_at is not None]
+        if self._retire_heap:
+            times.append(self._retire_heap[0][0])
         nxt = self.dynpar.next_delivery_time()
-        if nxt is not None and (best is None or nxt < best):
-            best = nxt
-        heap = self._wake_heap
-        while heap:
-            t, sid = heap[0]
-            if self.smxs[sid].wake_at != t:  # stale calendar entry
-                heapq.heappop(heap)
-                continue
-            if best is None or t < best:
-                best = t
-            break
-        return best
+        if nxt is not None:
+            times.append(nxt)
+        return min(times, default=None)
 
     def _emit_sample(self, now: int) -> None:
         resident = sum(len(smx.resident_tbs) for smx in self.smxs)
@@ -271,24 +254,21 @@ class Engine:
         next_sample = now
         max_cycles = self.max_cycles
         smxs = self.smxs
-        wake_heap = self._wake_heap
         retire_heap = self._retire_heap
         deliver_due = self.dynpar.deliver_due
         dispatch = self.scheduler.dispatch
         retire_due = self._retire_due
-        heappop, heappush = heapq.heappop, heapq.heappush
         # _work_remaining() inlined: both pending lists are created once and
         # mutated in place, so binding them here is safe and skips four
         # attribute/property lookups per executed cycle
         dynpar_pending = self.dynpar._pending
         kmu_pending = self.kmu._pending
         # dispatch-skip state: a pure scheduler whose dispatch returned None
-        # without counting a steal cannot place anything until a delivery,
-        # kernel admission, TB retire or placement changes machine state, so
-        # the engine stops calling it until one of those happens. Schedulers
-        # with timed side effects opt out via ``idle_dispatch_pure``.
-        scheduler = self.scheduler
-        dispatch_pure = scheduler.idle_dispatch_pure
+        # cannot place anything until a delivery, kernel admission, TB
+        # retire or placement changes machine state, so the engine stops
+        # calling it until one of those happens. Schedulers with timed side
+        # effects opt out via ``idle_dispatch_pure``.
+        dispatch_pure = self.scheduler.idle_dispatch_pure
         dispatch_dirty = True
         while self._live_tbs > 0 or dynpar_pending or kmu_pending:
             if sampling and now >= next_sample:
@@ -305,47 +285,25 @@ class Engine:
             else:
                 retired = False
             if dispatch_dirty:
-                steals_before = scheduler.steals
                 placed_tb = dispatch(now)
                 if placed_tb is not None:
-                    # a freshly placed TB may issue this very cycle
-                    self._wake_smx(smxs[placed_tb.smx_id], now)
-                elif dispatch_pure and scheduler.steals == steals_before:
+                    # a freshly placed TB may issue this very cycle (its
+                    # SMX's wake_at is None or >= now: every due SMX was
+                    # visited, and the clock never jumps past a wake_at)
+                    smxs[placed_tb.smx_id].wake_at = now
+                elif dispatch_pure:
                     dispatch_dirty = False
             else:
                 placed_tb = None
             issued = False
-            # visit the wake-due SMXs in ascending id (the sweep order the
-            # shared L2/DRAM state depends on); each visit re-arms the SMX
-            while wake_heap and wake_heap[0][0] <= now:
-                t, sid = heappop(wake_heap)
-                smx = smxs[sid]
-                if smx.wake_at != t:  # stale calendar entry
-                    continue
-                if smx.try_issue(now, self):
-                    issued = True
-                # SMX.next_event_time, inlined (one call per visit adds up;
-                # kept in sync with smx.py). The `current.done` guard is
-                # dropped: try_issue never leaves a finished warp current.
-                floor = smx.port_free_at
-                if floor <= now:
-                    floor = now + 1
-                nxt = None
-                current = smx._current
-                if current is not None:
-                    nxt = current.ready_at if current.ready_at > floor else floor
-                if smx._ready and (nxt is None or floor < nxt):
-                    nxt = floor
-                smx_stalled = smx._stalled
-                if smx_stalled:
-                    st = smx_stalled[0][0]
-                    if st < floor:
-                        st = floor
-                    if nxt is None or st < nxt:
-                        nxt = st
-                smx.wake_at = nxt
-                if nxt is not None:
-                    heappush(wake_heap, (nxt, sid))
+            # visit the due SMXs in ascending id (the sweep order the shared
+            # L2/DRAM state depends on); each visit re-arms the SMX
+            for smx in smxs:
+                wake = smx.wake_at
+                if wake is not None and wake <= now:
+                    if smx.try_issue(now, self):
+                        issued = True
+                    smx.wake_at = smx.next_event_time(now)
             if placed_tb is not None or issued or retired:
                 now += 1
                 stalled = 0

@@ -86,16 +86,6 @@ class WarpContext:
         self.age = age  # global issue-age: smaller = older (dispatched earlier)
         self.smx_id = smx_id
 
-    @property
-    def done(self) -> bool:
-        return self.pc >= self.n
-
-    def blocked_on_loads(self, now: int) -> bool:
-        """True when the next instruction must wait for in-flight loads."""
-        if self.pc >= self.n or self.outstanding <= now:
-            return False
-        return self.ops[self.pc] != _OP_LOAD
-
 
 class SMX:
     """One streaming multiprocessor."""
@@ -122,8 +112,9 @@ class SMX:
         # policy flags hoisted out of the per-issue hot path
         self._is_gto = self._policy == "gto"
         self.resident_tbs: set[ThreadBlock] = set()
-        # earliest scheduled engine visit (the wake-calendar handle);
-        # owned by Engine, None = not scheduled
+        # next cycle the engine visits this SMX (next_event_time after a
+        # visit, the current cycle after a placement); owned by Engine,
+        # None = no work
         self.wake_at: Optional[int] = None
         # per-SMX memory accessor (MemoryHierarchy.accessor), bound lazily
         # on the first memory instruction
@@ -232,8 +223,8 @@ class SMX:
                 return False
             ops = warp.ops
             pc = warp.pc
-            # inline WarpContext.blocked_on_loads (hot path; picked warps
-            # are never done — finished warps are dropped, not re-queued)
+            # picked warps are never finished (finished warps are dropped,
+            # not re-queued), so ops[pc] is the next instruction
             if warp.outstanding > now and ops[pc] != op_load:
                 # the next instruction uses in-flight load data: park the
                 # warp until its slowest outstanding load returns
@@ -291,7 +282,7 @@ class SMX:
             self.port_free_at = now + 1
             self.issued_instructions += 1
 
-        if warp.pc >= warp.n:  # warp.done, inlined
+        if warp.pc >= warp.n:  # the warp finished
             self._current = None
             tb = warp.tb
             tb.active_warps -= 1
@@ -317,18 +308,23 @@ class SMX:
     def next_event_time(self, now: int) -> Optional[int]:
         """Earliest future cycle (> ``now``) at which this SMX could issue
         again, or None when no resident warp can ever become issueable
-        without external state changes (an empty or fully-drained SMX)."""
+        without external state changes (an empty or fully-drained SMX).
+
+        Call it right after :meth:`try_issue` or :meth:`place`: neither
+        leaves a finished warp current, so the current warp is never
+        checked for completion here."""
         floor = self.port_free_at
         if floor <= now:
             floor = now + 1
         best: Optional[int] = None
         current = self._current
-        if current is not None and not current.done:
+        if current is not None:
             best = current.ready_at if current.ready_at > floor else floor
         if self._ready and (best is None or floor < best):
             best = floor
-        if self._stalled:
-            t = self._stalled[0][0]
+        stalled = self._stalled
+        if stalled:
+            t = stalled[0][0]
             if t < floor:
                 t = floor
             if best is None or t < best:

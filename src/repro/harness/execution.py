@@ -63,7 +63,8 @@ if TYPE_CHECKING:
 #: stored results go cold (never wrong) without manual cleanup.
 #: 2: SimStats gained work_steals / scheduler_queue_high_water.
 #: 3: the MSHR table lost its capacity, so mshr_dropped is always 0.
-ENGINE_VERSION = 3
+#: 4: work_steals counts TBs placed by stealing, not victim lookups.
+ENGINE_VERSION = 4
 
 #: Default cycle budget, matching the historical harness default.
 DEFAULT_MAX_CYCLES = 500_000_000

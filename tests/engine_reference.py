@@ -1,9 +1,10 @@
 """Every-cycle reference for the engine's main loop.
 
-``Engine.run`` skips work it can prove idle: a wake calendar with lazy
-invalidation, a dispatch-skip flag, clock jumps to the next event and an
-inlined ``SMX.next_event_time``. Each of those claims to match a plain
-sweep that does every stage on every cycle. This module is that sweep,
+``Engine.run`` skips work it can prove idle: it visits only the SMXs
+whose ``wake_at`` (``SMX.next_event_time``) has arrived, it stops calling
+an idle, pure dispatch stage, and it jumps the clock to the next event.
+Each of those three claims to match a plain sweep that does every stage
+on every cycle. This module is that sweep,
 over the same engine objects, so the tests can pin the two together
 (``tests/test_engine_reference.py``).
 """

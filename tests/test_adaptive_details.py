@@ -10,6 +10,7 @@ from repro.gpu.config import CacheConfig, GPUConfig
 from repro.gpu.engine import Engine
 from repro.gpu.kernel import Kernel, KernelSpec, ResourceReq
 from repro.gpu.trace import TBBody, compute
+from repro.telemetry import RecordingSink, WorkStolen
 
 
 def machine(num_smx=3):
@@ -24,24 +25,24 @@ def machine(num_smx=3):
     )
 
 
-def attach_scheduler(scheduler, num_smx=3):
+def attach_scheduler(scheduler, num_smx=3, **engine_kwargs):
     spec = KernelSpec(
         name="host",
         bodies=[TBBody(warps=[[compute(1)]])],
         resources=ResourceReq(threads=32, regs_per_thread=8),
     )
-    engine = Engine(machine(num_smx), scheduler, make_model("dtbl"), [spec])
+    engine = Engine(machine(num_smx), scheduler, make_model("dtbl"), [spec], **engine_kwargs)
     # the host kernel lands in the global queue on admission; drop it so
     # the stage tests start from empty queues
     scheduler.placement.global_queue.clear()
     return engine
 
 
-def make_entry(level=1, n=2):
+def make_entry(level=1, n=2, threads=32):
     spec = KernelSpec(
         name="e",
         bodies=[TBBody(warps=[[compute(1)]]) for _ in range(n)],
-        resources=ResourceReq(threads=32, regs_per_thread=8),
+        resources=ResourceReq(threads=threads, regs_per_thread=8),
     )
     return Entry(Kernel(spec, priority=level).tbs, level=level)
 
@@ -74,12 +75,30 @@ class TestStageOrdering:
 
     def test_backup_used_when_all_else_empty(self):
         scheduler = make_scheduler("adaptive-bind")
-        attach_scheduler(scheduler)
+        sink = RecordingSink()
+        attach_scheduler(scheduler, telemetry=sink)
         victim_entry = make_entry()
         scheduler.placement.queues[2].push(victim_entry)
         assert scheduler.dispatch(0) is not None
         assert victim_entry.cursor == 1
         assert scheduler.steals == 1
+        (stolen,) = sink.of_type(WorkStolen)
+        assert (stolen.thief_smx_id, stolen.victim_cluster) == (0, 2)
+
+
+class TestStealCounting:
+    def test_a_lookup_that_places_nothing_is_not_a_steal(self):
+        # SMXs 0 and 1 both find the victim entry in stage 3, but its TB
+        # (96 threads) fits no SMX of machine(): nothing was stolen
+        scheduler = make_scheduler("adaptive-bind")
+        sink = RecordingSink()
+        attach_scheduler(scheduler, telemetry=sink)
+        victim_entry = make_entry(threads=96)
+        scheduler.placement.queues[2].push(victim_entry)
+        assert scheduler.dispatch(0) is None
+        assert victim_entry.cursor == 0
+        assert scheduler.steals == 0
+        assert not sink.of_type(WorkStolen)
 
 
 class TestBackupRecording:
@@ -88,25 +107,25 @@ class TestBackupRecording:
         attach_scheduler(scheduler)
         first = make_entry(n=1)
         scheduler.placement.queues[1].push(first)
-        assert scheduler.steal._victim_entry(0) == (first, 1)
+        assert scheduler.steal.candidate(0) == (first, 1)
         assert scheduler.steal._backup[0] == 1
         # a nearer victim (in scan order) appears, but the recorded backup
         # still has work after a new entry arrives on it
         second = make_entry(n=1)
         scheduler.placement.queues[1].push(second)
         scheduler.placement.queues[2].push(make_entry(n=1))
-        assert scheduler.steal._victim_entry(0) == (first, 1)
+        assert scheduler.steal.candidate(0) == (first, 1)
 
     def test_backup_cleared_when_drained(self):
         scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
         entry = make_entry(n=1)
         scheduler.placement.queues[1].push(entry)
-        scheduler.steal._victim_entry(0)
+        scheduler.steal.candidate(0)
         entry.pop()  # drain the victim
         other = make_entry(n=1)
         scheduler.placement.queues[2].push(other)
-        assert scheduler.steal._victim_entry(0) == (other, 2)
+        assert scheduler.steal.candidate(0) == (other, 2)
         assert scheduler.steal._backup[0] == 2
 
     def test_rescan_mode_ignores_recording(self):
@@ -114,13 +133,13 @@ class TestBackupRecording:
         attach_scheduler(scheduler)
         assert scheduler.steal.name == "rescan"
         scheduler.placement.queues[1].push(make_entry(n=2))
-        scheduler.steal._victim_entry(0)
+        scheduler.steal.candidate(0)
         # re-scan starts from scratch each time; recording is not consulted
         near = make_entry(n=1)
         scheduler.placement.queues[1].push(near)
-        assert scheduler.steal._victim_entry(0) is not None
+        assert scheduler.steal.candidate(0) is not None
 
     def test_no_backup_available(self):
         scheduler = make_scheduler("adaptive-bind")
         attach_scheduler(scheduler)
-        assert scheduler.steal._victim_entry(0) is None
+        assert scheduler.steal.candidate(0) is None

@@ -165,7 +165,7 @@ class TestCacheCommands:
         out = capsys.readouterr().out
         assert cache_dir in out
         assert "records" in out and "total bytes" in out
-        assert "v3: 1" in out
+        assert "v4: 1" in out
 
     def test_stats_empty_dir(self, capsys, tmp_path):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path / "none")]) == 0

@@ -114,7 +114,7 @@ class TestRunSpec:
             benchmark="bfs-citation", scheduler="adaptive-bind", model="dtbl", scale="tiny", seed=7
         )
         assert spec.cache_key() == (
-            "06da033ccd3f4e271e23f9d52f0148e5c437b7a43e92a0fa44d2a86dced2d12f"
+            "80604c6d96e111c181405e92ccc3373a628d9c9de250cb05de1b3d9acbc2a7eb"
         )
 
 

@@ -247,7 +247,7 @@ class TestWarpScheduling:
 
     def test_next_event_time_idle(self):
         # a drained/empty SMX has no future event: None, not a float inf
-        # sentinel, so the engine's wake calendar stays all-int
+        # sentinel, so the engine's wake_at values stay all-int
         smx = SMX(0, make_config())
         assert smx.next_event_time(0) is None
 
@@ -271,7 +271,7 @@ class TestStartDelay:
         assert smx.try_issue(50, engine)
 
     def test_delayed_placement_is_a_wake_event(self):
-        # the engine's wake calendar relies on next_event_time announcing
+        # the engine's wake_at relies on next_event_time announcing
         # the delayed start; a missing event would strand the SMX forever
         config = make_config()
         smx = SMX(0, config)
