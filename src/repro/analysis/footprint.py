@@ -45,9 +45,6 @@ class FootprintResult:
     num_direct_parents: int
     num_children: int
 
-    def as_row(self) -> tuple[float, float]:
-        return (self.parent_child, self.child_sibling)
-
 
 def _direct_children(body: TBBody) -> list[TBBody]:
     """Child TB bodies launched directly by ``body``."""

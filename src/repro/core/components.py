@@ -179,44 +179,7 @@ def describe_components() -> dict[str, list[str]]:
     return {axis: sorted(values) for axis, values in _AXIS_VALUES.items()}
 
 
-# --- priority policies --------------------------------------------------------
-
-
-class PriorityPolicy:
-    """Maps kernel/TB priorities to queue levels and fixes KMU admission."""
-
-    __slots__ = ()
-    name = "abstract"
-    #: whether the KMU admits device kernels highest-priority-first
-    prioritized_kmu = False
-
-    def level_of(self, priority: int) -> int:
-        raise NotImplementedError
-
-
-class FifoPriority(PriorityPolicy):
-    """Arrival order: every unit of work queues at level 0 (baseline)."""
-
-    __slots__ = ()
-    name = "fifo"
-    prioritized_kmu = False
-
-    def level_of(self, priority: int) -> int:
-        return 0
-
-
-class LevelPriority(PriorityPolicy):
-    """Nesting-level priority (Section IV-A): children outrank parents."""
-
-    __slots__ = ()
-    name = "level"
-    prioritized_kmu = True
-
-    def level_of(self, priority: int) -> int:
-        return priority
-
-
-# --- placement policies -------------------------------------------------------
+# --- placements ---------------------------------------------------------------
 
 
 class _PoolEntry(Entry):
@@ -264,51 +227,22 @@ class KernelPool:
         return None
 
 
-class PlacementPolicy:
-    """Owns the pending-work queues and the per-SMX candidate choice."""
-
-    __slots__ = ()
-    name = "abstract"
-    #: True when every SMX sees the same candidate (no binding): the
-    #: dispatch loop then resolves the candidate once per cycle
-    uniform = False
-
-    def setup(self, scheduler: "ComposedScheduler", engine: "Engine") -> None:
-        raise NotImplementedError
-
-    def enqueue_kernel(self, kernel: Kernel, now: int) -> None:
-        raise NotImplementedError
-
-    def enqueue_group(self, kernel: Kernel, tbs: Sequence[ThreadBlock], now: int) -> None:
-        raise NotImplementedError
-
-    def has_pending(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def queue_high_water(self) -> int:
-        return 0
-
-    @property
-    def overflow_events(self) -> int:
-        return 0
-
-
-class AnySMXPlacement(PlacementPolicy):
+class AnySMXPlacement:
     """No binding: one global work structure, SMXs drained round-robin.
 
-    The structure follows the priority policy: ``fifo`` keeps the
-    baseline's kernel-arrival pool (Section II-B), ``level`` the global
-    multi-level queue of Fig 5(a/b). Queues live in global memory: no
-    on-chip capacity limit, no overflow penalty (Section IV-E)."""
+    The structure follows the priority axis: ``pri=fifo`` keeps the
+    baseline's kernel-arrival pool (Section II-B), ``pri=level`` the
+    global multi-level queue of Fig 5(a/b). Queues live in global memory:
+    no on-chip capacity limit, no overflow penalty (Section IV-E)."""
 
-    __slots__ = ("queue", "_priority")
-    name = "any"
+    __slots__ = ("queue",)
+    #: every SMX sees the same candidate: the dispatch loop resolves it
+    #: once per cycle
     uniform = True
+    overflow_events = 0
 
     def setup(self, scheduler: "ComposedScheduler", engine: "Engine") -> None:
-        self._priority = scheduler.priority
-        if self._priority.name == "fifo":
+        if scheduler.spec.pri == "fifo":
             self.queue: KernelPool | MultiLevelQueue = KernelPool()
         else:
             self.queue = MultiLevelQueue(engine.config.max_priority_levels)
@@ -339,7 +273,7 @@ class AnySMXPlacement(PlacementPolicy):
         return queue.entry_high_water if isinstance(queue, MultiLevelQueue) else 0
 
 
-class BindPlacement(PlacementPolicy):
+class BindPlacement:
     """Bind dynamic TBs to their direct parent's SMX neighborhood.
 
     One multi-level queue set per *domain* — the parent's L1 cluster
@@ -348,9 +282,12 @@ class BindPlacement(PlacementPolicy):
     ``GPUConfig.smxs_per_l2_cluster``). Host-launched kernels stay in a
     shared level-0 FCFS queue. The on-chip SRAM backing the queue sets is
     finite; entries past the capacity overflow to global memory and pay
-    ``queue_overflow_penalty`` on first dispatch."""
+    ``queue_overflow_penalty`` on first dispatch. With ``pri=fifo`` every
+    entry queues at level 0; with ``pri=level`` at its nesting level
+    (Section IV-A)."""
 
-    __slots__ = ("name", "queues", "global_queue", "domain_of", "bound_any", "_priority", "_config")
+    __slots__ = ("name", "queues", "global_queue", "domain_of", "bound_any", "_levels")
+    uniform = False
 
     def __init__(self, name: str) -> None:
         if name not in ("smx", "l2"):
@@ -360,9 +297,8 @@ class BindPlacement(PlacementPolicy):
     def setup(self, scheduler: "ComposedScheduler", engine: "Engine") -> None:
         from collections import deque
 
-        self._priority = scheduler.priority
+        self._levels = scheduler.spec.pri == "level"
         config = engine.config
-        self._config = config
         # the on-chip SRAM holds 128 entries per SMX for DTBL groups but is
         # limited to the 32 KDU entries when the dynamic units are CDP
         # kernels (Section IV-E); one queue set per domain
@@ -391,7 +327,7 @@ class BindPlacement(PlacementPolicy):
                             time=now,
                             cluster=_c,
                             level=entry.level,
-                            total_entries=_q.total_entries + 1,
+                            total_entries=_q.entries + 1,
                         )
                     )
                 )
@@ -406,15 +342,13 @@ class BindPlacement(PlacementPolicy):
             self.global_queue.append(Entry(list(kernel.tbs), 0))
         else:
             domain = self._bind_domain(kernel.parent)
-            self.queues[domain].push(
-                Entry(list(kernel.tbs), self._priority.level_of(kernel.priority)), now
-            )
+            level = kernel.priority if self._levels else 0
+            self.queues[domain].push(Entry(list(kernel.tbs), level), now)
 
     def enqueue_group(self, kernel: Kernel, tbs: Sequence[ThreadBlock], now: int) -> None:
         domain = self._bind_domain(tbs[0].parent)
-        self.queues[domain].push(
-            Entry(tbs, self._priority.level_of(tbs[0].priority)), now
-        )
+        level = tbs[0].priority if self._levels else 0
+        self.queues[domain].push(Entry(tbs, level), now)
 
     def global_head(self) -> Optional[Entry]:
         queue = self.global_queue
@@ -436,49 +370,27 @@ class BindPlacement(PlacementPolicy):
         return sum(q.overflow_events for q in self.queues)
 
 
-# --- steal policies -----------------------------------------------------------
+# --- work stealing ------------------------------------------------------------
 
 
-class StealPolicy:
-    """Stage 3 of the Fig 6 flow: what an otherwise-idle SMX may adopt."""
-
-    __slots__ = ()
-    name = "abstract"
-
-    def setup(self, scheduler: "ComposedScheduler", engine: "Engine") -> None:
-        raise NotImplementedError
-
-    def begin_dispatch(self) -> None:
-        """Reset per-dispatch-call scan state."""
-
-    def candidate(self, smx_id: int) -> Optional[tuple[Entry, int]]:
-        """The entry SMX ``smx_id`` may adopt and its victim domain, or
-        None. The scheduler counts a steal only when it places the TB."""
-        raise NotImplementedError
-
-
-class BackupSteal(StealPolicy):
-    """Adopt another domain's queue set when stages 1-2 come up empty.
+class BackupSteal:
+    """Stage 3 of the Fig 6 flow: adopt another domain's queue set when
+    stages 1-2 come up empty.
 
     With ``fixed=True`` (Section IV-C's design choice) the victim is
     recorded and drained before re-scanning, which keeps stolen siblings
     together on the thief SMX and bounds reconfiguration churn;
     ``fixed=False`` is the ablated re-scan-every-time variant."""
 
-    __slots__ = ("name", "fixed", "_backup", "_stage3_dry", "_placement")
+    __slots__ = ("fixed", "_backup", "_stage3_dry", "_placement")
 
     def __init__(self, fixed: bool = True) -> None:
         self.fixed = fixed
-        self.name = "backup" if fixed else "rescan"
         self._backup: list[Optional[int]] = []
 
     def setup(self, scheduler: "ComposedScheduler", engine: "Engine") -> None:
-        placement = scheduler.placement
-        if not isinstance(placement, BindPlacement):
-            raise ValueError(
-                f"steal={self.name} requires a binding placement, got bind={placement.name}"
-            )
-        self._placement = placement
+        # SchedulerSpec rejects stealing without binding
+        self._placement: BindPlacement = scheduler.placement
         self._backup = [None] * engine.config.num_smx
         # True once a scan found no victim during the current dispatch
         # call; no queue gains a head mid-call, so later probes in the
@@ -486,9 +398,12 @@ class BackupSteal(StealPolicy):
         self._stage3_dry = False
 
     def begin_dispatch(self) -> None:
+        """Reset per-dispatch-call scan state."""
         self._stage3_dry = False
 
     def candidate(self, smx_id: int) -> Optional[tuple[Entry, int]]:
+        """The entry SMX ``smx_id`` may adopt and its victim domain, or
+        None. The scheduler counts a steal only when it places the TB."""
         placement = self._placement
         queues = placement.queues
         if not placement.bound_any or self._stage3_dry:
@@ -546,11 +461,6 @@ class ThrottleAdmission:
         "_engine",
     )
 
-    name = "throttle"
-    #: cap adjustment is a time-gated side effect inside dispatch, so the
-    #: engine must keep invoking dispatch every executed cycle
-    idle_dispatch_pure = False
-
     def __init__(
         self,
         *,
@@ -601,32 +511,3 @@ class ThrottleAdmission:
         if now >= self._next_adjust:
             self._adjust_caps()
             self._next_adjust = now + self.interval
-
-
-# --- component factories ------------------------------------------------------
-
-_PRIORITY_POLICIES = {"fifo": FifoPriority, "level": LevelPriority}
-
-
-def make_priority(name: str) -> PriorityPolicy:
-    return _PRIORITY_POLICIES[name]()
-
-
-def make_placement(name: str) -> PlacementPolicy:
-    if name == "any":
-        return AnySMXPlacement()
-    return BindPlacement(name)
-
-
-def make_steal(name: str) -> Optional[StealPolicy]:
-    if name == "none":
-        return None
-    return BackupSteal(fixed=(name == "backup"))
-
-
-def make_admission(name: str, **params) -> Optional[ThrottleAdmission]:
-    if name == "none":
-        if params:
-            raise ValueError("admission parameters need admit=throttle")
-        return None
-    return ThrottleAdmission(**params)

@@ -1,18 +1,26 @@
-"""The composed dispatch engine hosting pluggable policy components.
+"""The one TB scheduler: a dispatch loop hosting pluggable components.
 
 :class:`ComposedScheduler` is the single dispatch loop behind every TB
 scheduling policy in the repository. It owns the paper's one-TB-per-cycle
-dispatch stage (Fig 6) and delegates the three decision points to its
-components:
+dispatch stage (Fig 6) and builds, from its
+:class:`~repro.core.components.SchedulerSpec`, the components behind the
+three decision points:
 
 1. *which queue structure holds pending work and which TB an SMX sees
-   first* — :class:`~repro.core.components.PlacementPolicy` (stages 1-2),
-   parameterized by the :class:`~repro.core.components.PriorityPolicy`;
+   first* — :class:`~repro.core.components.AnySMXPlacement` or
+   :class:`~repro.core.components.BindPlacement` (stages 1-2), whose
+   queue levels follow the spec's ``pri`` axis;
 2. *what an otherwise-idle SMX may adopt* —
-   :class:`~repro.core.components.StealPolicy` (stage 3);
+   :class:`~repro.core.components.BackupSteal` (stage 3);
 3. *how many TBs an SMX admits at all* —
    :class:`~repro.core.components.ThrottleAdmission` (Section IV-F),
    which gates ``SMX.can_fit`` via the residency cap.
+
+The engine calls ``attach`` once, the ``on_kernel_arrival`` /
+``on_tb_group`` hooks as work arrives, ``dispatch`` once per executed
+cycle (at most one TB placed) and ``has_pending`` to detect deadlock,
+and reads ``prioritized_kmu``, ``idle_dispatch_pure``, ``steals``,
+``overflow_events`` and ``queue_high_water``.
 
 The four paper schedulers are canonical compositions
 (:data:`~repro.core.components.NAMED_COMPOSITIONS`); the composed forms
@@ -26,9 +34,8 @@ all-empty fast path skips the SMX rotation entirely.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TYPE_CHECKING
 
-from repro.core.base import TBScheduler
 from repro.core.components import (
     AnySMXPlacement,
     BackupSteal,
@@ -36,53 +43,52 @@ from repro.core.components import (
     SchedulerSpec,
     ThrottleAdmission,
     canonical_name,
-    make_admission,
-    make_placement,
-    make_priority,
-    make_steal,
-    parse_spec,
 )
 from repro.gpu.kernel import Kernel, ThreadBlock
 from repro.telemetry.events import WorkStolen
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gpu.engine import Engine
+    from repro.gpu.smx import SMX
 
-class ComposedScheduler(TBScheduler):
-    """One dispatch engine, four component slots.
 
-    ``spec`` may be a :class:`SchedulerSpec` or a spec string
-    (``"pri=level,bind=smx,steal=backup"``). ``throttle_params`` are
-    forwarded to the :class:`ThrottleAdmission` component (only valid
-    with ``admit=throttle``).
+class ComposedScheduler:
+    """One dispatch engine, component slots built from a spec.
+
+    ``throttle_params`` are forwarded to the :class:`ThrottleAdmission`
+    component (only valid with ``admit=throttle``).
     """
 
-    def __init__(
-        self,
-        spec: Union[SchedulerSpec, str],
-        *,
-        name: Optional[str] = None,
-        **throttle_params,
-    ) -> None:
-        super().__init__()
-        if isinstance(spec, str):
-            spec = parse_spec(spec)
+    def __init__(self, spec: SchedulerSpec, **throttle_params) -> None:
         self.spec = spec
-        self.name = name or canonical_name(spec)
-        self.priority = make_priority(spec.pri)
-        self.placement = make_placement(spec.bind)
-        self.steal = make_steal(spec.steal)
-        self.admission = make_admission(spec.admit, **throttle_params)
-        self.prioritized_kmu = self.priority.prioritized_kmu
-        # purity propagation: dispatch is side-effect-free on idle cycles
-        # unless a component declares a time-gated effect (throttling), in
-        # which case the engine must keep calling dispatch every cycle
-        self.idle_dispatch_pure = (
-            self.admission is None or self.admission.idle_dispatch_pure
+        self.name = canonical_name(spec)
+        #: whether the KMU admits device kernels highest-priority-first
+        self.prioritized_kmu = spec.pri == "level"
+        self.placement: AnySMXPlacement | BindPlacement = (
+            AnySMXPlacement() if spec.bind == "any" else BindPlacement(spec.bind)
         )
+        self.steal: Optional[BackupSteal] = (
+            None if spec.steal == "none" else BackupSteal(fixed=spec.steal == "backup")
+        )
+        self.admission: Optional[ThrottleAdmission] = None
+        if spec.admit == "throttle":
+            self.admission = ThrottleAdmission(**throttle_params)
+        elif throttle_params:
+            raise ValueError("admission parameters need admit=throttle")
+        #: True when a ``dispatch`` call that returns None would return
+        #: None again, changing nothing observable, until a queue- or
+        #: resource-changing event (delivery, kernel admission, TB retire,
+        #: placement) occurs; the engine then skips dispatch until one
+        #: does. The throttle's cap adjustment is a time-gated side effect
+        #: inside dispatch, so a throttled scheduler is not pure.
+        self.idle_dispatch_pure = self.admission is None
+        self.engine: Optional["Engine"] = None
+        #: TBs placed by stage-3 work stealing
         self.steals = 0
         self._smx_ptr = -1  # advanced before use: rotation starts at SMX 0
 
-    def attach(self, engine) -> None:
-        super().attach(engine)
+    def attach(self, engine: "Engine") -> None:
+        self.engine = engine
         self.placement.setup(self, engine)
         if self.steal is not None:
             self.steal.setup(self, engine)
@@ -220,21 +226,21 @@ class ComposedScheduler(TBScheduler):
             return self._place(tb, smx, now, delay=delay)
         return None
 
+    def _place(self, tb: ThreadBlock, smx: "SMX", now: int, *, delay: int = 0) -> ThreadBlock:
+        smx.place(tb, now, start_delay=delay)
+        self.engine.record_dispatch(tb, now)
+        return tb
+
     # ----- accounting --------------------------------------------------------
     @property
     def queue_high_water(self) -> int:
+        """Most entries any of the placement's queue sets ever held (0 for
+        the baseline's kernel pool, which is not an accounted queue)."""
         return self.placement.queue_high_water
 
     @property
-    def overflow_events(self) -> int:  # type: ignore[override]
+    def overflow_events(self) -> int:
         return self.placement.overflow_events
-
-    @overflow_events.setter
-    def overflow_events(self, value: int) -> None:
-        # the base class initializes the counter; the placement's per-queue
-        # counters are authoritative, so the assignment is accepted and
-        # ignored
-        pass
 
     @property
     def adjustments(self) -> int:

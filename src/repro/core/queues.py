@@ -122,20 +122,6 @@ class MultiLevelQueue:
     def empty(self) -> bool:
         return self.head() is None
 
-    @property
-    def maybe_nonempty(self) -> bool:
-        """O(1) conservative check: False guarantees the queue is empty;
-        True may include only exhausted entries (head() prunes)."""
-        return self.entries > 0
-
-    @property
-    def total_entries(self) -> int:
-        return self.entries
-
-    @property
-    def total_tbs(self) -> int:
-        return sum(e.remaining for q in self._levels for e in q)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         per_level = {i: len(q) for i, q in enumerate(self._levels) if q}
         return f"MultiLevelQueue(levels={per_level}, onchip={self.onchip_entries})"

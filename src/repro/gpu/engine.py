@@ -54,7 +54,7 @@ from repro.telemetry.events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.base import TBScheduler
+    from repro.core.composed import ComposedScheduler
     from repro.dynpar.launch import DynamicParallelismModel
 
 
@@ -68,7 +68,7 @@ class Engine:
     def __init__(
         self,
         config: GPUConfig,
-        scheduler: "TBScheduler",
+        scheduler: "ComposedScheduler",
         dynpar: "DynamicParallelismModel",
         host_kernels: Sequence[KernelSpec],
         *,

@@ -24,9 +24,7 @@ from repro.search.report import (
 from repro.search.space import (
     dedup_names,
     enumerate_space,
-    sample_specs,
     space_names,
-    spec_names,
 )
 from repro.search.tuner import (
     DEFAULT_EXTRA_OBJECTIVES,
@@ -55,9 +53,7 @@ __all__ = [
     "plan_counts",
     "render_leaderboard",
     "resolve_objectives",
-    "sample_specs",
     "space_names",
-    "spec_names",
     "tune",
     "tune_to_obj",
     "write_tune",

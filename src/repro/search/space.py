@@ -1,4 +1,4 @@
-"""The scheduler-policy design space: enumeration and seeded sampling.
+"""The scheduler-policy design space: enumeration and canonical names.
 
 PR 5's spec grammar (``pri=…,bind=…,steal=…,admit=…``) turned LaPerm's
 three hand-designed schedulers into points of a combinatorial space.
@@ -7,8 +7,9 @@ This module makes that space a first-class object:
 * :func:`enumerate_space` lists every *legal* :class:`SchedulerSpec` —
   the cross product of the four axes minus the combinations the grammar
   rejects (stealing needs bound queues) — in a deterministic order.
-* :func:`sample_specs` draws a seeded, duplicate-free subset, so a
-  budgeted search explores the same candidates on every rerun.
+* :func:`space_names` lists the space's canonical labels, named
+  compositions first, so a budgeted search keeps the known-good
+  policies.
 
 Deduplication is canonicalization-based throughout: two spellings of the
 same policy share one canonical name, one search candidate and one
@@ -17,8 +18,7 @@ result-cache address, so a spelling variant can never run twice.
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from repro.core.components import (
     NAMED_COMPOSITIONS,
@@ -87,27 +87,3 @@ def dedup_names(names: Iterable[str]) -> list[str]:
             out.append(canonical)
     return out
 
-
-def sample_specs(
-    k: int,
-    *,
-    seed: int = 7,
-    include_throttle: bool = True,
-    rng: Optional[random.Random] = None,
-) -> list[SchedulerSpec]:
-    """Draw ``k`` distinct specs from the legal space, seeded.
-
-    ``k`` larger than the space returns the whole space (shuffled); the
-    draw is ``random.Random(seed)``-deterministic, so a budgeted search
-    explores identical candidates on every rerun.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    rng = rng if rng is not None else random.Random(seed)
-    space = enumerate_space(include_throttle)
-    return rng.sample(space, min(k, len(space)))
-
-
-def spec_names(specs: Sequence[SchedulerSpec]) -> list[str]:
-    """Canonical labels for a spec sequence (order-preserving, deduped)."""
-    return dedup_names(canonical_name(spec) for spec in specs)

@@ -3,7 +3,6 @@ ordering (Fig 6) — exercised through the component seams of the composed
 scheduler (``placement`` queues, ``steal`` victim scan)."""
 
 from repro.core import make_scheduler
-from repro.core.composed import ComposedScheduler
 from repro.core.queues import Entry
 from repro.dynpar import make_model
 from repro.gpu.config import CacheConfig, GPUConfig
@@ -129,9 +128,9 @@ class TestBackupRecording:
         assert scheduler.steal._backup[0] == 2
 
     def test_rescan_mode_ignores_recording(self):
-        scheduler = ComposedScheduler("pri=level,bind=smx,steal=rescan")
+        scheduler = make_scheduler("pri=level,bind=smx,steal=rescan")
         attach_scheduler(scheduler)
-        assert scheduler.steal.name == "rescan"
+        assert scheduler.steal.fixed is False
         scheduler.placement.queues[1].push(make_entry(n=2))
         scheduler.steal.candidate(0)
         # re-scan starts from scratch each time; recording is not consulted

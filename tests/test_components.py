@@ -1,15 +1,15 @@
 """The component model: spec grammar, canonical names, composed policies.
 
 Golden equivalence with the paper's four schedulers is pinned in
-``test_golden_equivalence.py``; these tests cover the grammar itself and
-the *new* compositions the grammar unlocks (l2-bind, adaptive-l2,
+``test_golden_equivalence.py``; these tests cover the grammar itself,
+how ``ComposedScheduler`` builds its components from every legal spec,
+and the *new* compositions the grammar unlocks (l2-bind, adaptive-l2,
 throttled composites).
 """
 
 import pytest
 
 from repro.core import (
-    COMPOSED_ORDER,
     NAMED_COMPOSITIONS,
     SCHEDULER_ORDER,
     ComposedScheduler,
@@ -19,13 +19,22 @@ from repro.core import (
     make_scheduler,
     parse_spec,
 )
-from repro.core.components import BindPlacement
+from repro.core.components import (
+    AnySMXPlacement,
+    BindPlacement,
+    ThrottleAdmission,
+    canonical_name,
+)
 from repro.dynpar import make_model
 from repro.gpu.config import GPUConfig
 from repro.gpu.engine import Engine
 from repro.harness.execution import RunSpec, run_spec
 from repro.harness.registry import scheduler_catalog
+from repro.search import enumerate_space
 from tests.conftest import tiny_workload
+
+#: named compositions beyond the paper's four, in report order
+COMPOSED_ORDER = [name for name in NAMED_COMPOSITIONS if name not in SCHEDULER_ORDER]
 
 
 class TestSpecGrammar:
@@ -116,6 +125,28 @@ class TestFactoryAndCatalog:
         assert set(names[len(SCHEDULER_ORDER):]) == set(COMPOSED_ORDER)
         for row in rows:
             assert parse_spec(row["spec"]) == NAMED_COMPOSITIONS[row["name"]]
+
+
+class TestConstructionFromSpec:
+    @pytest.mark.parametrize("spec", enumerate_space(), ids=lambda spec: spec.canonical)
+    def test_components_follow_the_spec(self, spec):
+        s = make_scheduler(canonical_name(spec))
+        assert s.spec == spec
+        assert s.name == canonical_name(spec)
+        assert s.prioritized_kmu == (spec.pri == "level")
+        placement = AnySMXPlacement if spec.bind == "any" else BindPlacement
+        assert type(s.placement) is placement
+        if spec.bind != "any":
+            assert s.placement.name == spec.bind
+        assert (s.steal is None) == (spec.steal == "none")
+        if s.steal is not None:
+            assert s.steal.fixed == (spec.steal == "backup")
+        assert isinstance(s.admission, ThrottleAdmission) == (spec.admit == "throttle")
+        assert s.idle_dispatch_pure == (spec.admit == "none")
+
+    def test_throttle_params_need_admit_throttle(self):
+        with pytest.raises(ValueError, match="admit=throttle"):
+            ComposedScheduler(NAMED_COMPOSITIONS["smx-bind"], interval=500)
 
 
 class TestRunSpecCanonicalization:

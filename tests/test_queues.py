@@ -75,13 +75,7 @@ class TestMultiLevelQueue:
         e.pop()
         assert q.head() is None
         assert q.empty
-        assert q.total_entries == 0
-
-    def test_total_tbs(self):
-        q = MultiLevelQueue(max_level=2)
-        q.push(Entry(make_tbs(3), level=1))
-        q.push(Entry(make_tbs(2), level=2))
-        assert q.total_tbs == 5
+        assert q.entries == 0
 
     def test_capacity_marks_overflow(self):
         q = MultiLevelQueue(max_level=2, capacity=2)
@@ -144,7 +138,7 @@ class TestQueueEdgeCases:
         for e in entries:
             e.pop()
         assert q.head() is None
-        assert q.total_entries == 0
+        assert q.entries == 0
         assert q.entry_high_water == 3  # high-water survives the drain
         q.push(Entry(make_tbs(1), level=0))
         q.push(Entry(make_tbs(1), level=0))

