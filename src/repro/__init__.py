@@ -24,58 +24,46 @@ warm-cache ``repro grid`` never imports numpy or the analysis code
 (docs/harness.md, "What a run imports").
 """
 
-import importlib
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-#: public name -> the submodule that defines it
-_EXPORTS = {
-    "FootprintResult": "repro.analysis",
-    "OccupancyTimeline": "repro.analysis",
-    "analyze_footprint": "repro.analysis",
-    "inter_tb_reuse": "repro.analysis",
-    "NAMED_COMPOSITIONS": "repro.core",
-    "SCHEDULER_ORDER": "repro.core",
-    "ComposedScheduler": "repro.core",
-    "SchedulerSpec": "repro.core",
-    "canonical_scheduler_name": "repro.core",
-    "make_scheduler": "repro.core",
-    "parse_spec": "repro.core",
-    "MODELS": "repro.dynpar",
-    "make_model": "repro.dynpar",
-    "Engine": "repro.gpu",
-    "GPUConfig": "repro.gpu",
-    "KernelSpec": "repro.gpu",
-    "SimStats": "repro.gpu",
-    "BENCHMARKS": "repro.harness",
-    "GridResult": "repro.harness",
-    "ResultCache": "repro.harness",
-    "RunSpec": "repro.harness",
-    "experiment_config": "repro.harness",
-    "iter_benchmarks": "repro.harness",
-    "load_benchmark": "repro.harness",
-    "make_executor": "repro.harness",
-    "run_grid": "repro.harness",
-    "run_latency_sweep": "repro.harness",
-    "run_seed_sweep": "repro.harness",
-    "simulate": "repro.harness",
-    "APPLICATIONS": "repro.workloads",
-    "Workload": "repro.workloads",
-    "make_workload": "repro.workloads",
-}
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis": (
+            "FootprintResult",
+            "OccupancyTimeline",
+            "analyze_footprint",
+            "inter_tb_reuse",
+        ),
+        "repro.core": (
+            "NAMED_COMPOSITIONS",
+            "SCHEDULER_ORDER",
+            "ComposedScheduler",
+            "SchedulerSpec",
+            "canonical_scheduler_name",
+            "make_scheduler",
+            "parse_spec",
+        ),
+        "repro.dynpar": ("MODELS", "make_model"),
+        "repro.gpu": ("Engine", "GPUConfig", "KernelSpec", "SimStats"),
+        "repro.harness": (
+            "BENCHMARKS",
+            "GridResult",
+            "ResultCache",
+            "RunSpec",
+            "experiment_config",
+            "iter_benchmarks",
+            "load_benchmark",
+            "make_executor",
+            "run_grid",
+            "run_latency_sweep",
+            "run_seed_sweep",
+            "simulate",
+        ),
+        "repro.workloads": ("APPLICATIONS", "Workload", "make_workload"),
+    },
+)
 
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ += ["__version__"]

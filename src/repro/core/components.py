@@ -35,12 +35,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.queues import Entry, MultiLevelQueue
-from repro.gpu.kernel import Kernel, ThreadBlock
-from repro.telemetry.events import QueueOverflow
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.composed import ComposedScheduler
     from repro.gpu.engine import Engine
+    from repro.gpu.kernel import Kernel, ThreadBlock
 
 # --- the spec grammar ---------------------------------------------------------
 
@@ -320,6 +319,8 @@ class BindPlacement:
         self.bound_any = True
         telemetry = engine.telemetry
         if telemetry.enabled:
+            from repro.telemetry.events import QueueOverflow
+
             for domain, queue in enumerate(self.queues):
                 queue.on_overflow = (
                     lambda entry, now, _c=domain, _q=queue: telemetry.emit(

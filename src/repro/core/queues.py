@@ -15,9 +15,10 @@ dispatch. The queue tracks this accounting when given a ``capacity``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.gpu.kernel import ThreadBlock
+if TYPE_CHECKING:
+    from repro.gpu.kernel import ThreadBlock
 
 
 class Entry:
@@ -38,10 +39,6 @@ class Entry:
     def empty(self) -> bool:
         return self.cursor >= len(self.tbs)
 
-    @property
-    def remaining(self) -> int:
-        return len(self.tbs) - self.cursor
-
     def peek(self) -> ThreadBlock:
         return self.tbs[self.cursor]
 
@@ -58,7 +55,7 @@ class Entry:
         return 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Entry(level={self.level}, remaining={self.remaining}, overflow={self.overflow})"
+        return f"Entry(level={self.level}, remaining={len(self.tbs) - self.cursor}, overflow={self.overflow})"
 
 
 class MultiLevelQueue:
@@ -117,10 +114,6 @@ class MultiLevelQueue:
                     continue
                 return entry
         return None
-
-    @property
-    def empty(self) -> bool:
-        return self.head() is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         per_level = {i: len(q) for i, q in enumerate(self._levels) if q}

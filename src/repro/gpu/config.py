@@ -15,7 +15,14 @@ can sweep it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields, replace
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON encoding (sorted keys, no whitespace): the text
+    config fingerprints and cache keys hash."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,12 @@ record (no pickle, marshal or eval). Format 1 (gzip JSON), format 2
 (per-instruction records) and format 3 (every lane address listed)
 files are rejected with a message naming their format.
 
-It also provides the plain-object round trips the execution layer is
-built on: `GPUConfig` and `SimStats` to/from JSON-compatible dicts
-(`config_to_obj` / `config_from_obj`, `stats_to_obj` / `stats_from_obj`)
-and `config_fingerprint`, the content hash that keys result caching in
-`repro.harness` (see docs/harness.md).
+It also names the plain-object round trips of `GPUConfig` and `SimStats`
+(`config_to_obj` / `config_from_obj`, `stats_to_obj` / `stats_from_obj`,
+thin aliases of their `to_dict` / `from_dict`) and `config_fingerprint`,
+a short content hash of a machine. The execution layer calls `to_dict` /
+`from_dict` itself, so a run answered from the result cache never imports
+this codec (docs/harness.md, "What a run imports").
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import zlib
 from array import array
 from typing import TYPE_CHECKING
 
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import GPUConfig, canonical_json
 from repro.gpu.kernel import KernelSpec, ResourceReq
 from repro.gpu.stats import SimStats
 from repro.gpu.trace import (
@@ -65,11 +66,6 @@ FORMAT_VERSION = 4
 
 #: what the formats this version no longer reads held
 _RETIRED_FORMATS = {2: "instruction records", 3: "every lane address listed"}
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_to_obj(config: GPUConfig) -> dict:

@@ -8,7 +8,6 @@ L1/L2 hit rates, SMX load balance, and dynamic-parallelism timing metrics
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from statistics import pstdev
 
 
 @dataclass
@@ -96,6 +95,8 @@ class SimStats:
         mean = sum(self.per_smx_instructions) / len(self.per_smx_instructions)
         if mean == 0:
             return 0.0
+        from statistics import pstdev
+
         return pstdev(self.per_smx_instructions) / mean
 
     @property

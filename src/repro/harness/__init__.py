@@ -1,72 +1,45 @@
 """Experiment harness: registry, RunSpec execution layer, and reports."""
 
-from repro.harness.registry import (
-    BENCHMARKS,
-    benchmark_names,
-    experiment_config,
-    iter_benchmarks,
-    load_benchmark,
-)
-from repro.harness.cache import ResultCache
-from repro.harness.execution import (
-    ENGINE_VERSION,
-    Executor,
-    ParallelExecutor,
-    RunSpec,
-    SerialExecutor,
-    make_executor,
-    run_spec,
-    seed_kernel_cache,
-)
-from repro.harness.export import grid_records, grid_to_csv, grid_to_json, write_grid
-from repro.harness.workload_cache import (
-    TRACE_VERSION,
-    WorkloadCache,
-    active_workload_cache,
-    configure_workload_cache,
-    disable_workload_cache,
-)
-from repro.harness.runner import (
-    DEFAULT_LATENCIES,
-    DEFAULT_MODELS,
-    GridResult,
-    SeedSweepResult,
-    run_grid,
-    run_latency_sweep,
-    run_seed_sweep,
-    simulate,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "DEFAULT_LATENCIES",
-    "DEFAULT_MODELS",
-    "ENGINE_VERSION",
-    "Executor",
-    "GridResult",
-    "ParallelExecutor",
-    "ResultCache",
-    "RunSpec",
-    "SeedSweepResult",
-    "SerialExecutor",
-    "TRACE_VERSION",
-    "WorkloadCache",
-    "active_workload_cache",
-    "configure_workload_cache",
-    "disable_workload_cache",
-    "benchmark_names",
-    "grid_records",
-    "grid_to_csv",
-    "grid_to_json",
-    "experiment_config",
-    "iter_benchmarks",
-    "load_benchmark",
-    "make_executor",
-    "run_grid",
-    "run_latency_sweep",
-    "run_seed_sweep",
-    "run_spec",
-    "seed_kernel_cache",
-    "simulate",
-    "write_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.harness.registry": (
+            "BENCHMARKS",
+            "benchmark_names",
+            "experiment_config",
+            "iter_benchmarks",
+            "load_benchmark",
+        ),
+        "repro.harness.cache": ("ResultCache",),
+        "repro.harness.execution": (
+            "ENGINE_VERSION",
+            "Executor",
+            "ParallelExecutor",
+            "RunSpec",
+            "SerialExecutor",
+            "make_executor",
+            "run_spec",
+            "seed_kernel_cache",
+        ),
+        "repro.harness.export": ("grid_records", "grid_to_csv", "grid_to_json", "write_grid"),
+        "repro.harness.workload_cache": (
+            "TRACE_VERSION",
+            "WorkloadCache",
+            "active_workload_cache",
+            "configure_workload_cache",
+            "disable_workload_cache",
+        ),
+        "repro.harness.runner": (
+            "DEFAULT_LATENCIES",
+            "DEFAULT_MODELS",
+            "GridResult",
+            "SeedSweepResult",
+            "run_grid",
+            "run_latency_sweep",
+            "run_seed_sweep",
+            "simulate",
+        ),
+    },
+)

@@ -33,28 +33,18 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core import canonical_scheduler_name, make_scheduler
-from repro.dynpar import make_model
-from repro.gpu.config import GPUConfig
-from repro.gpu.engine import Engine
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.serialize import (
-    canonical_json,
-    config_from_obj,
-    config_to_obj,
-    stats_from_obj,
-    stats_to_obj,
-)
+from repro.core import canonical_scheduler_name
+from repro.gpu.config import GPUConfig, canonical_json
 from repro.gpu.stats import SimStats
 from repro.harness.cache import ResultCache
 from repro.harness.workload_cache import (
     active_workload_cache,
     configure_workload_cache,
 )
-from repro.telemetry.events import NULL_SINK, TelemetrySink
-from repro.telemetry.metrics import MetricsSink
 
 if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec
+    from repro.telemetry.events import TelemetrySink
     from repro.workloads import Workload
 
 #: Version of the simulation semantics. Bump whenever an engine,
@@ -109,7 +99,7 @@ class RunSpec:
             from repro.harness.registry import experiment_config
 
             object.__setattr__(
-                self, "config_json", canonical_json(config_to_obj(experiment_config()))
+                self, "config_json", canonical_json(experiment_config().to_dict())
             )
 
     @classmethod
@@ -125,7 +115,7 @@ class RunSpec:
         max_cycles: Optional[int] = DEFAULT_MAX_CYCLES,
     ) -> "RunSpec":
         """Build a spec from a real :class:`GPUConfig` (None = standard)."""
-        config_json = "" if config is None else canonical_json(config_to_obj(config))
+        config_json = "" if config is None else canonical_json(config.to_dict())
         return cls(
             benchmark=benchmark,
             scheduler=scheduler,
@@ -159,7 +149,7 @@ class RunSpec:
 
     def gpu_config(self) -> GPUConfig:
         """Rebuild the machine description this spec encodes."""
-        return config_from_obj(json.loads(self.config_json))
+        return GPUConfig.from_dict(json.loads(self.config_json))
 
     def with_rung(
         self,
@@ -196,7 +186,7 @@ class RunSpec:
             config_json=(
                 self.config_json
                 if config is None
-                else canonical_json(config_to_obj(config))
+                else canonical_json(config.to_dict())
             ),
             max_cycles=self.max_cycles if max_cycles is ... else max_cycles,
         )
@@ -327,6 +317,8 @@ def kernel_for(benchmark: str, scale: str, seed: int) -> KernelSpec:
     compiled); the active on-disk workload cache; then a real build
     (datagen + trace generation), stored back to both layers.
     """
+    from repro.gpu.kernel import KernelSpec
+
     key = (benchmark, scale, seed)
     entry = _KERNEL_CACHE.get(key)
     if isinstance(entry, KernelSpec):
@@ -337,15 +329,24 @@ def kernel_for(benchmark: str, scale: str, seed: int) -> KernelSpec:
     return spec
 
 
-def run_spec(spec: RunSpec, telemetry: TelemetrySink = NULL_SINK) -> SimStats:
-    """Simulate one RunSpec in this process (no caching, no dedup)."""
+def run_spec(spec: RunSpec, telemetry: Optional[TelemetrySink] = None) -> SimStats:
+    """Simulate one RunSpec in this process (no caching, no dedup).
+
+    The engine stack is imported here, on a cache miss, not with this
+    module: a run answered from the result cache never loads it.
+    """
+    from repro.core import make_scheduler
+    from repro.dynpar import make_model
+    from repro.gpu.engine import Engine
+    from repro.telemetry.events import NULL_SINK
+
     engine = Engine(
         spec.gpu_config(),
         make_scheduler(spec.scheduler),
         make_model(spec.model),
         [kernel_for(spec.benchmark, spec.scale, spec.seed)],
         max_cycles=spec.max_cycles,
-        telemetry=telemetry,
+        telemetry=NULL_SINK if telemetry is None else telemetry,
     )
     return engine.run()
 
@@ -358,6 +359,8 @@ def run_spec_with_summary(spec: RunSpec) -> tuple[SimStats, dict]:
     :func:`run_spec` run (the determinism tests pin this). The summary is
     labeled with the spec's canonical scheduler name.
     """
+    from repro.telemetry.metrics import MetricsSink
+
     sink = MetricsSink(label=spec.scheduler)
     stats = run_spec(spec, telemetry=sink)
     return stats, sink.summary(stats)
@@ -368,8 +371,8 @@ def _worker_run(payload: dict) -> dict:
     spec = RunSpec.from_dict(payload["spec"])
     if payload["collect_telemetry"]:
         stats, summary = run_spec_with_summary(spec)
-        return {"stats": stats_to_obj(stats), "telemetry": summary}
-    return {"stats": stats_to_obj(run_spec(spec)), "telemetry": None}
+        return {"stats": stats.to_dict(), "telemetry": summary}
+    return {"stats": run_spec(spec).to_dict(), "telemetry": None}
 
 
 # --- executors ----------------------------------------------------------------
@@ -449,7 +452,7 @@ class Executor:
             self.misses += 1
             return None
         try:
-            stats = stats_from_obj(record["stats"])
+            stats = SimStats.from_dict(record["stats"])
         except (TypeError, ValueError):
             self.misses += 1
             return None
@@ -465,7 +468,7 @@ class Executor:
         record = {
             "engine_version": ENGINE_VERSION,
             "spec": spec.to_dict(),
-            "stats": stats_to_obj(stats),
+            "stats": stats.to_dict(),
         }
         summary = self.telemetry.get(spec)
         if summary is not None:
@@ -541,7 +544,7 @@ class ParallelExecutor(Executor):
         for spec, obj in zip(specs, outs):
             if obj["telemetry"] is not None:
                 self.telemetry[spec] = obj["telemetry"]
-        return [stats_from_obj(obj["stats"]) for obj in outs]
+        return [SimStats.from_dict(obj["stats"]) for obj in outs]
 
 
 def make_executor(

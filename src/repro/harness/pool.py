@@ -41,6 +41,7 @@ Failure handling, per job (the one failure story of CLI and service):
 from __future__ import annotations
 
 import asyncio
+import importlib
 import multiprocessing
 import multiprocessing.connection
 import threading
@@ -50,6 +51,20 @@ from repro.harness.workload_cache import configure_workload_cache
 
 #: liveness-watcher poll interval (seconds); crash detection latency
 _WATCH_INTERVAL = 0.05
+
+
+#: what a job imports on its first cache miss, and a warm parent process
+#: has not: the engine stack (scheduler, launch models, telemetry sinks),
+#: the trace codec and the trace builders' input generators (with numpy)
+_JOB_MODULES = (
+    "repro.core.composed",
+    "repro.dynpar.cdp",
+    "repro.dynpar.dtbl",
+    "repro.gpu.engine",
+    "repro.gpu.serialize",
+    "repro.telemetry.metrics",
+    "repro.workloads.datagen",
+)
 
 
 class JobTimeout(RuntimeError):
@@ -142,9 +157,10 @@ class WorkerFleet:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        # import the trace builders (and numpy) once, before forking: every
-        # worker inherits them, so no job pays for the import
-        import repro.workloads.datagen  # noqa: F401
+        # import what a job runs once, before forking: every worker
+        # inherits it, so no job pays for the import
+        for name in _JOB_MODULES:
+            importlib.import_module(name)
 
         self._loop = asyncio.get_running_loop()
         self._idle = asyncio.Queue()

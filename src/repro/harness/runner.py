@@ -15,13 +15,10 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.core import SCHEDULER_ORDER, canonical_scheduler_name, make_scheduler
-from repro.dynpar import make_model
+from repro.core import SCHEDULER_ORDER, canonical_scheduler_name
 from repro.gpu.config import GPUConfig
-from repro.gpu.engine import Engine
-from repro.gpu.kernel import KernelSpec
 from repro.gpu.stats import SimStats
 from repro.harness.cache import ResultCache
 from repro.harness.execution import (
@@ -31,8 +28,11 @@ from repro.harness.execution import (
     seed_kernel_cache,
 )
 from repro.harness.registry import experiment_config, iter_benchmarks
-from repro.telemetry.events import NULL_SINK, TelemetrySink
 from repro.workloads import Workload
+
+if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec
+    from repro.telemetry.events import TelemetrySink
 
 DEFAULT_MODELS = ("cdp", "dtbl")
 
@@ -48,14 +48,20 @@ def simulate(
     config: Optional[GPUConfig] = None,
     *,
     max_cycles: Optional[int] = 500_000_000,
-    telemetry: TelemetrySink = NULL_SINK,
+    telemetry: Optional[TelemetrySink] = None,
 ) -> SimStats:
     """Run one kernel under one scheduler and launch model.
 
     ``telemetry`` attaches a :class:`~repro.telemetry.events.TelemetrySink`
     (e.g. a :class:`~repro.telemetry.chrome_trace.ChromeTraceSink`) to the
-    engine; the default null sink records nothing and costs nothing.
+    engine; without one the engine gets the null sink, which records
+    nothing and costs nothing.
     """
+    from repro.core import make_scheduler
+    from repro.dynpar import make_model
+    from repro.gpu.engine import Engine
+    from repro.telemetry.events import NULL_SINK
+
     config = config or experiment_config()
     engine = Engine(
         config,
@@ -63,7 +69,7 @@ def simulate(
         make_model(model),
         [spec],
         max_cycles=max_cycles,
-        telemetry=telemetry,
+        telemetry=NULL_SINK if telemetry is None else telemetry,
     )
     return engine.run()
 

@@ -13,8 +13,10 @@ Records are the binary trace records of :mod:`repro.gpu.serialize`
 ``array('q')`` columns every :class:`~repro.gpu.trace.TBBody` holds),
 which preserve body sharing: a body referenced by several launches
 round-trips to a single object, and a loaded trace replays as stored,
-with no coalescing. Layout mirrors the result cache, sharded by the
-first two hex digits of the key::
+with no coalescing. The codec is imported by the first key, load or
+store, so a run that never touches a trace never loads it. Layout
+mirrors the result cache, sharded by the first two hex digits of the
+key::
 
     <root>/ab/abcdef0123....trace
 
@@ -45,11 +47,13 @@ import struct
 import sys
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.serialize import FORMAT_VERSION, canonical_json, load_spec, spec_to_bytes
+from repro.gpu.config import canonical_json
 from repro.harness.cache import atomic_write_bytes
+
+if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec
 
 #: Version of workload-generation semantics. Bump whenever a datagen or
 #: trace-building change can alter the KernelSpec a (benchmark, scale,
@@ -86,6 +90,8 @@ class WorkloadCache:
         serializer's ``FORMAT_VERSION`` (file layout), so bumping either
         makes every stored trace go cold.
         """
+        from repro.gpu.serialize import FORMAT_VERSION
+
         payload = {
             "trace_version": TRACE_VERSION,
             "format_version": FORMAT_VERSION,
@@ -109,6 +115,8 @@ class WorkloadCache:
         Missing, unreadable and corrupt files all count as misses — the
         caller regenerates and overwrites.
         """
+        from repro.gpu.serialize import load_spec
+
         path = self.path_for(self.key_for(benchmark, scale, seed))
         try:
             spec = load_spec(path)
@@ -127,6 +135,8 @@ class WorkloadCache:
         behind, counts in ``store_errors`` and is reported on stderr once
         per cache; the caller keeps using its in-memory trace.
         """
+        from repro.gpu.serialize import spec_to_bytes
+
         path = self.path_for(self.key_for(benchmark, scale, seed))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,16 +1,13 @@
 """Memory-system substrate: caches, coalescer, DRAM, and the hierarchy."""
 
-from repro.memory.cache import Cache, CacheStats
-from repro.memory.coalescer import coalesce, coalescing_degree
-from repro.memory.dram import DRAM, DRAMStats
-from repro.memory.hierarchy import MemoryHierarchy
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheStats",
-    "DRAM",
-    "DRAMStats",
-    "MemoryHierarchy",
-    "coalesce",
-    "coalescing_degree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.memory.cache": ("Cache", "CacheStats"),
+        "repro.memory.coalescer": ("coalesce", "coalescing_degree"),
+        "repro.memory.dram": ("DRAM", "DRAMStats"),
+        "repro.memory.hierarchy": ("MemoryHierarchy",),
+    },
+)

@@ -1,7 +1,13 @@
-"""Benchmark applications (paper Table II) and their input generators."""
+"""Benchmark applications (paper Table II) and their input generators.
 
+The application modules hold no trace types at module level: each
+imports the trace layer (and numpy) inside ``build()``, so constructing
+a workload, as a warm run does, loads neither.
+"""
+
+from repro._exports import lazy_exports
 from repro.workloads.amr import AMR
-from repro.workloads.base import AddressSpace, Array, WarpTrace, Workload
+from repro.workloads.base import AddressSpace, Array, Workload
 from repro.workloads.bfs import BFS
 from repro.workloads.bht import BHT
 from repro.workloads.clr import CLR
@@ -31,6 +37,8 @@ def make_workload(name: str, input_name: str | None = None, scale: str = "small"
         raise ValueError(f"unknown application {name!r}; expected one of {sorted(APPLICATIONS)}") from None
     return cls(input_name, scale=scale, seed=seed)
 
+
+__getattr__, __dir__, _ = lazy_exports(__name__, {"repro.gpu.trace": ("WarpTrace",)})
 
 __all__ = [
     "AMR",

@@ -18,9 +18,13 @@ the benchmarks where children work on their own memory regions.
 
 from __future__ import annotations
 
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.trace import LaunchSpec, TBBody
-from repro.workloads.base import WarpTrace, Workload, make_resources
+from typing import TYPE_CHECKING
+
+from repro.workloads.base import Workload, make_resources
+
+if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.trace import LaunchSpec
 
 BLOCK_ROWS = 8
 BLOCK_COLS = 32
@@ -54,6 +58,8 @@ class AMR(Workload):
     def _deep_spec(self, fine_base: int, deep_slot: int, desc_idx: int) -> LaunchSpec:
         """Refine one child's fine region (16x64) again at 2x: the
         grandchild re-reads the fine rows its launcher just wrote."""
+        from repro.gpu.trace import LaunchSpec, TBBody, WarpTrace
+
         fine2_base = deep_slot * FINE2_PER_DEEP
         bodies = []
         for tb in range(2):  # two 64-thread TBs over the 8 fine rows
@@ -75,6 +81,8 @@ class AMR(Workload):
     # ----- first-level refinement -----------------------------------------------
     def _child_spec(self, block_row: int, block_col: int, fine_slot: int, desc_idx: int) -> LaunchSpec:
         """Two children per refined block: top and bottom half."""
+        from repro.gpu.trace import LaunchSpec, TBBody, WarpTrace
+
         bodies = []
         for half in range(2):
             warps = []
@@ -109,6 +117,9 @@ class AMR(Workload):
 
     def build(self) -> KernelSpec:
         import numpy as np
+
+        from repro.gpu.kernel import KernelSpec
+        from repro.gpu.trace import TBBody, WarpTrace
 
         width = self.width
         n_cells = width * width

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.gpu.kernel import KernelSpec, ResourceReq
-from repro.gpu.trace import WarpTrace  # noqa: F401  (re-exported: the workloads build with it)
+from repro._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec, ResourceReq
+
+# re-exported for custom workloads, which build with it; resolved on first
+# use, so a warm run that builds no trace never imports the trace layer
+__getattr__, __dir__, _ = lazy_exports(__name__, {"repro.gpu.trace": ("WarpTrace",)})
 
 #: recognized workload scales (rough instruction budget per run); every
 #: CLI command and service request accepts these
@@ -180,4 +186,6 @@ class Workload(ABC):
 
 
 def make_resources(threads: int, regs: int = 24, smem: int = 0) -> ResourceReq:
+    from repro.gpu.kernel import ResourceReq
+
     return ResourceReq(threads=threads, regs_per_thread=regs, smem_bytes=smem)

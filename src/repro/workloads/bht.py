@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.trace import LaunchSpec, TBBody
-from repro.workloads.base import WarpTrace, Workload, make_resources
+from repro.workloads.base import Workload, make_resources
 
 if TYPE_CHECKING:
     from numpy import ndarray
+
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.trace import LaunchSpec
 
 WARP = 32
 DEPTH = 5  # complete quadtree depth: 4^5 = 1024 leaf cells
@@ -74,6 +75,8 @@ class BHT(Workload):
         return np.sort(cell)
 
     def _child_spec(self, cell: int, start: int, count: int, desc_idx: int) -> LaunchSpec:
+        from repro.gpu.trace import LaunchSpec, TBBody, WarpTrace
+
         path = path_nodes(cell)
         bodies = []
         for tb_start in range(start, start + count, 64):
@@ -95,6 +98,9 @@ class BHT(Workload):
 
     def build(self) -> KernelSpec:
         import numpy as np
+
+        from repro.gpu.kernel import KernelSpec
+        from repro.gpu.trace import TBBody, WarpTrace
 
         cells = self._make_points()
         n = self.n_points

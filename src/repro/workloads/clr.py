@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.workloads.base import WarpTrace
 from repro.workloads.graph_common import GraphDynWorkload
 
 if TYPE_CHECKING:
     from numpy import ndarray
+
+    from repro.gpu.trace import WarpTrace
 
 
 class CLR(GraphDynWorkload):

@@ -16,13 +16,13 @@ import math
 from abc import abstractmethod
 from typing import TYPE_CHECKING
 
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.trace import LaunchSpec, TBBody
-from repro.workloads.base import Array, WarpTrace, Workload, make_resources
+from repro.workloads.base import Array, Workload, make_resources
 
 if TYPE_CHECKING:
     from numpy import ndarray
 
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.trace import LaunchSpec, WarpTrace
     from repro.workloads.datagen import CSRGraph
 
 PARENT_TB_THREADS = 32  # 1 warp, one vertex per thread
@@ -109,6 +109,8 @@ class GraphDynWorkload(Workload):
         wt.launch(self._child_spec(v, desc_idx, depth))
 
     def _child_spec(self, v: int, desc_idx: int, depth: int = 1) -> LaunchSpec:
+        from repro.gpu.trace import LaunchSpec, TBBody, WarpTrace
+
         g = self.graph
         start = g.offsets[v]
         deg = g.degree(v)
@@ -148,6 +150,8 @@ class GraphDynWorkload(Workload):
         )
 
     def _parent_warp(self, vertices: list[int]) -> WarpTrace:
+        from repro.gpu.trace import WarpTrace
+
         g = self.graph
         wt = WarpTrace()
         # coalesced metadata loads: row offsets (v and v+1 share lines)
@@ -179,6 +183,9 @@ class GraphDynWorkload(Workload):
         return wt
 
     def build(self) -> KernelSpec:
+        from repro.gpu.kernel import KernelSpec
+        from repro.gpu.trace import TBBody
+
         self.graph = self._make_graph()
         g = self.graph
         n = g.num_vertices

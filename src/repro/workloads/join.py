@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.trace import LaunchSpec, TBBody
-from repro.workloads.base import WarpTrace, Workload, make_resources
+from repro.workloads.base import Workload, make_resources
 
 if TYPE_CHECKING:
     from numpy import ndarray
+
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.trace import LaunchSpec
 
 WARP = 32
 R_PER_PART = 64  # R tuples per partition (= per parent TB)
@@ -60,6 +61,8 @@ class JOIN(Workload):
         return np.sort(r), np.sort(s)
 
     def _child_spec(self, bucket_start: int, s_start: int, s_count: int, desc_idx: int) -> LaunchSpec:
+        from repro.gpu.trace import LaunchSpec, TBBody, WarpTrace
+
         warps = []
         for w_start in range(0, s_count, WARP):
             w_len = min(WARP, s_count - w_start)
@@ -77,6 +80,9 @@ class JOIN(Workload):
 
     def build(self) -> KernelSpec:
         import numpy as np
+
+        from repro.gpu.kernel import KernelSpec
+        from repro.gpu.trace import TBBody, WarpTrace
 
         r, s = self._make_keys()
         key_space = 1 << 20

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.trace import LaunchSpec, TBBody
-from repro.workloads.base import WarpTrace, Workload, make_resources
+from repro.workloads.base import Workload, make_resources
 
 if TYPE_CHECKING:
     from numpy import ndarray
+
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.trace import LaunchSpec
 
 WARP = 32
 
@@ -56,6 +57,8 @@ class PRE(Workload):
         return offsets, items
 
     def _child_spec(self, user: int, start: int, count: int, desc_idx: int, items: ndarray) -> LaunchSpec:
+        from repro.gpu.trace import LaunchSpec, TBBody, WarpTrace
+
         bodies = []
         for tb_start in range(0, count, 32):
             tb_len = min(32, count - tb_start)
@@ -76,6 +79,9 @@ class PRE(Workload):
 
     def build(self) -> KernelSpec:
         import numpy as np
+
+        from repro.gpu.kernel import KernelSpec
+        from repro.gpu.trace import TBBody, WarpTrace
 
         offsets, items = self._make_ratings()
         n_ratings = len(items)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gpu.kernel import KernelSpec
-from repro.gpu.trace import LaunchSpec, TBBody
-from repro.workloads.base import WarpTrace, Workload, make_resources
+from repro.workloads.base import Workload, make_resources
 
 if TYPE_CHECKING:
     from numpy.random import Generator
+
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.trace import LaunchSpec
 
 WARP = 32
 NUM_STATES = 256
@@ -53,6 +54,8 @@ class REGX(Workload):
         return [int(min(r - 1, NUM_STATES - 1)) for r in ranks]
 
     def _child_spec(self, pkt: int, payload_start_w: int, payload_words: int, desc_idx: int, rng) -> LaunchSpec:
+        from repro.gpu.trace import LaunchSpec, TBBody, WarpTrace
+
         bodies = []
         for tb_start in range(0, payload_words, 32):
             tb_len = min(32, payload_words - tb_start)
@@ -74,6 +77,9 @@ class REGX(Workload):
 
     def build(self) -> KernelSpec:
         import numpy as np
+
+        from repro.gpu.kernel import KernelSpec
+        from repro.gpu.trace import TBBody, WarpTrace
 
         from repro.workloads.datagen import packet_stream
 

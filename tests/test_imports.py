@@ -1,14 +1,18 @@
-"""What each entry point imports: warm paths never load numpy.
+"""What each entry point imports: warm paths load no simulator.
 
 numpy costs about as much to import as the rest of the package together,
 and a warm-cache run needs none of it, so only the code that builds or
-decodes a trace imports it (docs/harness.md, "What a run imports"). Each
-case runs in a fresh interpreter, since this test process has long since
-loaded numpy.
+decodes a trace imports it. A warm grid loads no engine stack either:
+the package ``__init__``s resolve their names lazily, and the engine,
+the trace layer and the trace codec are imported where a cache miss
+needs them (docs/harness.md, "What a run imports"). Each case runs in a
+fresh interpreter, since this test process has long since loaded them
+all.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -73,6 +77,43 @@ def loaded_after(code: str) -> dict:
 
 NONE_LOADED = dict.fromkeys(HEAVY, False)
 
+#: modules a run answered from the result cache never executes, so must
+#: never import: the engine stack, the trace layer and its codec
+SIMULATOR = (
+    "numpy",
+    "repro.analysis",
+    "repro.core.composed",
+    "repro.gpu.compiled",
+    "repro.gpu.engine",
+    "repro.gpu.kdu",
+    "repro.gpu.kernel",
+    "repro.gpu.kmu",
+    "repro.gpu.serialize",
+    "repro.gpu.smx",
+    "repro.gpu.trace",
+)
+#: packages none of whose modules a warm run imports (``repro.dynpar``
+#: itself is a table of model names, which the CLI offers as choices)
+SIMULATOR_PACKAGES = ("repro.memory", "repro.telemetry", "repro.dynpar.")
+
+#: prints the simulator modules the code before it left loaded
+SIMULATOR_PROBE = f"""
+import json, sys
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m in {SIMULATOR!r} or m.startswith({SIMULATOR_PACKAGES!r})
+)))
+"""
+
+WARM_CLI_GRID = """
+from repro.cli import main
+
+main([
+    "grid", "--scale", "tiny", "--benchmarks", "amr", "clr-graph500",
+    "--schedulers", "rr", "adaptive-bind", "--models", "dtbl", "--cache-dir", {cache!r},
+])
+"""
+
 
 @pytest.mark.parametrize(
     "code",
@@ -105,6 +146,36 @@ def test_warm_grid_imports_no_numpy(tmp_path):
     assert loaded_after(warm) == NONE_LOADED
 
 
+def test_warm_grid_imports_no_simulator(tmp_path):
+    cache = str(tmp_path / "cache")
+    run_fresh(GRID.format(cache=cache) + "print('{}')\n")  # fills the cache
+    warm = GRID.format(cache=cache) + "assert executor.misses == 0 and executor.hits == 4\n"
+    assert run_fresh(warm + SIMULATOR_PROBE) == []
+
+
+def test_warm_cli_grid_imports_no_simulator(tmp_path):
+    cache = str(tmp_path / "cache")
+    run_fresh(WARM_CLI_GRID.format(cache=cache) + "print('{}')\n")  # fills the cache
+    assert run_fresh(WARM_CLI_GRID.format(cache=cache) + SIMULATOR_PROBE) == []
+
+
+def test_warm_grid_round_imports_nothing(tmp_path):
+    # GRID's first lines import what it runs; the rest is a round as the
+    # benchmark times it (executor, workloads and the grid), and on a warm
+    # cache that round must find everything it runs already imported
+    cache = str(tmp_path / "cache")
+    run_fresh(GRID.format(cache=cache) + "print('{}')\n")  # fills the cache
+    imports, grid_round = GRID.format(cache=cache).split("\n\n", 1)
+    code = (
+        imports
+        + "\nimport json, sys\nbefore = set(sys.modules)\n"
+        + grid_round
+        + "assert executor.misses == 0 and executor.hits == 4\n"
+        + "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert run_fresh(code) == []
+
+
 def test_cold_run_spec_loads_numpy():
     loaded = loaded_after(
         """
@@ -125,21 +196,45 @@ def test_fleet_workers_start_with_numpy():
         from repro.harness import execution
         from repro.harness.pool import run_batch
 
-        assert "numpy" not in sys.modules
-        execution._worker_run = lambda payload: {"numpy": "numpy" in sys.modules}
+        assert "numpy" not in sys.modules and "repro.gpu.engine" not in sys.modules
+        execution._worker_run = lambda payload: {
+            name: name in sys.modules for name in ("numpy", "repro.gpu.engine")
+        }
         print(json.dumps(run_batch([("probe", {})], size=1)[0]))
         """
     )
-    assert out == {"numpy": True}
+    assert out == {"numpy": True, "repro.gpu.engine": True}
+
+
+#: every module whose public names resolve on first use
+LAZY_MODULES = (
+    "repro",
+    "repro.core",
+    "repro.dynpar",
+    "repro.gpu",
+    "repro.harness",
+    "repro.memory",
+    "repro.telemetry",
+    "repro.workloads",
+)
 
 
 def test_public_names_resolve():
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None, name
-    assert set(repro.__all__) <= set(dir(repro))
+    for name in LAZY_MODULES:
+        module = importlib.import_module(name)
+        for public in module.__all__:
+            assert getattr(module, public) is not None, f"{name}.{public}"
+        assert set(module.__all__) <= set(dir(module)), name
+        with pytest.raises(AttributeError):
+            module.no_such_name
+
+
+def test_lazy_names_are_the_defining_objects():
     from repro import simulate
+    from repro.gpu.trace import WarpTrace
     from repro.harness import simulate as harness_simulate
+    from repro.workloads import WarpTrace as workloads_warp_trace
+    from repro.workloads.base import WarpTrace as base_warp_trace
 
     assert simulate is harness_simulate
-    with pytest.raises(AttributeError):
-        repro.no_such_name
+    assert WarpTrace is workloads_warp_trace is base_warp_trace

@@ -26,11 +26,9 @@ class TestEntry:
     def test_cursor_walk(self):
         tbs = make_tbs(3)
         e = Entry(tbs, level=1)
-        assert e.remaining == 3
         assert e.peek() is tbs[0]
         assert e.pop() is tbs[0]
         assert e.peek() is tbs[1]
-        assert e.remaining == 2
         e.pop()
         e.pop()
         assert e.empty
@@ -74,7 +72,6 @@ class TestMultiLevelQueue:
         q.push(e)
         e.pop()
         assert q.head() is None
-        assert q.empty
         assert q.entries == 0
 
     def test_capacity_marks_overflow(self):

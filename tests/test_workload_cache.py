@@ -162,7 +162,7 @@ def test_struct_error_is_a_miss(tmp_path, monkeypatch):
     def short_read(path):
         raise struct.error("unpack requires a buffer of 8 bytes")
 
-    monkeypatch.setattr(wc, "load_spec", short_read)
+    monkeypatch.setattr(serialize, "load_spec", short_read)
     cache = WorkloadCache(tmp_path)
     assert cache.load(BENCH, "tiny", 7) is None and cache.misses == 1
 
