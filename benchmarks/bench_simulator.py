@@ -110,6 +110,12 @@ COLD_PREFIX = "cold:"
 WALK_ROW = "walk:rr@sssp-cage15/small/cdp"
 WALK_PREFIX = "walk:"
 
+#: a row prefixed ``load:`` times the trace-load layer alone: decoding one
+#: stored trace record (``spec_from_bytes``) into the arena its bodies view,
+#: as a warm run that finds the trace in the workload cache does
+LOAD_ROW = "load:bfs-citation/small"
+LOAD_PREFIX = "load:"
+
 #: rows prefixed ``start:`` time a fresh interpreter from start to exit,
 #: the wait before any simulation starts: importing the CLI, and a warm
 #: tiny ``repro grid`` on a result cache the row fills untimed first.
@@ -171,6 +177,34 @@ def _measure_start(row: str, rounds: int) -> dict:
     return {"best_ms": round(best * 1000, 3), "numpy_loaded": numpy_loaded}
 
 
+def _measure_load(row: str, rounds: int) -> dict:
+    """Best-of-N wall time of decoding one benchmark's trace record.
+
+    The decoded trace must encode back to the very record it was read
+    from: the built and the decoded trace have one record digest.
+    """
+    import hashlib
+    import time
+
+    from repro.gpu.serialize import spec_from_bytes, spec_to_bytes
+
+    benchmark, scale = row.removeprefix(LOAD_PREFIX).split("/")
+    record = spec_to_bytes(load_benchmark(benchmark, scale=scale).kernel())
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        decoded = spec_from_bytes(record)
+        best = min(best, time.perf_counter() - t0)
+    digest = hashlib.sha256(record).hexdigest()
+    if hashlib.sha256(spec_to_bytes(decoded)).hexdigest() != digest:
+        raise RuntimeError(f"{row}: the decoded trace does not have the built trace's digest")
+    return {"best_ms": round(best * 1000, 3), "record_mb": round(len(record) / 1e6, 3)}
+
+
+def test_load_row_decodes_the_built_trace():
+    assert _measure_load(f"{LOAD_PREFIX}bfs-citation/tiny", rounds=1)["record_mb"] > 0
+
+
 def test_start_rows_load_no_numpy():
     for row in START_ROWS:
         assert _measure_start(row, rounds=1)["numpy_loaded"] is False, row
@@ -178,7 +212,8 @@ def test_start_rows_load_no_numpy():
 
 def _speedup(new: dict, old: dict) -> float:
     """How many times faster ``new`` ran than ``old``: the throughput
-    ratio, or the wall-time ratio for a ``start:`` row (no throughput)."""
+    ratio, or the wall-time ratio for a ``start:`` or ``load:`` row (no
+    throughput)."""
     if "cycles_per_sec" in new:
         return new["cycles_per_sec"] / old["cycles_per_sec"]
     return old["best_ms"] / new["best_ms"]
@@ -359,8 +394,8 @@ def main(argv=None) -> int:
         # the paper's four plus one composed policy (admission control on
         # top of LaPerm) so the throttle/admission path can't regress
         # silently, the CDP row for the KMU backlog and DRAM queue, the
-        # cold rows for build, trace store and first run, and the walk row
-        # for the L1/L2/DRAM walk alone
+        # cold rows for build, trace store and first run, the walk row
+        # for the L1/L2/DRAM walk alone and the load row for trace decoding
         default=[
             "rr",
             "tb-pri",
@@ -371,12 +406,14 @@ def main(argv=None) -> int:
             COLD_ROW,
             COLD_RUNS_ROW,
             WALK_ROW,
+            LOAD_ROW,
             *START_ROWS,
         ],
         help="rows to measure: a scheduler (bfs-citation tiny/dtbl), "
         "scheduler@benchmark/scale/model, cold:scheduler@benchmark/scale/model "
         "(build + trace store + first run, each round on a fresh cache), "
         "walk:scheduler@benchmark/scale/model (one run's memory walk, replayed), "
+        "load:benchmark/scale (one trace record decoded), "
         f"or one of {', '.join(START_ROWS)} (a fresh interpreter, start to exit)",
     )
     parser.add_argument(
@@ -390,7 +427,11 @@ def main(argv=None) -> int:
 
     # phase 1: workload generation (datagen + trace building), measured
     # separately so engine-loop work and datagen work can't be conflated
-    rows = {row: parse_row(row) for row in args.schedulers if not row.startswith(START_PREFIX)}
+    rows = {
+        row: parse_row(row)
+        for row in args.schedulers
+        if not row.startswith((START_PREFIX, LOAD_PREFIX))
+    }
     t0 = time.perf_counter()
     specs = {
         (benchmark, scale): load_benchmark(benchmark, scale=scale).kernel()
@@ -403,8 +444,9 @@ def main(argv=None) -> int:
         "workload": "bfs-citation scale=tiny seed=7 model=dtbl, "
         "unless the row names scheduler@benchmark/scale/model; a cold: row "
         "times build + trace store + first run on a fresh workload cache; a "
-        "walk: row times a replay of one run's memory walk calls; a start: "
-        "row times a fresh interpreter running its command, start to exit",
+        "walk: row times a replay of one run's memory walk calls; a load: row "
+        "times decoding one stored trace record; a start: row times a fresh "
+        "interpreter running its command, start to exit",
         "rounds": args.rounds,
         "python": platform.python_version(),
         "host": _provenance(),
@@ -412,12 +454,14 @@ def main(argv=None) -> int:
     }
     # phase 2: engine throughput per scheduler (datagen excluded: each
     # timed window covers exactly one Engine.run(); a cold row's window
-    # covers its build, store and first run instead, and a start row's
-    # a whole fresh process)
+    # covers its build, store and first run instead, a load row's one
+    # record decode, and a start row's a whole fresh process)
     t0 = time.perf_counter()
     for sched in args.schedulers:
         if sched.startswith(START_PREFIX):
             row = _measure_start(sched, args.rounds)
+        elif sched.startswith(LOAD_PREFIX):
+            row = _measure_load(sched, args.rounds)
         else:
             scheduler, (benchmark, scale, model) = rows[sched]
             if sched.startswith(COLD_PREFIX):
@@ -427,10 +471,12 @@ def main(argv=None) -> int:
             else:
                 row = _measure_scheduler(scheduler, specs[benchmark, scale], args.rounds, model)
         report["schedulers"][sched] = row
-        rate = (
-            f"{row['cycles_per_sec']:>12,.1f} cycles/sec" if "cycles_per_sec" in row
-            else f"numpy loaded: {row['numpy_loaded']}"
-        )
+        if "cycles_per_sec" in row:
+            rate = f"{row['cycles_per_sec']:>12,.1f} cycles/sec"
+        elif "record_mb" in row:
+            rate = f"{row['record_mb']} MB record"
+        else:
+            rate = f"numpy loaded: {row['numpy_loaded']}"
         print(f"{sched:>14}: {rate}  ({row['best_ms']} ms best of {args.rounds})", file=sys.stderr)
     report["phases"] = {
         "datagen_ms": round(datagen_ms, 3),

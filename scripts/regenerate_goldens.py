@@ -6,10 +6,11 @@ Run from the repository root::
     PYTHONPATH=src python scripts/regenerate_goldens.py
 
 It rewrites ``tests/golden_stats.json``, ``tests/golden_equivalence.json``,
-``tests/golden_variants.json`` and ``tests/trace_digests.json``.
-Review the diff: every changed number should be explainable by the
-change you just made (and bump ``ENGINE_VERSION`` for a semantic change,
-``TRACE_VERSION`` for a changed trace digest).
+``tests/golden_variants.json``, ``tests/trace_digests.json`` and
+``tests/record_digests.json``. Review the diff: every changed number
+should be explainable by the change you just made (and bump
+``ENGINE_VERSION`` for a semantic change, ``TRACE_VERSION`` for a changed
+trace digest, ``FORMAT_VERSION`` for a changed record).
 """
 
 import json
@@ -20,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from repro.harness.execution import run_spec  # noqa: E402
 from tests.test_golden import COMBOS, GOLDEN_PATH, measure  # noqa: E402
 from tests.test_golden_equivalence import pinned_keys, spec_for_key  # noqa: E402
+from tests.test_serialize import RECORD_PATH, measure_record  # noqa: E402
 from tests.test_trace_digests import DIGEST_PATH, digest_cases  # noqa: E402
 from tests.test_trace_digests import measure as measure_trace  # noqa: E402
 
@@ -45,6 +47,12 @@ def main() -> None:
         json.dump(digests, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {DIGEST_PATH} ({len(digests)} entries)")
+
+    records = {f"{name}@{scale}": measure_record(name, scale) for name, scale in digest_cases()}
+    with open(RECORD_PATH, "w") as f:
+        json.dump(records, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {RECORD_PATH} ({len(records)} entries)")
 
 
 if __name__ == "__main__":

@@ -244,13 +244,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
     workloads = None
     if benchmarks:
         workloads = [load_benchmark(b, scale=args.scale, seed=args.seed) for b in benchmarks]
-    print("running the evaluation grid (this takes a few minutes) ...", file=sys.stderr)
+    executor = _executor_from_args(args)
     grid = run_grid(
         workloads,
         schedulers=tuple(args.schedulers) if args.schedulers else tuple(SCHEDULER_ORDER),
         models=tuple(args.models),
         scale=args.scale,
-        executor=_executor_from_args(args),
+        executor=executor,
+    )
+    cells = len(grid.stats)
+    print(
+        f"grid: {executor.hits} of {cells} cells from cache, {cells - executor.hits} simulated",
+        file=sys.stderr,
     )
     print(render_l2_hit_rates(grid))
     print()

@@ -1,11 +1,12 @@
 """Re-lowering of thread-block bodies to another cache-line size.
 
-A :class:`~repro.gpu.trace.TBBody` is stored as its lowering: the flat
-``array('q')`` columns of a :class:`CompiledBody` that the SMX issue
-loop replays, written by :class:`~repro.gpu.trace.WarpTrace` while the
-trace is built at ``LINE_BYTES``-byte lines. :func:`compile_body`
-lowers a body again from its per-lane addresses (runs expanded by
-:meth:`TBBody.accesses`), coalescing every access:
+A :class:`~repro.gpu.trace.TBBody` is a view into its trace's
+:class:`~repro.gpu.trace.TraceArena`: the flat ``array('q')`` columns
+the SMX issue loop replays, written by
+:class:`~repro.gpu.trace.WarpTrace` while the trace is built at
+``LINE_BYTES``-byte lines. :func:`compile_body` lowers a body again from
+its per-lane addresses (runs expanded by :meth:`TBBody.accesses`),
+coalescing every access, into a private arena at another line size:
 :meth:`TBBody.compiled` calls it only for a machine whose line size
 differs from the one the body was built at, and the tests use it as the
 reference the builder's arithmetic lowering must match.
@@ -19,42 +20,43 @@ bit-for-bit).
 
 from __future__ import annotations
 
-from array import array
-from typing import TYPE_CHECKING
-
-from repro.gpu.trace import OP_COMPUTE, OP_LAUNCH, OP_LOAD, OP_STORE, CompiledBody
+from repro.gpu.trace import OP_COMPUTE, OP_LAUNCH, OP_LOAD, OP_STORE, TBBody, TraceArena
 from repro.memory.coalescer import coalesce
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpu.trace import TBBody
-
-__all__ = ["OP_COMPUTE", "OP_LAUNCH", "OP_LOAD", "OP_STORE", "CompiledBody", "compile_body"]
+__all__ = ["OP_COMPUTE", "OP_LAUNCH", "OP_LOAD", "OP_STORE", "compile_body"]
 
 
-def compile_body(body: "TBBody", line_bytes: int) -> CompiledBody:
+def compile_body(body: TBBody, line_bytes: int) -> TBBody:
     """Lower ``body`` at ``line_bytes`` from its per-lane addresses.
 
-    Op codes, COMPUTE cycles and the launch table are shared with the
-    body's own columns; LOAD/STORE line spans are coalesced afresh.
+    The result views a private arena holding only this body. Op codes,
+    COMPUTE cycles, the lane pool and the launch list are the body's
+    own; LOAD/STORE line spans are coalesced afresh.
     """
-    native = body.columns
+    source = body.arena
+    bounds = body.warp_bounds
+    lo, hi = bounds[0], bounds[-1]
+    arena = TraceArena(line_bytes)
+    arena.ops = source.ops[lo:hi]
+    arena.lane_counts = source.lane_counts[body.access_lo : body.access_hi]
+    arena.lane_steps = source.lane_steps[body.access_lo : body.access_hi]
+    arena.lanes = source.lanes[body.lane_lo : body.lane_hi]
+    args, offs, lines = arena.args, arena.offs, arena.lines
     accesses = body.accesses()
-    warp_args: list[array] = []
-    warp_offs: list[array] = []
-    lines = array("q")
-    for ops, native_args in zip(native.warp_ops, native.warp_args):
-        args = array("q")
-        offs = array("q")
-        for op, arg in zip(ops, native_args):
-            if op == OP_LOAD or op == OP_STORE:
-                _, lanes = next(accesses)
-                coalesced = coalesce(lanes.tolist(), line_bytes)
-                args.append(len(coalesced))
-                offs.append(len(lines))
-                lines.extend(coalesced)
-            else:
-                args.append(arg)
-                offs.append(0)
-        warp_args.append(args)
-        warp_offs.append(offs)
-    return CompiledBody(line_bytes, native.warp_ops, warp_args, warp_offs, lines, native.launches)
+    for op, arg in zip(arena.ops, source.args[lo:hi]):
+        offs.append(len(lines))
+        if op == OP_LOAD or op == OP_STORE:
+            _, lanes = next(accesses)
+            coalesced = coalesce(lanes.tolist(), line_bytes)
+            args.append(len(coalesced))
+            lines.extend(coalesced)
+        else:
+            args.append(arg)
+    return TBBody.view(
+        arena,
+        tuple(b - lo for b in bounds),
+        (0, len(lines)),
+        (0, len(arena.lane_counts)),
+        (0, len(arena.lanes)),
+        body.launch_table,
+    )

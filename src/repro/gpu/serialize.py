@@ -8,13 +8,14 @@ round-trips to a single object).
 
 Format (``FORMAT_VERSION`` 4): a magic and version prefix, then one zlib
 stream holding a small JSON header (name, resources, line size, launch
-table, roots) and the lowered columns every `TBBody` holds, concatenated
+table, roots) and the columns of the trace's `TraceArena`, body by body
 — warps per body, instructions per warp, op codes, arguments, the
 coalesced line pool, and the per-lane address pool with its lane counts
 and lane steps (a range access is stored as a run: its first address
 and stride). Storing a trace is one join and one compression pass;
-loading one slices the columns back, so a loaded trace replays with no
-coalescing. Bodies and launches are referenced by table index, so
+loading one makes the decoded columns one arena that every decoded body
+views, so a loaded trace replays with no coalescing and no per-body
+copies. Bodies and launches are referenced by table index, so
 arbitrarily deep launch trees serialize without recursion. Decoding
 validates every length, op code and index and never evaluates the
 record (no pickle, marshal or eval). Format 1 (gzip JSON), format 2
@@ -38,6 +39,7 @@ import struct
 import sys
 import zlib
 from array import array
+from operator import sub
 from typing import TYPE_CHECKING
 
 from repro.gpu.config import GPUConfig, canonical_json
@@ -50,9 +52,9 @@ from repro.gpu.trace import (
     OP_LOAD,
     OP_STORE,
     WARP_SIZE,
-    CompiledBody,
     LaunchSpec,
     TBBody,
+    TraceArena,
     WarpTrace,
 )
 
@@ -149,9 +151,10 @@ def _collect(spec: KernelSpec):
 #                run's first address
 #   launch_refs  each body's launch list as launch-table indices
 #
-# These are the columns a TBBody holds (repro.gpu.trace), concatenated:
-# storing a trace joins them and compresses once, and loading one slices
-# them back without coalescing. Line offsets are not stored; the decoder
+# These are the columns of a TraceArena (repro.gpu.trace), each body's
+# slice in table order: storing a trace joins the slices and compresses
+# once, and loading one makes the decoded columns the arena every body
+# views, without coalescing. Line offsets are not stored; the decoder
 # recomputes them from the line counts. Bodies and launches are referenced
 # by table index, so shared bodies and launch specs round-trip to single
 # objects and launch-tree depth never recurses in the decoder.
@@ -192,16 +195,19 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
     lane_steps: list[array] = []
     lanes: list[array] = []
     for body in bodies:
-        columns = body.columns
-        body_warps.append(len(columns.warp_ops))
-        warp_instrs.extend([len(warp) for warp in columns.warp_ops])
-        ops += columns.warp_ops
-        args += columns.warp_args
-        lines.append(columns.lines)
-        lane_counts.append(body.lane_counts)
-        lane_steps.append(body.lane_steps)
-        lanes.append(body.lanes)
-        launch_refs.extend([launch_ids[id(launch_spec)] for launch_spec in columns.launches])
+        arena, bounds = body.arena, body.warp_bounds
+        lo, hi = bounds[0], bounds[-1]
+        body_warps.append(len(bounds) - 1)
+        warp_instrs.extend(map(sub, bounds[1:], bounds))
+        ops.append(arena.ops[lo:hi])
+        args.append(arena.args[lo:hi])
+        lines.append(arena.lines[body.line_lo : body.line_hi])
+        access_lo, access_hi = body.access_lo, body.access_hi
+        lane_counts.append(arena.lane_counts[access_lo:access_hi])
+        lane_steps.append(arena.lane_steps[access_lo:access_hi])
+        lanes.append(arena.lanes[body.lane_lo : body.lane_hi])
+        if body.launch_table:
+            launch_refs.extend([launch_ids[id(s)] for s in body.launch_table])
     data = [
         _le([body_warps]),
         _le([warp_instrs]),
@@ -282,9 +288,10 @@ def _bounds(values: ndarray) -> ndarray:
 
 
 def _check_columns(columns: list[array], n_launches: int):
-    """Validate the columns against each other; return the per-instruction
-    line offsets and, per body, its bounds in the warp, line, access,
-    lane and launch-ref columns.
+    """Validate the columns against each other; return the arena's line
+    offsets (each instruction's start in the line pool), the warps'
+    instruction bounds and, per body, its bounds in the warp, line,
+    access, lane and launch-ref columns.
 
     Every op code, count and index is checked, so a damaged record raises
     instead of replaying a wrong trace. This validation is the only numpy
@@ -301,7 +308,9 @@ def _check_columns(columns: list[array], n_launches: int):
         raise _corrupt("args disagree with ops")
     if bw.size and bw.min() < 1 or bw.sum() != n_warps:
         raise _corrupt("warps per body disagree with warp count")
-    if wi.size and wi.min() < 0 or wi.sum() != n_instrs:
+    if wi.size and wi.min() < 1:
+        raise _corrupt("a warp without instructions")
+    if wi.sum() != n_instrs:
         raise _corrupt("instrs per warp disagree with instr count")
     if op.size and (op.min() < OP_COMPUTE or op.max() > OP_LAUNCH):
         bad = op[(op < OP_COMPUTE) | (op > OP_LAUNCH)][0]
@@ -339,31 +348,24 @@ def _check_columns(columns: list[array], n_launches: int):
 
     warp_bounds = _bounds(wi)
     body_warp_bounds = _bounds(bw)
-    body_instr_bounds = warp_bounds[body_warp_bounds]
-    body_of_instr = np.repeat(np.arange(n_bodies), np.diff(body_instr_bounds))
-
-    def per_body(values: ndarray) -> tuple[ndarray, ndarray]:
-        # (each instruction's exclusive prefix sum within its body, the
-        # bounds of every body in the pool the values count into)
-        total = _bounds(values)
-        body_bounds = total[body_instr_bounds]
-        return total[:-1] - body_bounds[:-1][body_of_instr], body_bounds
-
-    offs, body_line_bounds = per_body(access_lines)
-    launch_index, body_ref_bounds = per_body(is_launch.astype(np.int64))
+    body_instrs = warp_bounds[body_warp_bounds]
+    line_bounds = _bounds(access_lines)
+    access_bounds = _bounds(is_access.astype(np.int64))
+    ref_bounds = _bounds(is_launch.astype(np.int64))
+    # a LAUNCH's argument is its place in its own body's launch list
+    body_of_instr = np.repeat(np.arange(n_bodies), np.diff(body_instrs))
+    launch_index = ref_bounds[:-1] - ref_bounds[body_instrs[:-1]][body_of_instr]
     if np.any(arg[is_launch] != launch_index[is_launch]):
         raise _corrupt("launch index out of order")
-    _, body_access_bounds = per_body(is_access.astype(np.int64))
-    body_lane_bounds = lane_bounds[body_access_bounds]
-    offs = np.where(is_access, offs, 0)
+    body_accesses = access_bounds[body_instrs]
     return (
-        array("q", offs.tobytes()),
+        array("q", line_bounds[:-1].tobytes()),
         warp_bounds.tolist(),
         body_warp_bounds.tolist(),
-        body_line_bounds.tolist(),
-        body_access_bounds.tolist(),
-        body_lane_bounds.tolist(),
-        body_ref_bounds.tolist(),
+        line_bounds[body_instrs].tolist(),
+        body_accesses.tolist(),
+        lane_bounds[body_accesses].tolist(),
+        ref_bounds[body_instrs].tolist(),
     )
 
 
@@ -446,27 +448,22 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
     offs, warps, body_warps_at, body_lines, body_accesses, body_lanes, body_refs = _check_columns(
         columns, len(launch_specs)
     )
-    refs = launch_refs.tolist()
-    bodies = []
-    for b in range(n_bodies):
-        spans = [(warps[w], warps[w + 1]) for w in range(body_warps_at[b], body_warps_at[b + 1])]
-        compiled = CompiledBody(
-            LINE_BYTES,
-            [ops[i:j] for i, j in spans],
-            [args[i:j] for i, j in spans],
-            [offs[i:j] for i, j in spans],
-            lines[body_lines[b]:body_lines[b + 1]],
-            [launch_specs[r] for r in refs[body_refs[b]:body_refs[b + 1]]],
+    arena = TraceArena()
+    arena.ops, arena.args, arena.offs, arena.lines = ops, args, offs, lines
+    arena.lane_counts, arena.lane_steps, arena.lanes = lane_counts, lane_steps, lanes
+    refs = [launch_specs[r] for r in launch_refs.tolist()]
+    view = TBBody.view
+    bodies = [
+        view(
+            arena,
+            tuple(warps[body_warps_at[b] : body_warps_at[b + 1] + 1]),
+            (body_lines[b], body_lines[b + 1]),
+            (body_accesses[b], body_accesses[b + 1]),
+            (body_lanes[b], body_lanes[b + 1]),
+            tuple(refs[body_refs[b] : body_refs[b + 1]]),
         )
-        accesses = slice(body_accesses[b], body_accesses[b + 1])
-        bodies.append(
-            TBBody.from_columns(
-                compiled,
-                lane_counts[accesses],
-                lane_steps[accesses],
-                lanes[body_lanes[b]:body_lanes[b + 1]],
-            )
-        )
+        for b in range(n_bodies)
+    ]
 
     for launch_spec, row in zip(launch_specs, launch_rows):
         launch_spec.bodies = [bodies[_index(i, n_bodies, "body")] for i in row[0]]

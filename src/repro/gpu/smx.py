@@ -6,6 +6,11 @@ single-issue pipeline fed by a warp scheduler (GTO by default, LRR
 optionally). One instruction issues per cycle at most; multi-cycle compute
 instructions occupy the issue port for their full duration, modelling the
 back-to-back arithmetic they stand for.
+
+A resident warp replays its slice of the trace's
+:class:`~repro.gpu.trace.TraceArena`: its program counter runs from the
+warp's first instruction to its last in the arena's columns, which every
+thread block of the trace shares.
 """
 
 from __future__ import annotations
@@ -14,10 +19,9 @@ import heapq
 import itertools
 from typing import Optional, TYPE_CHECKING
 
-from repro.gpu.compiled import CompiledBody
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import TBState, ThreadBlock
-from repro.gpu.trace import Op
+from repro.gpu.trace import Op, TBBody
 from repro.telemetry.events import WarpStall
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,13 +45,14 @@ _heappop = heapq.heappop
 
 
 class WarpContext:
-    """Runtime state of one warp, replaying a compiled instruction trace.
+    """Runtime state of one warp, replaying a lowered instruction trace.
 
-    The static trace is the warp's slice of a
-    :class:`~repro.gpu.compiled.CompiledBody`: flat ``ops``/``args``/
-    ``offs`` columns plus the body-shared coalesced-line pool and launch
-    table. The issue loop indexes these arrays directly — no ``Instr``
-    objects are touched after dispatch.
+    The static trace is the warp's slice of a body's
+    :class:`~repro.gpu.trace.TraceArena`: the arena-wide ``ops``/``args``/
+    ``offs`` columns, read from ``pc`` (the warp's first instruction) up
+    to ``end``, the arena's coalesced-line pool (``offs`` index it
+    directly) and the body's launch list. The issue loop indexes these
+    arrays directly — no ``Instr`` objects are touched after dispatch.
 
     ``outstanding`` models memory-level parallelism: consecutive loads
     pipeline (each takes one issue cycle), and the warp only stalls when a
@@ -61,7 +66,7 @@ class WarpContext:
         "offs",
         "lines",
         "launches",
-        "n",
+        "end",
         "pc",
         "ready_at",
         "outstanding",
@@ -71,15 +76,16 @@ class WarpContext:
     )
 
     def __init__(
-        self, compiled: CompiledBody, warp_index: int, tb: ThreadBlock, age: int, smx_id: int
+        self, body: TBBody, warp_index: int, tb: ThreadBlock, age: int, smx_id: int
     ) -> None:
-        self.ops = compiled.warp_ops[warp_index]
-        self.args = compiled.warp_args[warp_index]
-        self.offs = compiled.warp_offs[warp_index]
-        self.lines = compiled.lines
-        self.launches = compiled.launches
-        self.n = len(self.ops)
-        self.pc = 0
+        arena = body.arena
+        self.ops = arena.ops
+        self.args = arena.args
+        self.offs = arena.offs
+        self.lines = arena.lines
+        self.launches = body.launch_table
+        self.pc = body.warp_bounds[warp_index]
+        self.end = body.warp_bounds[warp_index + 1]
         self.ready_at = 0
         self.outstanding = 0  # completion time of the slowest in-flight load
         self.tb = tb
@@ -155,14 +161,14 @@ class SMX:
         tb.state = TBState.RUNNING
         tb.smx_id = self.smx_id
         tb.dispatched_at = now
-        # lower the body once (interned on the TBBody: every other TB
-        # replaying it — DTBL siblings, later engine runs — shares this)
-        compiled = tb.body.compiled(self._line_bytes)
-        tb.active_warps = compiled.num_warps
+        # the body as built, or (another line size) its re-lowering,
+        # cached on the TBBody for every other TB replaying it
+        body = tb.body.compiled(self._line_bytes)
+        tb.active_warps = body.num_warps
         self.resident_tbs.add(tb)
         start = now + start_delay
-        for warp_index in range(compiled.num_warps):
-            warp = WarpContext(compiled, warp_index, tb, next(self._age_counter), self.smx_id)
+        for warp_index in range(body.num_warps):
+            warp = WarpContext(body, warp_index, tb, next(self._age_counter), self.smx_id)
             warp.ready_at = start
             if start <= now:
                 self._push_ready(warp)
@@ -282,7 +288,7 @@ class SMX:
             self.port_free_at = now + 1
             self.issued_instructions += 1
 
-        if warp.pc >= warp.n:  # the warp finished
+        if warp.pc >= warp.end:  # the warp finished
             self._current = None
             tb = warp.tb
             tb.active_warps -= 1

@@ -20,15 +20,21 @@ generator. Four instruction kinds exist:
 
 Traces are built by :class:`WarpTrace`, which lowers every instruction
 as it is appended: it writes the flat columns the SMX issue loop
-replays (a :class:`CompiledBody` at ``LINE_BYTES``-byte lines), so a
-trace is coalesced once, when it is built, and never at place time.
-Ranges of elements are lowered arithmetically; scattered accesses go
-through the coalescer once. The builder also keeps every memory
-access's per-lane byte addresses in one flat pool, which the static
-analyses, the trace record and re-lowering for another line size
+replays at ``LINE_BYTES``-byte lines, so a trace is coalesced once,
+when it is built, and never at place time. Ranges of elements are
+lowered arithmetically; scattered accesses go through the coalescer
+once. The builder also keeps every memory access's per-lane byte
+addresses in one flat pool, which the static analyses, the trace record
+and re-lowering for another line size
 (:func:`repro.gpu.compiled.compile_body`) read. A scattered access lists
 its lanes there; a range access keeps a *run*, its first address and
 its stride (``lane_steps``), and :meth:`TBBody.accesses` expands it.
+
+A whole trace lives in one :class:`TraceArena`: one set of those
+columns, laid out as in the trace record. A :class:`TBBody` appends its
+warps' columns to the arena when it is made and is from then on a view
+of them (its bounds and its launch list), so a trace of many small
+thread blocks costs a few objects per body, not a few per warp column.
 
 :class:`Instr` and the :func:`compute`/:func:`load`/:func:`store`/
 :func:`launch` helpers describe single hand-written instructions (tests,
@@ -66,54 +72,47 @@ LINE_BYTES = 128
 WARP_SIZE = 32
 
 
-class CompiledBody:
-    """One thread-block body lowered to flat instruction columns.
+class TraceArena:
+    """The instruction columns of one trace, shared by all its bodies.
 
-    ``warp_ops[w][i]`` / ``warp_args[w][i]`` / ``warp_offs[w][i]`` are
-    the columns of warp ``w``'s ``i``-th instruction:
+    Every :class:`TBBody` of a trace appends its warps here, body after
+    body and warp after warp, and keeps only its bounds in these
+    ``array('q')`` columns, laid out as in the trace record
+    (:mod:`repro.gpu.serialize`, which stores all of them but ``offs``):
 
     ``ops``
-        the op code (``OP_*``),
+        the op code (``OP_*``) of each instruction,
     ``args``
         COMPUTE cycle count, LOAD/STORE coalesced line count, LAUNCH
-        index into the body's launch table,
+        index into the owning body's launch list,
     ``offs``
-        LOAD/STORE start offset into the body-wide ``lines`` pool (zero
-        for other ops).
+        where the instruction's coalesced lines start in ``lines``: the
+        arena's running line count (a COMPUTE or LAUNCH spans no lines),
+    ``lines``
+        coalesced line addresses (byte address // ``line_bytes``),
+    ``lane_counts``/``lane_steps``/``lanes``
+        the per-lane address pool, as in :class:`WarpTrace`.
 
-    ``lines`` (coalesced line addresses, byte address // ``line_bytes``)
-    and ``launches`` are shared across all warps of the body, so every
-    thread block replaying the same body shares one object. Instances
-    are immutable after construction.
+    The SMX issue loop indexes these columns directly. Columns are only
+    ever appended to, so a body's bounds stay valid.
     """
 
-    __slots__ = ("line_bytes", "warp_ops", "warp_args", "warp_offs", "lines", "launches")
+    __slots__ = ("line_bytes", "ops", "args", "offs", "lines", "lane_counts", "lane_steps", "lanes")
 
-    def __init__(
-        self,
-        line_bytes: int,
-        warp_ops: list[array],
-        warp_args: list[array],
-        warp_offs: list[array],
-        lines: array,
-        launches: list["LaunchSpec"],
-    ) -> None:
+    def __init__(self, line_bytes: int = LINE_BYTES) -> None:
         self.line_bytes = line_bytes
-        self.warp_ops = warp_ops
-        self.warp_args = warp_args
-        self.warp_offs = warp_offs
-        self.lines = lines
-        self.launches = launches
-
-    @property
-    def num_warps(self) -> int:
-        return len(self.warp_ops)
+        self.ops = array("q")
+        self.args = array("q")
+        self.offs = array("q")
+        self.lines = array("q")
+        self.lane_counts = array("q")
+        self.lane_steps = array("q")
+        self.lanes = array("q")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        instrs = sum(len(o) for o in self.warp_ops)
         return (
-            f"CompiledBody(warps={self.num_warps}, instrs={instrs}, "
-            f"pool={len(self.lines)}, line_bytes={self.line_bytes})"
+            f"TraceArena(instrs={len(self.ops)}, lines={len(self.lines)}, "
+            f"line_bytes={self.line_bytes})"
         )
 
 
@@ -153,7 +152,7 @@ class WarpTrace:
     """Builder for one warp's instruction stream, lowered as it is appended.
 
     ``ops``/``args``/``offs``/``lines``/``launches`` are this warp's
-    :class:`CompiledBody` columns at ``LINE_BYTES`` (offsets and launch
+    :class:`TraceArena` columns at ``LINE_BYTES`` (offsets and launch
     indices local to the warp); ``lane_counts`` holds the lane count of
     each LOAD/STORE and ``lanes`` their per-lane byte addresses, in trace
     order. ``lane_steps`` holds each access's stride: 0 when ``lanes``
@@ -163,7 +162,8 @@ class WarpTrace:
     ``addr_range(start, stop)`` (:class:`repro.workloads.base.Array`) and
     issue one instruction per ``WARP_SIZE`` elements.
 
-    A trace must not be appended to once a :class:`TBBody` holds it.
+    A :class:`TBBody` copies the trace's columns into its arena when it
+    is made; what is appended later does not reach the body.
     """
 
     __slots__ = ("ops", "args", "offs", "lines", "lane_counts", "lane_steps", "lanes", "launches")
@@ -223,10 +223,7 @@ class WarpTrace:
         """Lower one hand-written :class:`Instr`."""
         op = instr.op
         if op == OP_COMPUTE:
-            self.ops.append(OP_COMPUTE)
-            self.args.append(instr.cycles)
-            self.offs.append(0)
-            return self
+            return self.compute(instr.cycles)
         if op == OP_LAUNCH:
             if instr.launch is None:
                 raise ValueError("a LAUNCH instruction needs a LaunchSpec")
@@ -267,13 +264,13 @@ class WarpTrace:
         if cycles > 0:
             self.ops.append(OP_COMPUTE)
             self.args.append(cycles)
-            self.offs.append(0)
+            self.offs.append(len(self.lines))
         return self
 
     def launch(self, spec: "LaunchSpec") -> "WarpTrace":
         self.ops.append(OP_LAUNCH)
         self.args.append(len(self.launches))
-        self.offs.append(0)
+        self.offs.append(len(self.lines))
         self.launches.append(spec)
         return self
 
@@ -293,15 +290,8 @@ def _run_lines(first: int, last: int, step: int, line_bytes: int) -> Sequence[in
     return [a // line_bytes for a in range(first, last + 1, step)]
 
 
-def _rebase_offs(ops: array, offs: array, base: int) -> array:
-    """A warp's line offsets moved ``base`` entries into the body's pool."""
-    return array(
-        "q", [o + base if op == OP_LOAD or op == OP_STORE else 0 for op, o in zip(ops, offs)]
-    )
-
-
 def _rebase_launches(ops: array, args: array, base: int) -> array:
-    """A warp's launch indices moved ``base`` entries into the body's table."""
+    """A warp's launch indices moved ``base`` entries into the body's list."""
     return array("q", [a + base if op == OP_LAUNCH else a for op, a in zip(ops, args)])
 
 
@@ -309,72 +299,109 @@ class TBBody:
     """The static behaviour of one thread block: one trace per warp.
 
     ``warps`` is a list of :class:`WarpTrace` builders (or of lists of
-    :class:`Instr`, lowered here). The body stores only the lowered
-    columns (``columns``, a :class:`CompiledBody` at ``LINE_BYTES``) and
-    the per-lane address pool (``lane_counts``/``lane_steps``/``lanes``,
-    laid out as in :class:`WarpTrace`), joined across its warps.
+    :class:`Instr`, lowered here). Their columns are appended to
+    ``arena`` (a fresh private :class:`TraceArena` when none is given),
+    and the body is a view of them: ``warp_bounds`` holds the warps'
+    instruction bounds (warp ``w`` is ``warp_bounds[w]`` up to
+    ``warp_bounds[w + 1]``), ``line_lo``/``line_hi``,
+    ``access_lo``/``access_hi`` and ``lane_lo``/``lane_hi`` its bounds in
+    the line pool, the per-access lane columns and the lane pool, and
+    ``launch_table`` the launch specs its LAUNCH arguments index.
     """
 
-    __slots__ = ("columns", "lane_counts", "lane_steps", "lanes", "_relowered")
+    __slots__ = (
+        "arena",
+        "warp_bounds",
+        "line_lo",
+        "line_hi",
+        "access_lo",
+        "access_hi",
+        "lane_lo",
+        "lane_hi",
+        "launch_table",
+        "_relowered",
+    )
 
-    def __init__(self, warps: Sequence[WarpTrace | Iterable[Instr]]) -> None:
+    def __init__(
+        self,
+        warps: Sequence[WarpTrace | Iterable[Instr]],
+        arena: Optional[TraceArena] = None,
+    ) -> None:
         if not warps:
             raise ValueError("a thread block needs at least one warp")
+        if arena is None:
+            arena = TraceArena()
         traces = [w if isinstance(w, WarpTrace) else _lower(w) for w in warps]
-        first, *rest = traces
-        warp_args, warp_offs = [first.args], [first.offs]
-        lines, lanes, launches = first.lines, first.lanes, first.launches
-        lane_counts, lane_steps = first.lane_counts, first.lane_steps
-        if rest:
-            # later warps append to copies of the first warp's pools, and
-            # their offsets and launch indices move past what precedes them
-            lines, lanes = lines[:], lanes[:]
-            lane_counts, lane_steps = lane_counts[:], lane_steps[:]
-            launches = list(launches)
-            for t in rest:
-                warp_offs.append(_rebase_offs(t.ops, t.offs, len(lines)))
-                warp_args.append(
-                    _rebase_launches(t.ops, t.args, len(launches)) if t.launches else t.args
-                )
-                lines += t.lines
-                lane_counts += t.lane_counts
-                lane_steps += t.lane_steps
-                lanes += t.lanes
-                launches += t.launches
-        self.columns = CompiledBody(
-            LINE_BYTES, [t.ops for t in traces], warp_args, warp_offs, lines, launches
-        )
-        self.lane_counts = lane_counts
-        self.lane_steps = lane_steps
-        self.lanes = lanes
+        if not all(t.ops for t in traces):
+            # its program counter would start on the next body's instructions
+            raise ValueError("a warp needs at least one instruction")
+        ops, args, offs, lines = arena.ops, arena.args, arena.offs, arena.lines
+        self.arena = arena
+        self.line_lo = len(lines)
+        self.access_lo = len(arena.lane_counts)
+        self.lane_lo = len(arena.lanes)
+        bounds = [len(ops)]
+        launches: list[LaunchSpec] = []
+        for t in traces:
+            # C-level extends; a warp's line offsets move past the lines
+            # already in the arena, its launch indices past earlier warps'
+            base = len(lines)
+            ops += t.ops
+            if launches and t.launches:
+                args += _rebase_launches(t.ops, t.args, len(launches))
+            else:
+                args += t.args
+            if base:
+                offs.extend(map(base.__add__, t.offs))
+            else:
+                offs += t.offs
+            lines += t.lines
+            arena.lane_counts += t.lane_counts
+            arena.lane_steps += t.lane_steps
+            arena.lanes += t.lanes
+            launches += t.launches
+            bounds.append(len(ops))
+        self.warp_bounds = tuple(bounds)
+        self.line_hi = len(lines)
+        self.access_hi = len(arena.lane_counts)
+        self.lane_hi = len(arena.lanes)
+        self.launch_table = tuple(launches)
         self._relowered = None
 
     @classmethod
-    def from_columns(
-        cls, columns: CompiledBody, lane_counts: array, lane_steps: array, lanes: array
+    def view(
+        cls,
+        arena: TraceArena,
+        warp_bounds: tuple[int, ...],
+        lines: tuple[int, int],
+        accesses: tuple[int, int],
+        lanes: tuple[int, int],
+        launch_table: tuple["LaunchSpec", ...],
     ) -> "TBBody":
-        """A body over already-lowered columns (the trace-record decoder)."""
+        """A body over columns already in ``arena`` (the trace-record
+        decoder, re-lowering): ``lines``/``accesses``/``lanes`` are its
+        ``(lo, hi)`` bounds in the line pool, the per-access lane columns
+        and the lane pool."""
         body = cls.__new__(cls)
-        body.columns = columns
-        body.lane_counts = lane_counts
-        body.lane_steps = lane_steps
-        body.lanes = lanes
+        body.arena = arena
+        body.warp_bounds = warp_bounds
+        body.line_lo, body.line_hi = lines
+        body.access_lo, body.access_hi = accesses
+        body.lane_lo, body.lane_hi = lanes
+        body.launch_table = launch_table
         body._relowered = None
         return body
 
-    def compiled(self, line_bytes: int) -> CompiledBody:
-        """The flat-array lowering of this body at ``line_bytes``.
-
-        At the line size the body was built at this is ``columns`` as
-        is; another size is re-lowered from the lane pool once and
-        cached (machine configurations in one process virtually always
-        agree on the line size).
-        """
-        columns = self.columns
-        if line_bytes == columns.line_bytes:
-            return columns
+    def compiled(self, line_bytes: int) -> "TBBody":
+        """This body lowered at ``line_bytes``: the body itself at its
+        arena's line size; otherwise a view into a private arena,
+        re-lowered from the lane pool once and cached (machine
+        configurations in one process virtually always agree on the line
+        size)."""
+        if line_bytes == self.arena.line_bytes:
+            return self
         relowered = self._relowered
-        if relowered is None or relowered.line_bytes != line_bytes:
+        if relowered is None or relowered.arena.line_bytes != line_bytes:
             from repro.gpu import compiled
 
             relowered = self._relowered = compiled.compile_body(self, line_bytes)
@@ -382,46 +409,48 @@ class TBBody:
 
     @property
     def num_warps(self) -> int:
-        return len(self.columns.warp_ops)
+        return len(self.warp_bounds) - 1
 
     def instruction_count(self) -> int:
         """Weighted dynamic instruction count of this body alone."""
-        columns = self.columns
-        total = 0
-        for ops, args in zip(columns.warp_ops, columns.warp_args):
-            total += len(ops) + sum(a - 1 for op, a in zip(ops, args) if op == OP_COMPUTE)
-        return total
+        lo, hi = self.warp_bounds[0], self.warp_bounds[-1]
+        ops, args = self.arena.ops[lo:hi], self.arena.args[lo:hi]
+        return hi - lo + sum(a - 1 for op, a in zip(ops, args) if op == OP_COMPUTE)
 
     def launches(self) -> list["LaunchSpec"]:
         """All launch specs embedded in this body, in trace order."""
-        return list(self.columns.launches)
+        return list(self.launch_table)
 
     def accesses(self) -> Iterator[tuple[int, array]]:
         """``(op, per-lane byte addresses)`` of each LOAD/STORE, in trace
         order, with every run expanded."""
-        counts, steps, lanes = self.lane_counts, self.lane_steps, self.lanes
-        access = pos = 0
-        for ops in self.columns.warp_ops:
-            for op in ops:
-                if op == OP_LOAD or op == OP_STORE:
-                    n, step = counts[access], steps[access]
-                    access += 1
-                    if step:
-                        first = lanes[pos]
-                        yield op, array("q", range(first, first + n * step, step))
-                        pos += 1
-                    else:
-                        yield op, lanes[pos : pos + n]
-                        pos += n
+        arena = self.arena
+        counts, steps, lanes = arena.lane_counts, arena.lane_steps, arena.lanes
+        access, pos = self.access_lo, self.lane_lo
+        for op in arena.ops[self.warp_bounds[0] : self.warp_bounds[-1]]:
+            if op == OP_LOAD or op == OP_STORE:
+                n, step = counts[access], steps[access]
+                access += 1
+                if step:
+                    first = lanes[pos]
+                    yield op, array("q", range(first, first + n * step, step))
+                    pos += 1
+                else:
+                    yield op, lanes[pos : pos + n]
+                    pos += n
 
     def touched_lines(self, line_bytes: int = LINE_BYTES) -> set[int]:
         """Cache lines referenced by this body's loads and stores."""
-        if line_bytes == self.columns.line_bytes:
-            return set(self.columns.lines)
+        if line_bytes == self.arena.line_bytes:
+            return set(self.arena.lines[self.line_lo : self.line_hi])
         return {a // line_bytes for _, lanes in self.accesses() for a in lanes if a >= 0}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TBBody({self.columns!r})"
+        return (
+            f"TBBody(warps={self.num_warps}, "
+            f"instrs={self.warp_bounds[-1] - self.warp_bounds[0]}, "
+            f"lines={self.line_hi - self.line_lo}, line_bytes={self.arena.line_bytes})"
+        )
 
 
 def _lower(instrs: Iterable[Instr]) -> WarpTrace:
@@ -463,6 +492,6 @@ def walk_bodies(bodies: list[TBBody]) -> list[TBBody]:
     while stack:
         body = stack.pop()
         out.append(body)
-        for spec in reversed(body.columns.launches):
+        for spec in reversed(body.launch_table):
             stack.extend(reversed(spec.bodies))
     return out

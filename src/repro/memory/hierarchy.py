@@ -61,7 +61,7 @@ class MemoryHierarchy:
         is_write=False) -> complete_at``, built once per SMX and cached.
 
         ``lines`` is any indexable of line addresses (a
-        :class:`~repro.gpu.compiled.CompiledBody` line pool); the walk
+        :class:`~repro.gpu.trace.TraceArena` line pool); the walk
         covers ``lines[begin:end]``, so no per-access list is allocated.
         """
         fn = self._accessors.get(smx_id)

@@ -75,7 +75,7 @@ class AMR(Workload):
                         start = fine2_base + (fine_row * 2 + sub) * BLOCK_COLS * 4
                         wt.store_range(self.fine2, start, BLOCK_COLS * 4)
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="amr-refine2")
 
     # ----- first-level refinement -----------------------------------------------
@@ -112,7 +112,7 @@ class AMR(Workload):
                     wt.compute(4)
                     wt.launch(self._deep_spec(fine_base, deep_slot, deep_idx))
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="amr-refine")
 
     def build(self) -> KernelSpec:
@@ -160,5 +160,5 @@ class AMR(Workload):
                 warps.append(wt)
             if do_refine:
                 fine_slot += 1
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(64))

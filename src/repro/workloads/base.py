@@ -17,6 +17,7 @@ from repro._exports import lazy_exports
 
 if TYPE_CHECKING:
     from repro.gpu.kernel import KernelSpec, ResourceReq
+    from repro.gpu.trace import TraceArena
 
 # re-exported for custom workloads, which build with it; resolved on first
 # use, so a warm run that builds no trace never imports the trace layer
@@ -138,7 +139,9 @@ class Workload(ABC):
 
     Subclasses define ``name``, accept an ``input_name`` / ``scale`` and
     implement :meth:`build`, returning the host kernel spec whose traces
-    embed every device-side launch.
+    embed every device-side launch. :meth:`build` passes ``self.arena``
+    to every :class:`~repro.gpu.trace.TBBody` it makes, so the whole
+    trace shares one :class:`~repro.gpu.trace.TraceArena`.
     """
 
     #: short application name (e.g. "bfs")
@@ -158,6 +161,8 @@ class Workload(ABC):
         self.scale = scale
         self.seed = seed
         self.space = AddressSpace()
+        #: the columns the trace is built into (set by :meth:`kernel`)
+        self.arena: Optional[TraceArena] = None
         self._spec: Optional[KernelSpec] = None
 
     @property
@@ -178,6 +183,10 @@ class Workload(ABC):
     def kernel(self) -> KernelSpec:
         """Build once and cache (trace generation can be expensive)."""
         if self._spec is None:
+            # imported here: a warm run that builds no trace never loads it
+            from repro.gpu.trace import TraceArena
+
+            self.arena = TraceArena()
             self._spec = self.build()
         return self._spec
 

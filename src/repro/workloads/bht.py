@@ -93,7 +93,7 @@ class BHT(Workload):
                 wt.compute(max(8, min(count, 96)))
                 wt.store_range(self.forces, w_start, w_len)
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return LaunchSpec(bodies=bodies, threads_per_tb=64, name="bht-cell")
 
     def build(self) -> KernelSpec:
@@ -141,5 +141,5 @@ class BHT(Workload):
                     wt.compute(4)
                     wt.launch(self._child_spec(cell, p, count, desc_idx))
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(64))

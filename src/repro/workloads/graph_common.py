@@ -141,7 +141,7 @@ class GraphDynWorkload(Workload):
                             if claims >= 2:
                                 break
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return LaunchSpec(
             bodies=bodies,
             threads_per_tb=CHILD_TB_THREADS,
@@ -203,7 +203,7 @@ class GraphDynWorkload(Workload):
             warps = []
             for w_start in range(0, len(tb_verts), WARP):
                 warps.append(self._parent_warp(tb_verts[w_start : w_start + WARP]))
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return KernelSpec(
             name=self.full_name,
             bodies=bodies,

@@ -76,7 +76,9 @@ class JOIN(Workload):
             wt.compute(8)
             wt.store_range(self.output, s_start + w_start, w_len)
             warps.append(wt)
-        return LaunchSpec(bodies=[TBBody(warps=warps)], threads_per_tb=32, name="join-probe")
+        return LaunchSpec(
+            bodies=[TBBody(warps=warps, arena=self.arena)], threads_per_tb=32, name="join-probe"
+        )
 
     def build(self) -> KernelSpec:
         import numpy as np
@@ -130,5 +132,5 @@ class JOIN(Workload):
                 warps[0].store(self.desc, range(desc_idx * 4, desc_idx * 4 + 4))
                 warps[0].launch(self._child_spec(bucket_sub, c_start, c_len, desc_idx))
                 desc_idx += 1
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(32))

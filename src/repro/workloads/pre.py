@@ -74,7 +74,7 @@ class PRE(Workload):
                 wt.compute(12)  # dot products
                 wt.store_range(self.scores, start + w_start, w_len)
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return LaunchSpec(bodies=bodies, threads_per_tb=32, name="pre-sim")
 
     def build(self) -> KernelSpec:
@@ -126,5 +126,5 @@ class PRE(Workload):
                     wt.launch(self._child_spec(u, start, count, desc_idx, items))
                     desc_idx += 1
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(32))

@@ -72,7 +72,7 @@ class REGX(Workload):
                 warps.append(wt)
             # the last warp writes the match verdict
             warps[-1].store(self.matches, [pkt])
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return LaunchSpec(bodies=bodies, threads_per_tb=32, name="regx-scan")
 
     def build(self) -> KernelSpec:
@@ -123,5 +123,5 @@ class REGX(Workload):
                     wt.launch(self._child_spec(p, start_w, words, desc_idx, rng))
                     desc_idx += 1
                 warps.append(wt)
-            bodies.append(TBBody(warps=warps))
+            bodies.append(TBBody(warps=warps, arena=self.arena))
         return KernelSpec(name=self.full_name, bodies=bodies, resources=make_resources(32))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.gpu.config import CacheConfig, GPUConfig
@@ -52,3 +54,33 @@ def tiny_workload(app: str, inp: str | None = None):
 @pytest.fixture(params=TINY_PAIRS, ids=lambda p: f"{p[0]}-{p[1] or 'default'}")
 def any_tiny_workload(request):
     return tiny_workload(*request.param)
+
+
+def warp_columns(body) -> list[tuple[array, array, array]]:
+    """``(ops, args, offs)`` of each warp of ``body``, read out of its arena.
+
+    ``offs`` are body-relative: a LOAD/STORE's start in the body's own
+    line pool (``body_lines``), 0 for a COMPUTE or LAUNCH, the form the
+    pinned trace digests hash, so a body reads the same wherever its
+    arena puts it.
+    """
+    from repro.gpu.trace import OP_LOAD, OP_STORE
+
+    arena, bounds = body.arena, body.warp_bounds
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        ops = arena.ops[lo:hi]
+        offs = array(
+            "q",
+            [
+                o - body.line_lo if op == OP_LOAD or op == OP_STORE else 0
+                for op, o in zip(ops, arena.offs[lo:hi])
+            ],
+        )
+        out.append((ops, arena.args[lo:hi], offs))
+    return out
+
+
+def body_lines(body) -> array:
+    """The coalesced line pool of ``body`` alone."""
+    return body.arena.lines[body.line_lo : body.line_hi]

@@ -62,6 +62,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 7" in out and "Figure 9" in out
 
+    def test_grid_reports_cells_simulated_then_cached(self, capsys, tmp_path):
+        argv = ["grid", "--scale", "tiny", "--benchmarks", "amr", "--models", "dtbl",
+                "--schedulers", "rr", "adaptive-bind", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().err
+        assert "grid: 0 of 2 cells from cache, 2 simulated" in cold
+        assert "takes a few minutes" not in cold
+        assert main(argv) == 0
+        assert "grid: 2 of 2 cells from cache, 0 simulated" in capsys.readouterr().err
+
     def test_footprint_tiny(self, capsys):
         assert main(["footprint", "--scale", "tiny"]) == 0
         assert "parent-child" in capsys.readouterr().out

@@ -35,9 +35,9 @@ class TestCoalesce:
     def test_zero_lane_access_lowers_to_zero_line_span(self):
         from repro.gpu.trace import TBBody, load
 
-        compiled = TBBody(warps=[[load([])]]).compiled(128)
-        assert list(compiled.warp_args[0]) == [0]
-        assert len(compiled.lines) == 0
+        arena = TBBody(warps=[[load([])]]).compiled(128).arena
+        assert list(arena.args) == [0]
+        assert len(arena.lines) == 0
 
     def test_results_sorted(self):
         assert coalesce([512, 0, 256]) == [0, 2, 4]

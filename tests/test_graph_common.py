@@ -57,7 +57,7 @@ class TestExpansionDiscipline:
 class TestTraceShape:
     def test_parent_reads_row_offsets_first(self, bfs):
         first_parent = bfs.kernel().bodies[0]
-        assert first_parent.columns.warp_ops[0][0] == Op.LOAD
+        assert first_parent.arena.ops[first_parent.warp_bounds[0]] == Op.LOAD
         _, lanes = next(first_parent.accesses())
         lo, hi = bfs.row.base, bfs.row.end
         assert all(lo <= a < hi for a in lanes)
@@ -66,7 +66,7 @@ class TestTraceShape:
         for body in walk_bodies(bfs.kernel().bodies):
             for spec in body.launches():
                 child = spec.bodies[0]
-                assert child.columns.warp_ops[0][0] == Op.LOAD
+                assert child.arena.ops[child.warp_bounds[0]] == Op.LOAD
                 _, lanes = next(child.accesses())
                 assert all(bfs.desc.base <= a < bfs.desc.end for a in lanes)
 

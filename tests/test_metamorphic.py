@@ -16,15 +16,15 @@ from repro.gpu.config import CacheConfig
 from repro.gpu.engine import Engine
 from repro.gpu.trace import OP_LOAD, walk_bodies
 from repro.harness.registry import benchmark_names, experiment_config, load_benchmark
+from tests.conftest import body_lines, warp_columns
 
 
 def loaded_lines(spec) -> set[int]:
     """Every distinct line the trace loads, nested launches included."""
     lines = set()
     for body in walk_bodies(spec.bodies):
-        columns = body.columns
-        pool = columns.lines
-        for ops, args, offs in zip(columns.warp_ops, columns.warp_args, columns.warp_offs):
+        pool = body_lines(body)
+        for ops, args, offs in warp_columns(body):
             for op, n, off in zip(ops, args, offs):
                 if op == OP_LOAD:
                     lines.update(pool[off : off + n])
@@ -35,7 +35,7 @@ def touched_per_set(spec, num_sets: int) -> int:
     """The most distinct lines (loads and stores) any L1 set receives."""
     touched = set()
     for body in walk_bodies(spec.bodies):
-        touched.update(body.columns.lines)
+        touched.update(body_lines(body))
     return max(Counter(line % num_sets for line in touched).values())
 
 

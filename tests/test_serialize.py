@@ -1,10 +1,12 @@
 """Kernel-trace serialization round-trips."""
 
 import gzip
+import hashlib
 import json
 import struct
 import zlib
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +34,12 @@ from repro.gpu.trace import (
     store,
     walk_bodies,
 )
-from repro.harness.registry import experiment_config
-from tests.conftest import tiny_workload
+from repro.harness.registry import experiment_config, load_benchmark
+from tests.conftest import body_lines, tiny_workload, warp_columns
+from tests.test_trace_digests import SEED, digest_cases
+
+#: sha256 of each pinned trace's decompressed record (see record_digest)
+RECORD_PATH = Path(__file__).resolve().parent / "record_digests.json"
 
 
 def _launch_shape(spec: LaunchSpec) -> tuple:
@@ -46,18 +52,27 @@ def traces_equal(a: KernelSpec, b: KernelSpec) -> bool:
     if len(wa) != len(wb):
         return False
     for body_a, body_b in zip(wa, wb):
-        ca, cb = body_a.columns, body_b.columns
-        if (ca.line_bytes, ca.warp_ops, ca.warp_args, ca.warp_offs, ca.lines) != (
-            cb.line_bytes, cb.warp_ops, cb.warp_args, cb.warp_offs, cb.lines
+        if (body_a.arena.line_bytes, warp_columns(body_a), body_lines(body_a)) != (
+            body_b.arena.line_bytes, warp_columns(body_b), body_lines(body_b)
         ):
             return False
-        if (body_a.lane_counts, body_a.lane_steps, body_a.lanes) != (
-            body_b.lane_counts, body_b.lane_steps, body_b.lanes
-        ):
+        if lane_pool(body_a) != lane_pool(body_b):
             return False
-        if [_launch_shape(s) for s in ca.launches] != [_launch_shape(s) for s in cb.launches]:
+        if [_launch_shape(s) for s in body_a.launch_table] != [
+            _launch_shape(s) for s in body_b.launch_table
+        ]:
             return False
     return True
+
+
+def lane_pool(body: TBBody) -> tuple[array, array, array]:
+    """``body``'s lane counts, lane steps and lanes, out of its arena."""
+    arena = body.arena
+    return (
+        arena.lane_counts[body.access_lo : body.access_hi],
+        arena.lane_steps[body.access_lo : body.access_hi],
+        arena.lanes[body.lane_lo : body.lane_hi],
+    )
 
 
 def sample_spec():
@@ -96,7 +111,7 @@ class TestRoundTrip:
     def test_ops_are_op_members(self):
         rebuilt = spec_from_bytes(spec_to_bytes(sample_spec()))
         for body in walk_bodies(rebuilt.bodies):
-            for ops in body.columns.warp_ops:
+            for ops, _, _ in warp_columns(body):
                 assert isinstance(ops, array) and ops.typecode == "q"
                 assert all(Op(op) is not None for op in ops)
 
@@ -176,7 +191,7 @@ class TestRoundTrip:
         header, offset = header_of(data)
         n_bodies, n_warps, n_instrs = header["counts"][:3]
         args_at = offset + 8 * (n_bodies + n_warps + n_instrs)
-        ops = spec_from_bytes(data).bodies[0].columns.warp_ops[0]
+        ops, _, _ = warp_columns(spec_from_bytes(data).bodies[0])[0]
         assert list(ops) == [Op.LAUNCH, Op.COMPUTE, Op.LAUNCH]
 
         def launch_index(value: int):
@@ -194,6 +209,17 @@ class TestRoundTrip:
 
         with pytest.raises(ValueError, match="launch reference out of range"):
             spec_from_bytes(repack(data, drop_launch))
+
+    def test_warp_without_instructions_is_rejected(self):
+        data = spec_to_bytes(sample_spec())
+        header, offset = header_of(data)
+        instrs_at = offset + 8 * header["counts"][0]
+
+        def empty_warp(body: bytes) -> bytes:
+            return body[:instrs_at] + struct.pack("<q", 0) + body[instrs_at + 8:]
+
+        with pytest.raises(ValueError, match="a warp without instructions"):
+            spec_from_bytes(repack(data, empty_warp))
 
     def test_out_of_range_body_index(self):
         data = spec_to_bytes(sample_spec())
@@ -254,10 +280,10 @@ def edit_lane_column(data: bytes, column: str, index: int, value: int) -> bytes:
 class TestLaneRuns:
     def test_runs_round_trip(self):
         spec = run_spec()
-        body = spec.bodies[0]
-        assert list(body.lane_counts) == [2, 32, 8]
-        assert list(body.lane_steps) == [0, 8, 8]
-        assert list(body.lanes) == [512, 8, 0, 256]
+        counts, steps, lanes = lane_pool(spec.bodies[0])
+        assert list(counts) == [2, 32, 8]
+        assert list(steps) == [0, 8, 8]
+        assert list(lanes) == [512, 8, 0, 256]
         rebuilt = spec_from_bytes(spec_to_bytes(spec))
         assert traces_equal(spec, rebuilt)
         assert [list(a) for _, a in rebuilt.bodies[0].accesses()] == [
@@ -287,6 +313,37 @@ class TestLaneRuns:
         data = edit_lane_column(data, "lane_steps", 1, step)
         with pytest.raises(ValueError, match="lane run outside the address space"):
             spec_from_bytes(data)
+
+
+def record_digest(spec: KernelSpec) -> str:
+    """sha256 of ``spec``'s record: its prefix and its decompressed payload
+    (zlib's output may differ between zlib versions; the payload may not)."""
+    data = spec_to_bytes(spec)
+    return hashlib.sha256(data[:12] + zlib.decompress(data[12:])).hexdigest()
+
+
+def measure_record(name: str, scale: str) -> str:
+    return record_digest(load_benchmark(name, scale=scale, seed=SEED).kernel())
+
+
+class TestRecordPins:
+    """The bytes a trace is stored as, pinned per benchmark: a change to how
+    a trace is held in memory must not change the record it writes."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self) -> dict:
+        with open(RECORD_PATH) as f:
+            return json.load(f)
+
+    def test_every_case_is_pinned(self, pinned):
+        assert sorted(pinned) == sorted(f"{name}@{scale}" for name, scale in digest_cases())
+
+    @pytest.mark.parametrize("name,scale", digest_cases())
+    def test_record_bytes(self, name, scale, pinned):
+        assert measure_record(name, scale) == pinned[f"{name}@{scale}"], (
+            f"{name} at {scale} writes a different record; if intended, bump "
+            "FORMAT_VERSION and regenerate tests/record_digests.json"
+        )
 
 
 class TestConfigRoundTrip:

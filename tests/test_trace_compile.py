@@ -12,6 +12,7 @@ real (tiny) workloads, and at other line sizes.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.gpu.trace import (
     LaunchSpec,
     Op,
     TBBody,
+    TraceArena,
     WarpTrace,
     compute,
     launch,
@@ -28,9 +30,12 @@ from repro.gpu.trace import (
     store,
     walk_bodies,
 )
+from repro.gpu.serialize import spec_from_bytes, spec_to_bytes
 from repro.harness.execution import kernel_for
+from repro.harness.registry import benchmark_names
 from repro.memory.coalescer import coalesce
 from repro.workloads.base import AddressSpace
+from tests.conftest import body_lines, warp_columns
 
 LINE_BYTES = 128
 
@@ -39,31 +44,31 @@ def assert_interprets(body: TBBody, warps: list[list[Instr]], line_bytes: int = 
     """Every column entry must match interpreting the original Instr."""
     compiled = body.compiled(line_bytes)
     assert compiled.num_warps == body.num_warps == len(warps)
-    assert compiled.line_bytes == line_bytes
-    for warp, ops, args, offs in zip(
-        warps, compiled.warp_ops, compiled.warp_args, compiled.warp_offs
-    ):
+    assert compiled.arena.line_bytes == line_bytes
+    pool = body_lines(compiled)
+    for warp, (ops, args, offs) in zip(warps, warp_columns(compiled)):
         assert len(ops) == len(args) == len(offs) == len(warp)
         for i, instr in enumerate(warp):
             assert ops[i] == int(instr.op)
             if ops[i] == OP_COMPUTE:
                 assert args[i] == instr.cycles
             elif ops[i] == OP_LAUNCH:
-                assert compiled.launches[args[i]] is instr.launch
+                assert compiled.launch_table[args[i]] is instr.launch
             else:
                 assert ops[i] in (OP_LOAD, OP_STORE)
-                lines = list(compiled.lines[offs[i] : offs[i] + args[i]])
+                lines = list(pool[offs[i] : offs[i] + args[i]])
                 assert lines == coalesce(list(instr.addresses), line_bytes)
 
 
-def assert_same_columns(a, b) -> None:
-    assert a.line_bytes == b.line_bytes
-    assert a.warp_ops == b.warp_ops
-    assert a.warp_args == b.warp_args
-    assert a.warp_offs == b.warp_offs
-    assert a.lines == b.lines
-    assert len(a.launches) == len(b.launches)
-    assert all(x is y for x, y in zip(a.launches, b.launches))
+def assert_same_columns(a: TBBody, b: TBBody) -> None:
+    """Two bodies lower alike: the same line size, per-warp columns (line
+    offsets relative to each body's own lines), line pool and launches,
+    wherever in their arenas they sit."""
+    assert a.arena.line_bytes == b.arena.line_bytes
+    assert warp_columns(a) == warp_columns(b)
+    assert body_lines(a) == body_lines(b)
+    assert len(a.launch_table) == len(b.launch_table)
+    assert all(x is y for x, y in zip(a.launch_table, b.launch_table))
 
 
 def random_warps(rng: random.Random) -> list[list[Instr]]:
@@ -127,12 +132,12 @@ def test_range_lowering_matches_the_coalescer(elem_bytes, start, count):
 def test_compiled_is_interned_per_body_and_line_size():
     warps = random_warps(random.Random(1))
     body = TBBody(warps=warps)
-    first = body.compiled(LINE_BYTES)
-    assert first is body.columns  # the stored columns, as built
-    assert body.compiled(LINE_BYTES) is first
+    assert body.compiled(LINE_BYTES) is body  # the body itself, as built
     other = body.compiled(64)
-    assert other is not first and other.line_bytes == 64
+    assert other is not body and other.arena.line_bytes == 64
+    assert other.arena is not body.arena  # re-lowered into a private arena
     assert body.compiled(64) is other  # cached
+    assert other.compiled(64) is other
     assert_interprets(body, warps, 64)
 
 
@@ -156,22 +161,21 @@ def test_native_line_size_never_relowers(monkeypatch):
 
 def test_zero_lane_access_lowers_to_an_empty_span():
     body = TBBody(warps=[[load([]), compute(2), store([-1, -1])]])
-    compiled = body.compiled(LINE_BYTES)
-    assert list(compiled.warp_args[0]) == [0, 2, 0]
-    assert len(compiled.lines) == 0
-    assert list(body.lane_counts) == [0, 2]
+    assert list(body.arena.args) == [0, 2, 0]
+    assert len(body.arena.lines) == 0
+    assert list(body.arena.lane_counts) == [0, 2]
 
 
 def test_launch_table_preserves_duplicates_in_trace_order():
     child = TBBody(warps=[[compute(1)]])
     spec = LaunchSpec(bodies=[child])
     body = TBBody(warps=[[launch(spec), compute(2), launch(spec)]])
-    compiled = body.compiled(LINE_BYTES)
+    ops, args = body.arena.ops, body.arena.args
     # one table entry per LAUNCH instruction, in issue order
-    assert [x for x in compiled.warp_ops[0]] == [int(Op.LAUNCH), int(Op.COMPUTE), int(Op.LAUNCH)]
-    assert compiled.launches[compiled.warp_args[0][0]] is spec
-    assert compiled.launches[compiled.warp_args[0][2]] is spec
-    assert len(compiled.launches) == 2
+    assert list(ops) == [int(Op.LAUNCH), int(Op.COMPUTE), int(Op.LAUNCH)]
+    assert body.launch_table[args[0]] is spec
+    assert body.launch_table[args[2]] is spec
+    assert len(body.launch_table) == 2
 
 
 def test_later_warps_index_the_body_pools():
@@ -183,8 +187,9 @@ def test_later_warps_index_the_body_pools():
     ]
     body = TBBody(warps=warps)
     assert_interprets(body, warps)
-    assert list(body.columns.warp_offs[1]) == [0, 1, 0, 3]
-    assert list(body.columns.warp_args[1]) == [1, 2, 1, 1]
+    _, args, offs = warp_columns(body)[1]
+    assert list(offs) == [0, 1, 0, 3]
+    assert list(args) == [1, 2, 1, 1]
     assert [s.name for s in body.launches()] == ["a", "b"]
 
 
@@ -193,11 +198,9 @@ def test_shared_body_shares_one_compiled_object():
     parent_a = TBBody(warps=[[launch(LaunchSpec(bodies=[child]))]])
     parent_b = TBBody(warps=[[launch(LaunchSpec(bodies=[child]))]])
     assert parent_a is not parent_b
-    assert child.compiled(LINE_BYTES) is child.compiled(LINE_BYTES)
+    assert child.compiled(64) is child.compiled(64)
     # reachable from both parents, still one compiled instance
-    seen = {
-        id(b.compiled(LINE_BYTES)) for b in walk_bodies([parent_a, parent_b]) if b is child
-    }
+    seen = {id(b.compiled(64)) for b in walk_bodies([parent_a, parent_b]) if b is child}
     assert len(seen) == 1
 
 
@@ -234,8 +237,8 @@ def test_a_run_reads_like_its_listed_lanes(step, start, count):
     addresses = range(start, start + count * step, step)
     listed, run = listed_and_run_bodies(addresses)
     instrs = -(-count // 32)
-    assert list(run.lane_steps) == [0] + [step] * instrs + [step] * instrs
-    assert len(run.lanes) == 2 + 2 * instrs  # the gather's lanes, then one per run
+    assert list(run.arena.lane_steps) == [0] + [step] * instrs + [step] * instrs
+    assert len(run.arena.lanes) == 2 + 2 * instrs  # the gather's lanes, then one per run
     assert [(op, list(a)) for op, a in run.accesses()] == [
         (op, list(a)) for op, a in listed.accesses()
     ]
@@ -252,3 +255,66 @@ def test_access_range_rejects_descending_and_negative_ranges():
         WarpTrace().access_range(OP_LOAD, range(64, 0, -4))
     with pytest.raises(ValueError, match="ascending, non-negative"):
         WarpTrace().access_range(OP_LOAD, range(-8, 64, 4))
+
+
+# --- one arena per trace -----------------------------------------------------
+#
+# A trace's bodies are views into one TraceArena; a body holds only bounds
+# and its launch list, never arrays of its own.
+
+
+def assert_tiles_one_arena(bodies: list[TBBody]) -> None:
+    """Every body views the same arena, and their instruction, line,
+    access and lane ranges tile its columns with no gap or overlap."""
+    (arena,) = {id(b.arena): b.arena for b in bodies}.values()
+    for body in bodies:
+        assert not any(isinstance(getattr(body, slot), array) for slot in TBBody.__slots__)
+    spans = [
+        (b.warp_bounds[0], b.warp_bounds[-1], b.line_lo, b.line_hi, b.access_lo, b.access_hi,
+         b.lane_lo, b.lane_hi)
+        for b in {id(b): b for b in bodies}.values()
+    ]
+    ends = (0, 0, 0, 0)
+    for span in sorted(spans):
+        assert span[0::2] == ends
+        ends = span[1::2]
+    assert ends == (len(arena.ops), len(arena.lines), len(arena.lane_counts), len(arena.lanes))
+    assert len(arena.args) == len(arena.offs) == len(arena.ops)
+    assert len(arena.lane_steps) == len(arena.lane_counts)
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_a_built_and_a_decoded_trace_each_view_one_arena(name):
+    spec = kernel_for(name, "tiny", 7)
+    assert_tiles_one_arena(walk_bodies(spec.bodies))
+    decoded = spec_from_bytes(spec_to_bytes(spec))
+    assert_tiles_one_arena(walk_bodies(decoded.bodies))
+    assert walk_bodies(decoded.bodies)[0].arena is not walk_bodies(spec.bodies)[0].arena
+
+
+def test_a_hand_built_body_gets_a_private_arena():
+    first = TBBody(warps=[[load([0, 4]), compute(2)]])
+    second = TBBody(warps=[[compute(1)], [store([128])]])
+    assert first.arena is not second.arena
+    assert_tiles_one_arena([first])
+    assert_tiles_one_arena([second])
+    assert second.warp_bounds == (0, 1, 2)
+
+
+def test_a_warp_without_instructions_is_rejected():
+    # its program counter would start on the next body's instructions
+    with pytest.raises(ValueError, match="at least one instruction"):
+        TBBody(warps=[[compute(1)], WarpTrace()])
+
+
+def test_bodies_append_to_a_given_arena():
+    arena = TraceArena()
+    first = TBBody(warps=[[load([0, 4]), compute(2)]], arena=arena)
+    second = TBBody(warps=[[store([128, 256])], [load([512])]], arena=arena)
+    assert first.arena is second.arena is arena
+    assert_tiles_one_arena([first, second])
+    assert second.warp_bounds == (2, 3, 4) and (second.line_lo, second.line_hi) == (1, 4)
+    # line offsets index the arena's pool directly, as the SMX reads them
+    assert list(arena.offs) == [0, 1, 1, 3]
+    assert [list(a) for _, a in second.accesses()] == [[128, 256], [512]]
+    assert_same_columns(second, compile_body(second, LINE_BYTES))

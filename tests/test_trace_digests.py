@@ -4,9 +4,11 @@ The golden-stats pins hold only what the engine makes of a trace, and
 clr-*, bht, pre and regx-random have none, so these digests are the
 guard on what each workload builder emits. For every body, in
 ``walk_bodies`` order, the digest covers the op of each instruction,
-COMPUTE cycles, LOAD/STORE line spans (at 128-byte lines), the shape of
-each launch, and the per-lane byte addresses of every memory access. It
-reads the in-memory trace, so it does not depend on the record format.
+COMPUTE cycles, LOAD/STORE line spans (at 128-byte lines, with offsets
+relative to the body's own lines), the shape of each launch, and the
+per-lane byte addresses of every memory access. It reads the in-memory
+trace, so it does not depend on the record format or on how bodies
+share an arena.
 
 Regenerate after an intentional change to a workload or to datagen::
 
@@ -27,6 +29,7 @@ import pytest
 from repro.gpu.serialize import spec_from_bytes, spec_to_bytes
 from repro.gpu.trace import walk_bodies
 from repro.harness.registry import benchmark_names, load_benchmark
+from tests.conftest import body_lines, warp_columns
 
 DIGEST_PATH = Path(__file__).resolve().parent / "trace_digests.json"
 LINE_BYTES = 128
@@ -61,10 +64,11 @@ def trace_digest(spec) -> str:
     for body in walk_bodies(spec.bodies):
         compiled = body.compiled(LINE_BYTES)
         digest.update(struct.pack("<q", compiled.num_warps))
-        for ops, args, offs in zip(compiled.warp_ops, compiled.warp_args, compiled.warp_offs):
+        for ops, args, offs in warp_columns(compiled):
             digest.update(struct.pack("<q", len(ops)))
             digest.update(_le(ops) + _le(args) + _le(offs))
-        digest.update(struct.pack("<q", len(compiled.lines)) + _le(compiled.lines))
+        lines = body_lines(compiled)
+        digest.update(struct.pack("<q", len(lines)) + _le(lines))
         counts, lanes = lane_columns(body)
         digest.update(struct.pack("<qq", len(counts), len(lanes)))
         digest.update(_le(counts) + _le(lanes))
