@@ -5,6 +5,8 @@ performance regressions in the cycle loop, the memory hierarchy, and the
 dispatch stage.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import make_scheduler
@@ -116,6 +118,14 @@ WALK_PREFIX = "walk:"
 LOAD_ROW = "load:bfs-citation/small"
 LOAD_PREFIX = "load:"
 
+#: a row prefixed ``store:`` times the trace-store layer alone: encoding one
+#: built trace (``spec_to_bytes``) into the record a cold run writes to the
+#: workload cache
+STORE_ROW = "store:bfs-citation/small"
+STORE_PREFIX = "store:"
+#: the record digest the format pins per trace (tests/test_serialize.py)
+RECORD_DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "record_digests.json"
+
 #: rows prefixed ``start:`` time a fresh interpreter from start to exit,
 #: the wait before any simulation starts: importing the CLI, and a warm
 #: tiny ``repro grid`` on a result cache the row fills untimed first.
@@ -201,6 +211,41 @@ def _measure_load(row: str, rounds: int) -> dict:
     return {"best_ms": round(best * 1000, 3), "record_mb": round(len(record) / 1e6, 3)}
 
 
+def _measure_store(row: str, rounds: int) -> dict:
+    """Best-of-N wall time of encoding one benchmark's built trace.
+
+    The record must be the one the format pins for that trace in
+    tests/record_digests.json, so an encoder that writes other bytes fails
+    the row instead of timing them.
+    """
+    import hashlib
+    import json
+    import time
+    import zlib
+
+    from repro.gpu.serialize import spec_to_bytes
+
+    benchmark, scale = row.removeprefix(STORE_PREFIX).split("/")
+    spec = load_benchmark(benchmark, scale=scale).kernel()
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        record = spec_to_bytes(spec)
+        best = min(best, time.perf_counter() - t0)
+    with open(RECORD_DIGESTS) as fh:
+        pinned = json.load(fh).get(f"{benchmark}@{scale}")
+    # the pins hash the prefix and the decompressed stream: zlib's output
+    # may differ between zlib versions, the stream may not
+    digest = hashlib.sha256(record[:12] + zlib.decompress(record[12:])).hexdigest()
+    if digest != pinned:
+        raise RuntimeError(f"{row}: the record does not match the built trace's pinned digest")
+    return {"best_ms": round(best * 1000, 3), "record_mb": round(len(record) / 1e6, 3)}
+
+
+def test_store_row_writes_the_pinned_record():
+    assert _measure_store(f"{STORE_PREFIX}bfs-citation/tiny", rounds=1)["record_mb"] > 0
+
+
 def test_load_row_decodes_the_built_trace():
     assert _measure_load(f"{LOAD_PREFIX}bfs-citation/tiny", rounds=1)["record_mb"] > 0
 
@@ -212,8 +257,8 @@ def test_start_rows_load_no_numpy():
 
 def _speedup(new: dict, old: dict) -> float:
     """How many times faster ``new`` ran than ``old``: the throughput
-    ratio, or the wall-time ratio for a ``start:`` or ``load:`` row (no
-    throughput)."""
+    ratio, or the wall-time ratio for a ``start:``, ``load:`` or ``store:``
+    row (no throughput)."""
     if "cycles_per_sec" in new:
         return new["cycles_per_sec"] / old["cycles_per_sec"]
     return old["best_ms"] / new["best_ms"]
@@ -395,7 +440,8 @@ def main(argv=None) -> int:
         # top of LaPerm) so the throttle/admission path can't regress
         # silently, the CDP row for the KMU backlog and DRAM queue, the
         # cold rows for build, trace store and first run, the walk row
-        # for the L1/L2/DRAM walk alone and the load row for trace decoding
+        # for the L1/L2/DRAM walk alone, the load row for trace decoding and
+        # the store row for trace encoding
         default=[
             "rr",
             "tb-pri",
@@ -407,6 +453,7 @@ def main(argv=None) -> int:
             COLD_RUNS_ROW,
             WALK_ROW,
             LOAD_ROW,
+            STORE_ROW,
             *START_ROWS,
         ],
         help="rows to measure: a scheduler (bfs-citation tiny/dtbl), "
@@ -414,6 +461,7 @@ def main(argv=None) -> int:
         "(build + trace store + first run, each round on a fresh cache), "
         "walk:scheduler@benchmark/scale/model (one run's memory walk, replayed), "
         "load:benchmark/scale (one trace record decoded), "
+        "store:benchmark/scale (one built trace encoded), "
         f"or one of {', '.join(START_ROWS)} (a fresh interpreter, start to exit)",
     )
     parser.add_argument(
@@ -430,7 +478,7 @@ def main(argv=None) -> int:
     rows = {
         row: parse_row(row)
         for row in args.schedulers
-        if not row.startswith((START_PREFIX, LOAD_PREFIX))
+        if not row.startswith((START_PREFIX, LOAD_PREFIX, STORE_PREFIX))
     }
     t0 = time.perf_counter()
     specs = {
@@ -445,7 +493,8 @@ def main(argv=None) -> int:
         "unless the row names scheduler@benchmark/scale/model; a cold: row "
         "times build + trace store + first run on a fresh workload cache; a "
         "walk: row times a replay of one run's memory walk calls; a load: row "
-        "times decoding one stored trace record; a start: row times a fresh "
+        "times decoding one stored trace record; a store: row times encoding "
+        "one built trace; a start: row times a fresh "
         "interpreter running its command, start to exit",
         "rounds": args.rounds,
         "python": platform.python_version(),
@@ -455,13 +504,16 @@ def main(argv=None) -> int:
     # phase 2: engine throughput per scheduler (datagen excluded: each
     # timed window covers exactly one Engine.run(); a cold row's window
     # covers its build, store and first run instead, a load row's one
-    # record decode, and a start row's a whole fresh process)
+    # record decode, a store row's one record encode, and a start row's a
+    # whole fresh process)
     t0 = time.perf_counter()
     for sched in args.schedulers:
         if sched.startswith(START_PREFIX):
             row = _measure_start(sched, args.rounds)
         elif sched.startswith(LOAD_PREFIX):
             row = _measure_load(sched, args.rounds)
+        elif sched.startswith(STORE_PREFIX):
+            row = _measure_store(sched, args.rounds)
         else:
             scheduler, (benchmark, scale, model) = rows[sched]
             if sched.startswith(COLD_PREFIX):

@@ -264,6 +264,9 @@ class AnySMXPlacement:
     def has_pending(self) -> bool:
         return self.queue.head() is not None
 
+    def detach(self) -> None:
+        """Nothing to drop: this placement holds no hooks."""
+
     @property
     def queue_high_water(self) -> int:
         queue = self.queue
@@ -332,6 +335,11 @@ class BindPlacement:
                         )
                     )
                 )
+
+    def detach(self) -> None:
+        """Drop the telemetry hooks: each one holds its own queue."""
+        for queue in self.queues:
+            queue.on_overflow = None
 
     def _bind_domain(self, parent: Optional[ThreadBlock]) -> int:
         if parent is None or parent.smx_id is None:
@@ -459,7 +467,9 @@ class ThrottleAdmission:
         "adjustments",
         "_next_adjust",
         "_snapshots",
-        "_engine",
+        "_smxs",
+        "_l1s",
+        "_max_cap",
     )
 
     def __init__(
@@ -486,14 +496,17 @@ class ThrottleAdmission:
         self.adjustments = 0
 
     def setup(self, engine: "Engine") -> None:
-        self._engine = engine
+        # the SMXs and their L1s, not the engine: holding the engine would
+        # close a reference cycle through the scheduler
+        self._smxs = engine.smxs
+        self._l1s = engine.memory.l1s
+        self._max_cap = engine.config.max_tbs_per_smx
         self._snapshots = [(0, 0)] * engine.config.num_smx
 
     def _adjust_caps(self) -> None:
-        engine = self._engine
-        max_cap = engine.config.max_tbs_per_smx
-        for smx in engine.smxs:
-            l1 = engine.memory.l1s[smx.smx_id].stats
+        max_cap = self._max_cap
+        for smx in self._smxs:
+            l1 = self._l1s[smx.smx_id].stats
             last_hits, last_accesses = self._snapshots[smx.smx_id]
             accesses = l1.accesses - last_accesses
             hits = l1.hits - last_hits

@@ -18,9 +18,10 @@ three decision points:
 
 The engine calls ``attach`` once, the ``on_kernel_arrival`` /
 ``on_tb_group`` hooks as work arrives, ``dispatch`` once per executed
-cycle (at most one TB placed) and ``has_pending`` to detect deadlock,
-and reads ``prioritized_kmu``, ``idle_dispatch_pure``, ``steals``,
-``overflow_events`` and ``queue_high_water``.
+cycle (at most one TB placed), ``has_pending`` to detect deadlock and
+``detach`` when its run ends, and reads ``prioritized_kmu``,
+``idle_dispatch_pure``, ``steals``, ``overflow_events`` and
+``queue_high_water``.
 
 The four paper schedulers are canonical compositions
 (:data:`~repro.core.components.NAMED_COMPOSITIONS`); the composed forms
@@ -104,6 +105,14 @@ class ComposedScheduler:
             self.dispatch = (
                 self._dispatch_uniform if self.placement.uniform else self._dispatch_bound
             )
+
+    def detach(self) -> None:
+        """Drop every reference back to the engine or to this scheduler
+        once the engine's run has ended (undoes :meth:`attach`), so no
+        reference cycle runs through the scheduler. The counters stay."""
+        self.engine = None
+        vars(self).pop("dispatch", None)
+        self.placement.detach()
 
     # ----- event hooks -----------------------------------------------------
     def on_kernel_arrival(self, kernel: Kernel, now: int) -> None:

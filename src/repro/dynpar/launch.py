@@ -43,6 +43,10 @@ class DynamicParallelismModel(ABC):
     def attach(self, engine: "Engine") -> None:
         self.engine = engine
 
+    def detach(self) -> None:
+        """Drop the engine once its run has ended (undoes :meth:`attach`)."""
+        self.engine = None
+
     @abstractmethod
     def launch_latency(self) -> int:
         """Cycles from launch instruction to the child being schedulable."""

@@ -27,6 +27,12 @@ tests/golden_equivalence.json). With the paper's 13 SMXs, reading every
 When nothing can happen, the clock jumps to the next event — the earliest
 of the retire heap, the launch-delivery queue, and the SMXs' ``wake_at`` — so
 that memory-stall-dominated regions do not cost wall-clock time.
+
+An engine is single-use. Its run ends, returned or raised, by releasing
+the reference cycles it built (each kernel's TB list, the scheduler's,
+launch model's and KMU's references back to the engine), so dropping a
+finished engine frees everything it made by reference counting alone.
+The statistics and every counter they are read from stay readable.
 """
 
 from __future__ import annotations
@@ -92,6 +98,8 @@ class Engine:
         self._retire_heap: list[tuple[int, int, ThreadBlock]] = []
         self._retire_seq = itertools.count()
         self._live_tbs = 0
+        # every kernel this run created, whose TB lists _release empties
+        self._kernels: list[Kernel] = []
         self._finished = False
         # telemetry sink (docs/telemetry.md): every emit site guards on
         # `telemetry.enabled` before constructing the event, so the
@@ -112,6 +120,7 @@ class Engine:
     # ----- bookkeeping hooks (called by dynpar / SMXs) ---------------------
     def register_kernel(self, kernel: Kernel) -> None:
         """Account for a newly created kernel's thread blocks."""
+        self._kernels.append(kernel)
         self._live_tbs += kernel.num_tbs
 
     def register_group(self, tbs: Sequence[ThreadBlock]) -> None:
@@ -242,9 +251,21 @@ class Engine:
         )
 
     def run(self) -> SimStats:
-        """Run to completion and return the statistics."""
+        """Run to completion and return the statistics.
+
+        Engines are single-use. Whether the run returns or raises, it ends
+        with :meth:`_release`, so dropping the engine frees it by
+        reference counting alone.
+        """
         if self._finished:
             raise RuntimeError("engine instances are single-use")
+        self._finished = True
+        try:
+            return self._simulate()
+        finally:
+            self._release()
+
+    def _simulate(self) -> SimStats:
         now = self.now
         # cycles spent rotating the dispatch stage with no other event in
         # sight: bounded, or a TB that fits nowhere would spin forever
@@ -334,15 +355,23 @@ class Engine:
             if max_cycles is not None and now > max_cycles:
                 raise RuntimeError(f"exceeded max_cycles={max_cycles}")
         self.now = now
-        self._finished = True
-        # engines are single-use, so no later request can merge into a
-        # fill: free the MSHR table now, not when the engine's reference
-        # cycles are collected
-        self.memory._inflight.clear()
         if sampling:
             self._emit_sample(now)  # final machine state closes counter tracks
             self.telemetry.close()
         return self._collect_stats()
+
+    def _release(self) -> None:
+        """Break the reference cycles a run builds: each kernel lists its
+        TBs and each TB points at its kernel, and the scheduler, the
+        dynamic-parallelism model and the KMU's admission hook point back
+        at the engine. Everything the statistics read stays: the SMX and
+        memory counters, the scheduler's and the KDU/KMU's."""
+        for kernel in self._kernels:
+            kernel.tbs.clear()
+        self._kernels.clear()
+        self.kmu.on_admit = None
+        self.scheduler.detach()
+        self.dynpar.detach()
 
     # ----- results -----------------------------------------------------------
     def _collect_stats(self) -> SimStats:

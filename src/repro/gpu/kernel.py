@@ -5,6 +5,11 @@ thread-block bodies, per-TB resource needs). At simulation time the engine
 or the dynamic-parallelism model instantiates a :class:`Kernel`, whose
 :class:`ThreadBlock` objects carry the runtime state the schedulers care
 about: priority, direct parent, assigned SMX, and dispatch/retire times.
+
+A kernel lists its thread blocks and each thread block points back at its
+kernel. The engine that created a kernel empties that list when its run
+ends, which leaves no reference cycle behind: a TB's parent is always an
+older TB, so parent links never close one.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ table, roots) and the columns of the trace's `TraceArena`, body by body
 — warps per body, instructions per warp, op codes, arguments, the
 coalesced line pool, and the per-lane address pool with its lane counts
 and lane steps (a range access is stored as a run: its first address
-and stride). Storing a trace is one join and one compression pass;
-loading one makes the decoded columns one arena that every decoded body
-views, so a loaded trace replays with no coalescing and no per-body
-copies. Bodies and launches are referenced by table index, so
+and stride). Storing a trace is one gather per column and one
+compression pass; loading one makes the decoded columns one arena that
+every decoded body views, so a loaded trace replays with no coalescing
+and no per-body copies. Bodies and launches are referenced by table index, so
 arbitrarily deep launch trees serialize without recursion. Decoding
 validates every length, op code and index and never evaluates the
 record (no pickle, marshal or eval). Format 1 (gzip JSON), format 2
@@ -152,7 +152,7 @@ def _collect(spec: KernelSpec):
 #   launch_refs  each body's launch list as launch-table indices
 #
 # These are the columns of a TraceArena (repro.gpu.trace), each body's
-# slice in table order: storing a trace joins the slices and compresses
+# slice in table order: storing a trace gathers the slices and compresses
 # once, and loading one makes the decoded columns the arena every body
 # views, without coalescing. Line offsets are not stored; the decoder
 # recomputes them from the line counts. Bodies and launches are referenced
@@ -171,53 +171,72 @@ _COLUMNS = (
 )
 
 
-def _le(columns: list[array]) -> bytes:
-    """``columns`` joined, as little-endian int64 bytes."""
-    joined = b"".join(columns)
-    if _NATIVE_LE:
-        return joined
-    swapped = array("q")
-    swapped.frombytes(joined)
-    swapped.byteswap()
-    return swapped.tobytes()
+def _le(values) -> bytes:
+    """``values`` (a sequence or an int64 array) as little-endian int64 bytes."""
+    import numpy as np
+
+    return np.asarray(values, dtype="<i8").tobytes()
+
+
+def _gather(arenas: list[TraceArena], column: str, arena_of, lo, hi) -> bytes:
+    """Every body's ``[lo, hi)`` slice of its arena's ``column``, joined in
+    body order, as little-endian int64 bytes.
+
+    One fancy-indexing gather per column: a built trace's bodies do not
+    tile their arena in table order, so the slices cannot be copied as one
+    run, but they need not be copied one by one either.
+    """
+    import numpy as np
+
+    sources = [np.frombuffer(getattr(arena, column), dtype=np.int64) for arena in arenas]
+    source = sources[0] if len(sources) == 1 else np.concatenate(sources)
+    start = lo + _bounds(np.array([len(src) for src in sources]))[arena_of]
+    lengths = hi - lo
+    # element k of a body's slice sits at the body's start plus k
+    index = np.arange(lengths.sum()) + np.repeat(start - _bounds(lengths)[:-1], lengths)
+    return _le(source[index])
 
 
 def spec_to_bytes(spec: KernelSpec) -> bytes:
     """Encode a kernel spec as one binary trace record."""
+    import numpy as np
+
     bodies, body_ids, launches, launch_ids = _collect(spec)
-    body_warps = array("q")
+    arena_ids: dict[int, int] = {}
+    arenas: list[TraceArena] = []
+    # per body: its arena, then its instruction, line, access and lane
+    # bounds in that arena's columns
+    spans = []
+    body_warps = []
     warp_instrs = array("q")
-    launch_refs = array("q")
-    ops: list[array] = []
-    args: list[array] = []
-    lines: list[array] = []
-    lane_counts: list[array] = []
-    lane_steps: list[array] = []
-    lanes: list[array] = []
+    launch_refs = []
     for body in bodies:
         arena, bounds = body.arena, body.warp_bounds
-        lo, hi = bounds[0], bounds[-1]
+        arena_index = arena_ids.get(id(arena))
+        if arena_index is None:
+            arena_index = arena_ids[id(arena)] = len(arenas)
+            arenas.append(arena)
+        spans.append((
+            arena_index, bounds[0], bounds[-1], body.line_lo, body.line_hi,
+            body.access_lo, body.access_hi, body.lane_lo, body.lane_hi,
+        ))
         body_warps.append(len(bounds) - 1)
         warp_instrs.extend(map(sub, bounds[1:], bounds))
-        ops.append(arena.ops[lo:hi])
-        args.append(arena.args[lo:hi])
-        lines.append(arena.lines[body.line_lo : body.line_hi])
-        access_lo, access_hi = body.access_lo, body.access_hi
-        lane_counts.append(arena.lane_counts[access_lo:access_hi])
-        lane_steps.append(arena.lane_steps[access_lo:access_hi])
-        lanes.append(arena.lanes[body.lane_lo : body.lane_hi])
         if body.launch_table:
             launch_refs.extend([launch_ids[id(s)] for s in body.launch_table])
+    arena_of, instr_lo, instr_hi, line_lo, line_hi, access_lo, access_hi, lane_lo, lane_hi = (
+        np.array(spans, dtype=np.int64).T
+    )
     data = [
-        _le([body_warps]),
-        _le([warp_instrs]),
-        _le(ops),
-        _le(args),
-        _le(lines),
-        _le(lane_counts),
-        _le(lane_steps),
-        _le(lanes),
-        _le([launch_refs]),
+        _le(body_warps),
+        _le(warp_instrs),
+        _gather(arenas, "ops", arena_of, instr_lo, instr_hi),
+        _gather(arenas, "args", arena_of, instr_lo, instr_hi),
+        _gather(arenas, "lines", arena_of, line_lo, line_hi),
+        _gather(arenas, "lane_counts", arena_of, access_lo, access_hi),
+        _gather(arenas, "lane_steps", arena_of, access_lo, access_hi),
+        _gather(arenas, "lanes", arena_of, lane_lo, lane_hi),
+        _le(launch_refs),
     ]
     header = {
         "name": spec.name,
@@ -294,9 +313,9 @@ def _check_columns(columns: list[array], n_launches: int):
     access, lane and launch-ref columns.
 
     Every op code, count and index is checked, so a damaged record raises
-    instead of replaying a wrong trace. This validation is the only numpy
-    user in this module: the JSON helpers above serve warm paths, which
-    never import it.
+    instead of replaying a wrong trace. Only this validation and the
+    encoder use numpy, and each imports it itself: the JSON helpers above
+    serve warm paths, which never import it.
     """
     import numpy as np
 

@@ -28,7 +28,7 @@ class DRAM:
 
     ``service(now)`` returns the absolute cycle at which a new line
     transaction issued at cycle ``now`` completes. The memory walk
-    (``MemoryHierarchy._make_accessor``) inlines the same arithmetic; the
+    (``MemoryHierarchy.accessor``) inlines the same arithmetic; the
     reference walk (``tests/memory_reference.py``) calls this method.
     """
 

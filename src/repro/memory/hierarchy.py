@@ -54,23 +54,16 @@ class MemoryHierarchy:
         # the MSHR table: line -> completion time of its latest DRAM fill
         self._inflight: dict[int, int] = {}
         self.mshr_merges = 0
-        self._accessors: dict[int, object] = {}
 
     def accessor(self, smx_id: int):
-        """A per-SMX bound fast accessor, ``fn(lines, begin, end, now,
-        is_write=False) -> complete_at``, built once per SMX and cached.
+        """A fresh per-SMX fast accessor, ``fn(lines, begin, end, now,
+        is_write=False) -> complete_at``. Each SMX builds its own once and
+        keeps it; the hierarchy keeps none, since a closure it held would
+        close a reference cycle through ``_hier``.
 
         ``lines`` is any indexable of line addresses (a
         :class:`~repro.gpu.trace.TraceArena` line pool); the walk
         covers ``lines[begin:end]``, so no per-access list is allocated.
-        """
-        fn = self._accessors.get(smx_id)
-        if fn is None:
-            fn = self._accessors[smx_id] = self._make_accessor(smx_id)
-        return fn
-
-    def _make_accessor(self, smx_id: int):
-        """Build the walk closure for one SMX.
 
         Every per-call constant (set lists, associativities, latencies,
         the DRAM and its timing constants) is frozen into default arguments,

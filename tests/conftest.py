@@ -10,6 +10,18 @@ from repro.gpu.config import CacheConfig, GPUConfig
 from repro.workloads import make_workload
 
 
+@pytest.fixture(autouse=True, scope="session")
+def hermetic_cache_dir(tmp_path_factory):
+    """Point the default result cache (``$REPRO_CACHE_DIR``) at a
+    per-session temporary directory, so a command run without
+    ``--cache-dir`` neither writes ``.repro-cache/`` into the directory
+    pytest runs from nor is answered from an earlier session's."""
+    path = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(path))
+        yield path
+
+
 @pytest.fixture
 def small_config() -> GPUConfig:
     """A 4-SMX machine with small caches — fast and easy to saturate."""

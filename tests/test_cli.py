@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.cache import ResultCache
 
 
 class TestParser:
@@ -75,6 +76,23 @@ class TestCommands:
     def test_footprint_tiny(self, capsys):
         assert main(["footprint", "--scale", "tiny"]) == 0
         assert "parent-child" in capsys.readouterr().out
+
+
+class TestDefaultCacheDir:
+    def test_run_without_cache_dir_writes_to_session_cache(
+        self, capsys, tmp_path, monkeypatch, hermetic_cache_dir
+    ):
+        """A bare ``repro run`` caches into ``$REPRO_CACHE_DIR``, which the
+        autouse ``hermetic_cache_dir`` fixture points away from the
+        working directory."""
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache(hermetic_cache_dir)
+        before = set(cache.record_paths())
+        # a seed no other test runs, so the record cannot exist yet
+        assert main(["--seed", "23", "run", "amr", "--scale", "tiny", "-s", "rr"]) == 0
+        assert "ipc=" in capsys.readouterr().out
+        assert set(cache.record_paths()) - before
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNewCommands:

@@ -135,6 +135,15 @@ class TestRoundTrip:
     def test_encoding_is_deterministic(self):
         assert spec_to_bytes(sample_spec()) == spec_to_bytes(sample_spec())
 
+    def test_one_arena_and_many_write_one_record(self):
+        """Each body of ``sample_spec`` has an arena of its own; the decoded
+        copy's bodies share one. The encoder gathers either into the same
+        bytes."""
+        data = spec_to_bytes(sample_spec())
+        rebuilt = spec_from_bytes(data)
+        assert len({id(body.arena) for body in walk_bodies(rebuilt.bodies)}) == 1
+        assert spec_to_bytes(rebuilt) == data
+
     def test_file_round_trip(self, tmp_path):
         spec = sample_spec()
         path = str(tmp_path / "sample.trace")
