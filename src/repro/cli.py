@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core import SCHEDULER_ORDER
@@ -415,7 +414,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or prune the on-disk result and workload caches."""
     root = _cache_dir_from_args(args)
     cache = ResultCache(root)
-    workloads = WorkloadCache(Path(root) / "workloads")
+    workloads = WorkloadCache.beside(root)
     if args.cache_command == "stats":
         stats = cache.disk_stats()
         print(f"cache root       {stats['root']}")

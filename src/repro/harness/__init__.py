@@ -24,13 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "seed_kernel_cache",
         ),
         "repro.harness.export": ("grid_records", "grid_to_csv", "grid_to_json", "write_grid"),
-        "repro.harness.workload_cache": (
-            "TRACE_VERSION",
-            "WorkloadCache",
-            "active_workload_cache",
-            "configure_workload_cache",
-            "disable_workload_cache",
-        ),
+        "repro.harness.workload_cache": ("TRACE_VERSION", "WorkloadCache"),
         "repro.harness.runner": (
             "DEFAULT_LATENCIES",
             "DEFAULT_MODELS",

@@ -1,26 +1,27 @@
-"""Content-addressed on-disk cache for simulation results.
+"""Content-addressed on-disk stores: one record file per key.
 
-A record is one JSON file per simulation, stored under a directory
-sharded by the first two hex digits of its key::
+:class:`ContentStore` is the one store implementation. Records live in a
+directory sharded by the first two hex digits of their key::
 
-    <root>/ab/abcdef0123....json
+    <root>/ab/abcdef0123...<suffix>
 
-Keys are produced by :meth:`repro.harness.execution.RunSpec.cache_key`:
-a SHA-256 over the full run description (benchmark, scale, seed,
-scheduler, model, the complete machine configuration and the cycle
-budget) *plus* ``ENGINE_VERSION``, so results stored by an older engine
-are simply never looked up again — stale entries go cold instead of
-going wrong.
+Each stored product is a small subclass that keeps only its suffix, its
+warning label, its key and its codec: :class:`ResultCache` (``.json``
+simulation results, keyed by :meth:`~repro.harness.execution.RunSpec.cache_key`)
+and :class:`~repro.harness.workload_cache.WorkloadCache` (``.trace``
+workload traces, at ``<result-cache-root>/workloads/``). Keys hash a
+version (``ENGINE_VERSION``, ``TRACE_VERSION``) along with the inputs,
+so stale records go cold instead of going wrong.
 
-The cache itself is deliberately dumb storage: it maps key strings to
-JSON records and never interprets them. Validation (does the stored spec
-really match? is the engine version current?) lives in the executor,
-which re-simulates on any mismatch. Corrupt or truncated files are
-treated as misses, and writes are atomic (temp file + ``os.replace``) so
-concurrent processes sharing one cache directory never observe a
-half-written record. A failed write (a full disk, a read-only
-directory) is counted and reported once on stderr, never raised: the
-caller keeps the result it just computed.
+A store is deliberately dumb: it maps keys to records and never
+interprets them (the executor validates a result record and re-simulates
+on any mismatch). Missing, corrupt or truncated files are misses.
+Writes are atomic (temp file + ``os.replace``), so concurrent processes
+sharing one directory never observe a half-written record. A failed
+write (a full disk, a read-only directory) is counted and reported once
+per store on stderr, never raised: the caller keeps what it computed.
+The directory is created on the first store, so constructing a store
+(e.g. from a CLI default) touches nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -58,17 +59,19 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """:func:`atomic_write_bytes` for UTF-8 text."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+class ContentStore:
+    """Keyed record files rooted at one directory.
 
-
-class ResultCache:
-    """Keyed JSON-record store rooted at one directory.
-
-    The directory is created lazily on the first :meth:`store`, so
-    constructing a cache (e.g. from a CLI default) touches nothing.
+    Subclasses set :attr:`suffix` and :attr:`label`, and implement
+    :meth:`_encode` / :meth:`_decode`; :attr:`_corrupt` lists the
+    exceptions by which a decode reports a damaged record.
     """
+
+    #: file suffix of every record (also what :meth:`record_paths` globs)
+    suffix = ""
+    #: what a record is called in the failed-store warning
+    label = "record"
+    _corrupt: tuple[type[BaseException], ...] = (OSError, ValueError)
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
@@ -81,43 +84,43 @@ class ResultCache:
         """File a record with this key lives at (whether or not it exists)."""
         if not key or any(c in key for c in "/\\."):
             raise ValueError(f"invalid cache key {key!r}")
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}{self.suffix}"
 
-    def load(self, key: str) -> Optional[dict]:
-        """Return the record stored under ``key``, or None.
+    def _encode(self, value: Any) -> bytes:
+        raise NotImplementedError
 
-        Missing, unreadable and corrupt files all count as misses — the
-        caller recomputes and overwrites.
-        """
+    def _decode(self, path: Path) -> Any:
+        raise NotImplementedError
+
+    def _read(self, key: str) -> Any:
+        """The record stored under ``key``, or None: missing, unreadable
+        and corrupt files all count as misses — the caller recomputes and
+        overwrites."""
         try:
-            text = self.path_for(key).read_text(encoding="utf-8")
-            record = json.loads(text)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(record, dict):
+            value = self._decode(self.path_for(key))
+        except self._corrupt:
             self.misses += 1
             return None
         self.hits += 1
-        return record
+        return value
 
-    def store(self, key: str, record: dict) -> None:
-        """Atomically write ``record`` under ``key`` (overwrites).
+    def _write(self, key: str, value: Any) -> None:
+        """Atomically write ``value`` under ``key`` (overwrites).
 
         Safe under concurrent same-key writers across processes *and*
         threads: see :func:`atomic_write_bytes`. An ``OSError``
         (``ENOSPC``, ``EACCES``, ...) leaves no temp file behind, counts
-        in ``store_errors`` and is reported on stderr once per cache.
+        in ``store_errors`` and is reported on stderr once per store.
         """
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, json.dumps(record, sort_keys=True))
+            atomic_write_bytes(path, self._encode(value))
         except OSError as exc:
             self.store_errors += 1
             if self.store_errors == 1:
                 print(
-                    f"warning: result not cached: cannot write {path} "
+                    f"warning: {self.label} not cached: cannot write {path} "
                     f"(errno {exc.errno}: {exc.strerror}); continuing without it",
                     file=sys.stderr,
                 )
@@ -126,9 +129,7 @@ class ResultCache:
 
     def __len__(self) -> int:
         """Number of records on disk (walks the directory)."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self.record_paths())
 
     # -- maintenance (``repro cache stats`` / ``repro cache prune``) -----------
 
@@ -136,55 +137,41 @@ class ResultCache:
         """Every record file on disk, in deterministic (sorted) order."""
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob("*/*.json"))
+        return sorted(self.root.glob(f"*/*{self.suffix}"))
 
-    def disk_stats(self) -> dict:
-        """Size/content digest of the cache directory (JSON-safe).
-
-        Walks every record once; ``engine_versions`` counts records per
-        stored ``engine_version`` (``"unknown"`` for records without
-        one), which is how stale results from older engines show up.
-        """
-        records = 0
-        total_bytes = 0
-        versions: dict[str, int] = {}
-        for path in self.record_paths():
-            try:
-                size = path.stat().st_size
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue  # racing writer or corrupt record: skip
-            records += 1
-            total_bytes += size
-            version = record.get("engine_version") if isinstance(record, dict) else None
-            label = "unknown" if version is None else str(version)
-            versions[label] = versions.get(label, 0) + 1
-        return {
-            "root": str(self.root),
-            "records": records,
-            "total_bytes": total_bytes,
-            "engine_versions": dict(sorted(versions.items())),
-        }
-
-    def prune(self, max_bytes: int) -> tuple[int, int]:
-        """Delete oldest records until the cache fits in ``max_bytes``.
-
-        Eviction order is modification time (then file name, so equal
-        timestamps break deterministically); returns ``(records removed,
-        bytes freed)``. Empty shard directories are cleaned up so a fully
-        pruned cache leaves only its root behind.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+    def _entries(self) -> list[tuple[int, str, Path, int]]:
+        """``(mtime_ns, name, path, size)`` of every record file, parsable
+        or not: what :meth:`disk_stats` counts is what :meth:`prune` sees."""
         entries = []
-        total = 0
         for path in self.record_paths():
             try:
                 stat = path.stat()
             except OSError:
-                continue
+                continue  # racing writer or prune: skip
             entries.append((stat.st_mtime_ns, path.name, path, stat.st_size))
-            total += stat.st_size
+        return entries
+
+    def disk_stats(self) -> dict:
+        """Size digest of the store directory (JSON-safe)."""
+        entries = self._entries()
+        return {
+            "root": str(self.root),
+            "records": len(entries),
+            "total_bytes": sum(entry[3] for entry in entries),
+        }
+
+    def prune(self, max_bytes: int) -> tuple[int, int]:
+        """Delete oldest records until the store fits in ``max_bytes``.
+
+        Eviction order is modification time (then file name, so equal
+        timestamps break deterministically); returns ``(records removed,
+        bytes freed)``. Empty shard directories are cleaned up so a fully
+        pruned store leaves only its root behind.
+        """
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        entries = self._entries()
+        total = sum(entry[3] for entry in entries)
         removed = 0
         freed = 0
         for _, _, path, size in sorted(entries):
@@ -206,4 +193,46 @@ class ResultCache:
         return removed, freed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ResultCache({str(self.root)!r}, hits={self.hits}, misses={self.misses})"
+        return f"{type(self).__name__}({str(self.root)!r}, hits={self.hits}, misses={self.misses})"
+
+
+class ResultCache(ContentStore):
+    """Simulation results: one JSON object per :meth:`RunSpec.cache_key`."""
+
+    suffix = ".json"
+    label = "result"
+
+    def load(self, key: str) -> Optional[dict]:
+        """Return the record stored under ``key``, or None (a miss)."""
+        return self._read(key)
+
+    def store(self, key: str, record: dict) -> None:
+        """Atomically write ``record`` under ``key`` (overwrites)."""
+        self._write(key, record)
+
+    def _encode(self, record: dict) -> bytes:
+        return json.dumps(record, sort_keys=True).encode("utf-8")
+
+    def _decode(self, path: Path) -> dict:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(record, dict):
+            raise ValueError(f"{path} holds no record object")
+        return record
+
+    def disk_stats(self) -> dict:
+        """:meth:`ContentStore.disk_stats` plus ``engine_versions``: records
+        per stored ``engine_version`` (``"unknown"`` for records without
+        one), which is how stale results from older engines show up.
+        Records that do not parse count in ``records`` and
+        ``total_bytes``, but not here."""
+        stats = super().disk_stats()
+        versions: dict[str, int] = {}
+        for path in self.record_paths():
+            try:
+                version = self._decode(path).get("engine_version")
+            except self._corrupt:
+                continue
+            label = "unknown" if version is None else str(version)
+            versions[label] = versions.get(label, 0) + 1
+        stats["engine_versions"] = dict(sorted(versions.items()))
+        return stats

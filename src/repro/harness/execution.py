@@ -17,7 +17,10 @@ of independent simulations. This module makes that set explicit:
   small plain dicts do.
 * Both executors deduplicate identical specs within a call and can share
   a :class:`repro.harness.cache.ResultCache`; a warm cache answers a
-  whole grid without constructing a single engine.
+  whole grid without constructing a single engine. An executor with a
+  result cache owns the :class:`WorkloadCache` beside it and passes it
+  down explicitly (``kernel_for`` → ``run_spec``); pool jobs carry its
+  root in their payload. No trace store is process-wide state.
 
 The simulator is deterministic, so serial, parallel and cached execution
 of the same specs produce identical results (tests assert byte-identical
@@ -37,10 +40,7 @@ from repro.core import canonical_scheduler_name
 from repro.gpu.config import GPUConfig, canonical_json
 from repro.gpu.stats import SimStats
 from repro.harness.cache import ResultCache
-from repro.harness.workload_cache import (
-    active_workload_cache,
-    configure_workload_cache,
-)
+from repro.harness.workload_cache import WorkloadCache
 
 if TYPE_CHECKING:
     from repro.gpu.kernel import KernelSpec
@@ -246,10 +246,11 @@ class RunSpec:
 # the result cache neither builds nor loads a single trace.
 #
 # Below the in-memory layer sits the optional on-disk workload cache
-# (repro.harness.workload_cache): executors built with a result cache
-# activate it at <result-cache-root>/workloads/, after which traces
+# (repro.harness.workload_cache), passed in as ``disk``: an executor with
+# a result cache owns one at <result-cache-root>/workloads/, so traces
 # persist across processes and ``repro`` invocations — a warm grid or
-# tune run executes zero datagen steps.
+# tune run executes zero datagen steps. With no ``disk``, nothing is
+# read from or written to disk.
 
 _KERNEL_CACHE: "OrderedDict[tuple[str, str, int], KernelSpec | Workload]" = OrderedDict()
 _KERNEL_CACHE_MAX = 32
@@ -286,14 +287,15 @@ def seed_kernel_cache(workload) -> None:
     _remember_kernel((workload.full_name, workload.scale, workload.seed), workload)
 
 
-def _resolve(key: tuple[str, str, int], workload: Optional[Workload]) -> KernelSpec:
+def _resolve(
+    key: tuple[str, str, int], workload: Optional[Workload], disk: Optional[WorkloadCache]
+) -> KernelSpec:
     """Produce the trace for ``key`` from a registered workload (or, with
     none, the registry): a custom or already-built workload's own
-    :meth:`~repro.workloads.Workload.kernel` object, else the active disk
-    cache, else a real build. Registry traces are stored back to disk."""
+    :meth:`~repro.workloads.Workload.kernel` object, else ``disk``, else
+    a real build. Registry traces are stored back to ``disk``."""
     if workload is not None and not _is_registry_workload(workload):
         return workload.kernel()  # never answered from, or stored to, disk
-    disk = active_workload_cache()
     if disk is not None and (workload is None or not workload.is_built):
         spec = disk.load(*key)
         if spec is not None:
@@ -308,14 +310,16 @@ def _resolve(key: tuple[str, str, int], workload: Optional[Workload]) -> KernelS
     return spec
 
 
-def kernel_for(benchmark: str, scale: str, seed: int) -> KernelSpec:
+def kernel_for(
+    benchmark: str, scale: str, seed: int, disk: Optional[WorkloadCache] = None
+) -> KernelSpec:
     """The (cached) kernel trace for one benchmark.
 
     Resolution order: a resolved trace in the in-memory LRU; a pre-built
     workload registered by :func:`seed_kernel_cache` (its own
     ``kernel()`` object, so traces the caller already compiled stay
-    compiled); the active on-disk workload cache; then a real build
-    (datagen + trace generation), stored back to both layers.
+    compiled); the on-disk workload cache ``disk``, if given; then a real
+    build (datagen + trace generation), stored back to both layers.
     """
     from repro.gpu.kernel import KernelSpec
 
@@ -324,13 +328,16 @@ def kernel_for(benchmark: str, scale: str, seed: int) -> KernelSpec:
     if isinstance(entry, KernelSpec):
         _KERNEL_CACHE.move_to_end(key)
         return entry
-    spec = _resolve(key, entry)
+    spec = _resolve(key, entry, disk)
     _remember_kernel(key, spec)
     return spec
 
 
-def run_spec(spec: RunSpec, telemetry: Optional[TelemetrySink] = None) -> SimStats:
-    """Simulate one RunSpec in this process (no caching, no dedup).
+def run_spec(
+    spec: RunSpec, telemetry: Optional[TelemetrySink] = None, disk: Optional[WorkloadCache] = None
+) -> SimStats:
+    """Simulate one RunSpec in this process (no result caching, no dedup);
+    its trace comes through :func:`kernel_for` with ``disk``.
 
     The engine stack is imported here, on a cache miss, not with this
     module: a run answered from the result cache never loads it.
@@ -344,14 +351,16 @@ def run_spec(spec: RunSpec, telemetry: Optional[TelemetrySink] = None) -> SimSta
         spec.gpu_config(),
         make_scheduler(spec.scheduler),
         make_model(spec.model),
-        [kernel_for(spec.benchmark, spec.scale, spec.seed)],
+        [kernel_for(spec.benchmark, spec.scale, spec.seed, disk=disk)],
         max_cycles=spec.max_cycles,
         telemetry=NULL_SINK if telemetry is None else telemetry,
     )
     return engine.run()
 
 
-def run_spec_with_summary(spec: RunSpec) -> tuple[SimStats, dict]:
+def run_spec_with_summary(
+    spec: RunSpec, disk: Optional[WorkloadCache] = None
+) -> tuple[SimStats, dict]:
     """Simulate one RunSpec with a :class:`MetricsSink` attached and
     return ``(stats, telemetry summary dict)``.
 
@@ -362,17 +371,22 @@ def run_spec_with_summary(spec: RunSpec) -> tuple[SimStats, dict]:
     from repro.telemetry.metrics import MetricsSink
 
     sink = MetricsSink(label=spec.scheduler)
-    stats = run_spec(spec, telemetry=sink)
+    stats = run_spec(spec, telemetry=sink, disk=disk)
     return stats, sink.summary(stats)
 
 
 def _worker_run(payload: dict) -> dict:
-    """Pool-worker entry point: plain dict in, plain dict out."""
+    """Pool-worker entry point: plain dict in, plain dict out.
+
+    The payload (see :meth:`Executor.payload`) names the trace store by
+    its root, or None for no disk."""
     spec = RunSpec.from_dict(payload["spec"])
+    root = payload.get("workloads")
+    disk = None if root is None else WorkloadCache(root)
     if payload["collect_telemetry"]:
-        stats, summary = run_spec_with_summary(spec)
+        stats, summary = run_spec_with_summary(spec, disk)
         return {"stats": stats.to_dict(), "telemetry": summary}
-    return {"stats": run_spec(spec).to_dict(), "telemetry": None}
+    return {"stats": run_spec(spec, disk=disk).to_dict(), "telemetry": None}
 
 
 # --- executors ----------------------------------------------------------------
@@ -405,9 +419,7 @@ class Executor:
         self.cache = cache
         # a result cache brings a workload cache along at
         # <root>/workloads/, so cache-miss runs at least skip datagen
-        self.workload_cache = (
-            configure_workload_cache(cache.root / "workloads") if cache is not None else None
-        )
+        self.workload_cache = WorkloadCache.beside(cache.root) if cache is not None else None
         self.collect_telemetry = collect_telemetry
         #: telemetry summaries by spec (only populated when collecting)
         self.telemetry: dict[RunSpec, dict] = {}
@@ -437,6 +449,15 @@ class Executor:
     def telemetry_for(self, spec: RunSpec) -> Optional[dict]:
         """The telemetry summary of an executed/cached spec, if any."""
         return self.telemetry.get(spec)
+
+    def payload(self, spec: RunSpec) -> dict:
+        """The pool job that runs ``spec`` as this executor would."""
+        disk = self.workload_cache
+        return {
+            "spec": spec.to_dict(),
+            "collect_telemetry": self.collect_telemetry,
+            "workloads": None if disk is None else str(disk.root),
+        }
 
     # -- caching ---------------------------------------------------------------
     def _cache_get(self, spec: RunSpec) -> Optional[SimStats]:
@@ -487,10 +508,10 @@ class SerialExecutor(Executor):
         out: list[SimStats] = []
         for spec in specs:
             if self.collect_telemetry:
-                stats, summary = run_spec_with_summary(spec)
+                stats, summary = run_spec_with_summary(spec, self.workload_cache)
                 self.telemetry[spec] = summary
             else:
-                stats = run_spec(spec)
+                stats = run_spec(spec, disk=self.workload_cache)
             out.append(stats)
         return out
 
@@ -521,7 +542,7 @@ class ParallelExecutor(Executor):
     def _execute(self, specs: Sequence[RunSpec]) -> list[SimStats]:
         if len(specs) == 1 or self.jobs == 1:
             return SerialExecutor._execute(self, specs)
-        disk = active_workload_cache()
+        disk = self.workload_cache
         # resolve each distinct workload of the pending specs once up
         # front (registered ones always, every one with a disk cache):
         # forked workers then inherit the trace, or load it from disk,
@@ -529,17 +550,13 @@ class ParallelExecutor(Executor):
         # spec needs are never touched.
         for key in dict.fromkeys((s.benchmark, s.scale, s.seed) for s in specs):
             if disk is not None or key in _KERNEL_CACHE:
-                kernel_for(*key)
+                kernel_for(*key, disk=disk)
         # imported here: asyncio loads only when a batch really fans out
         from repro.harness.pool import run_batch
 
         outs = run_batch(
-            [
-                (spec.label(), {"spec": spec.to_dict(), "collect_telemetry": self.collect_telemetry})
-                for spec in specs
-            ],
+            [(spec.label(), self.payload(spec)) for spec in specs],
             size=min(self.jobs, len(specs)),
-            workload_root=None if disk is None else str(disk.root),
         )
         for spec, obj in zip(specs, outs):
             if obj["telemetry"] is not None:

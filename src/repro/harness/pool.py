@@ -8,9 +8,9 @@ costs one pipe hop and the workers' in-memory kernel caches stay hot.
 Each worker calls :func:`repro.harness.execution._worker_run`, looked up
 on that module per job, so CLI and service results are byte-identical by
 construction. Under ``fork`` a worker inherits every trace the parent
-resolved before starting the fleet; given a workload root it also
-attaches that on-disk workload cache and loads any other trace on first
-use.
+resolved before starting the fleet; a job whose payload names a
+trace-store root loads any other trace from that on-disk workload cache
+(and stores what it builds there).
 
 Workers talk to the fleet over dedicated pipes, never shared queues.
 A queue shared between worker processes carries a cross-process lock,
@@ -47,8 +47,6 @@ import multiprocessing.connection
 import threading
 from typing import Callable, Optional, Sequence
 
-from repro.harness.workload_cache import configure_workload_cache
-
 #: liveness-watcher poll interval (seconds); crash detection latency
 _WATCH_INTERVAL = 0.05
 
@@ -75,7 +73,7 @@ class WorkerCrashed(RuntimeError):
     """A worker process died while running a job (twice, if retried)."""
 
 
-def _service_worker_main(worker_id: int, task_conn, result_conn, workload_root: Optional[str]) -> None:
+def _service_worker_main(worker_id: int, task_conn, result_conn) -> None:
     """Worker-process entry point: loop over payloads until the ``None``
     sentinel (or EOF, if the parent died).
 
@@ -87,8 +85,6 @@ def _service_worker_main(worker_id: int, task_conn, result_conn, workload_root: 
     """
     from repro.harness import execution
 
-    if workload_root:
-        configure_workload_cache(workload_root)
     while True:
         try:
             payload = task_conn.recv()
@@ -127,14 +123,12 @@ class WorkerFleet:
     fleet binds to that loop. ``checkout()`` hands out an idle worker
     (waiting if all are busy — this bounds concurrency), ``run_on()``
     executes one payload on it and returns the worker to the idle pool.
-    ``workload_root`` is the on-disk workload cache each worker attaches.
     """
 
-    def __init__(self, size: int = 2, *, workload_root: Optional[str] = None) -> None:
+    def __init__(self, size: int = 2) -> None:
         if size < 1:
             raise ValueError(f"fleet size must be >= 1, got {size}")
         self.size = size
-        self.workload_root = workload_root
         self._live: dict[int, _Worker] = {}
         self._next_id = 0
         self._idle: Optional[asyncio.Queue] = None
@@ -179,7 +173,7 @@ class WorkerFleet:
         result_r, result_w = multiprocessing.Pipe(duplex=False)
         process = multiprocessing.Process(
             target=_service_worker_main,
-            args=(worker_id, task_r, result_w, self.workload_root),
+            args=(worker_id, task_r, result_w),
             name=f"repro-worker-{worker_id}",
             daemon=True,
         )
@@ -392,9 +386,7 @@ class WorkerFleet:
             self._reader.join(timeout=2)
 
 
-def run_batch(
-    jobs: Sequence[tuple[str, dict]], *, size: int, workload_root: Optional[str] = None
-) -> list[dict]:
+def run_batch(jobs: Sequence[tuple[str, dict]], *, size: int) -> list[dict]:
     """Run ``(label, payload)`` jobs on a fresh fleet of ``size`` workers.
 
     Blocking: returns the result dicts in job order. The first job to
@@ -403,7 +395,7 @@ def run_batch(
     """
 
     async def batch() -> list[dict]:
-        fleet = WorkerFleet(size, workload_root=workload_root)
+        fleet = WorkerFleet(size)
 
         async def one(label: str, payload: dict) -> dict:
             return await fleet.run_on(await fleet.checkout(), payload, label=label)

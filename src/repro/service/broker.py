@@ -90,7 +90,8 @@ class Broker:
         self.telemetry = telemetry
         # the cache-facing half of an executor: _cache_get/_cache_put give
         # the service the exact record validation + zero-work warm path the
-        # CLI executors use, against the same on-disk store
+        # CLI executors use, against the same on-disk store, and payload()
+        # sends each job to a worker with the trace store beside it
         self._exec = SerialExecutor(cache, collect_telemetry=collect_telemetry)
         self.jobs: "dict[str, Job]" = {}
         self._heap: list[tuple[float, int, Job]] = []
@@ -231,7 +232,7 @@ class Broker:
         spec = job.spec
         job.source = "executed"
         job.started_at = time.time()
-        payload = {"spec": spec.to_dict(), "collect_telemetry": self.collect_telemetry}
+        payload = self._exec.payload(spec)
         self._record_all(job, RUNNING, f"dispatched to worker {worker.worker_id}")
         self._sync_gauges()
         job.attempts = 1

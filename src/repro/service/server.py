@@ -35,7 +35,6 @@ import json
 import os
 import signal
 import threading
-from pathlib import Path
 from typing import Optional
 
 from repro.harness.cache import ResultCache
@@ -259,8 +258,7 @@ async def _run_service(
     """Assemble fleet -> broker -> listener, call ``on_ready(server)``,
     serve until ``stop`` is set, then close the listener and shut the
     broker down (draining if ``graceful()``). Returns the broker."""
-    workload_root = str(Path(cache.root) / "workloads") if cache is not None else None
-    fleet = WorkerFleet(jobs, workload_root=workload_root)
+    fleet = WorkerFleet(jobs)
     await fleet.start()
     broker = Broker(fleet, cache, **broker_options)
     await broker.start()

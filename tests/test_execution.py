@@ -164,6 +164,17 @@ class TestResultCache:
         assert stats["engine_versions"] == {"2": 3, "unknown": 1}
         assert stats["root"] == str(tmp_path)
 
+    def test_disk_stats_count_what_prune_frees(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        (key,) = self._fill(cache, 1)
+        corrupt = cache.path_for("ff" + "0" * 62)
+        corrupt.parent.mkdir()
+        corrupt.write_text("{not json", encoding="utf-8")
+        stats = cache.disk_stats()
+        assert stats["records"] == 2
+        assert stats["engine_versions"] == {"2": 1}  # only the record that parses
+        assert cache.prune(0) == (2, stats["total_bytes"])
+
     def test_disk_stats_empty(self, tmp_path):
         stats = ResultCache(tmp_path / "nothing").disk_stats()
         assert stats["records"] == 0
@@ -352,10 +363,10 @@ class TestResultCacheConcurrency:
         assert not list(tmp_path.rglob("*.tmp")), "leaked temp files"
 
     def test_atomic_write_cleans_up_on_failure(self, tmp_path):
-        from repro.harness.cache import atomic_write_text
+        from repro.harness.cache import atomic_write_bytes
 
         target = tmp_path / "out.json"
-        atomic_write_text(target, "{}")
+        atomic_write_bytes(target, b"{}")
         assert target.read_text(encoding="utf-8") == "{}"
         assert not list(tmp_path.glob(".*tmp"))
 

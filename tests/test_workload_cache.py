@@ -47,15 +47,12 @@ SPEC = RunSpec(benchmark=BENCH, scheduler="rr", model="dtbl", scale="tiny", seed
 
 @pytest.fixture(autouse=True)
 def _isolated_caches():
-    """Tests own the process-wide workload cache and the in-memory LRU."""
-    saved_active = wc._active
+    """Tests own the in-memory kernel LRU."""
     saved_kernels = dict(_KERNEL_CACHE)
-    wc._active = None
     _KERNEL_CACHE.clear()
     try:
         yield
     finally:
-        wc._active = saved_active
         _KERNEL_CACHE.clear()
         _KERNEL_CACHE.update(saved_kernels)
 
@@ -145,14 +142,14 @@ RECORD_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
 def test_damaged_record_is_a_miss_that_regenerates(tmp_path, fault):
     built = load_benchmark(BENCH, scale="tiny", seed=7).kernel()
-    cache = wc.configure_workload_cache(tmp_path)
+    cache = WorkloadCache(tmp_path)
     cache.store(BENCH, "tiny", 7, built)
     path = cache.path_for(cache.key_for(BENCH, "tiny", 7))
     path.write_bytes(RECORD_FAULTS[fault](path.read_bytes()))
 
     assert cache.load(BENCH, "tiny", 7) is None
     assert cache.misses == 1
-    regenerated = kernel_for(BENCH, "tiny", 7)
+    regenerated = kernel_for(BENCH, "tiny", 7, disk=cache)
     assert traces_equal(regenerated, built)
     assert cache.stores == 2  # the damaged record was overwritten
     assert traces_equal(cache.load(BENCH, "tiny", 7), built)
@@ -199,7 +196,7 @@ def test_failed_trace_store_does_not_fail_the_run(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDiskForTraces(real_fdopen(fd, mode)))
     executor = make_executor(jobs=1, cache=ResultCache(tmp_path / "full"))
     failed = run_grid([load_benchmark(BENCH, scale="tiny", seed=7)], executor=executor, **grid_args)
-    kernel_for(BENCH, "tiny", 8)  # a second failed store warns no more
+    kernel_for(BENCH, "tiny", 8, disk=executor.workload_cache)  # a second failed store warns no more
 
     assert grid_to_json(failed) == grid_to_json(expected)
     disk = executor.workload_cache
@@ -282,7 +279,6 @@ def test_damaged_records_are_rewritten_through_the_pool(tmp_path):
         originals[record] = record.read_bytes()
         record.write_bytes(originals[record][: len(originals[record]) // 2])
     _KERNEL_CACHE.clear()  # a new process: nothing in memory
-    wc.disable_workload_cache()
 
     executor = ParallelExecutor(2, ResultCache(tmp_path))
     rerun = run_grid(
@@ -294,18 +290,6 @@ def test_damaged_records_are_rewritten_through_the_pool(tmp_path):
     assert executor.cache.stores == 2
     for record, data in originals.items():
         assert record.read_bytes() == data  # rewritten whole
-
-
-def test_legacy_records_are_listed_for_stats_and_prune(tmp_path):
-    cache = WorkloadCache(tmp_path)
-    legacy = tmp_path / "ab" / ("ab" + "0" * 62 + ".trace.json.gz")
-    legacy.parent.mkdir()
-    legacy.write_bytes(gzip.compress(b"{}"))
-    size = legacy.stat().st_size
-    assert cache.record_paths() == [legacy]
-    assert cache.disk_stats() == {"root": str(tmp_path), "records": 1, "total_bytes": size}
-    assert cache.prune(0) == (1, size)
-    assert not legacy.exists() and len(cache) == 0
 
 
 def test_disk_stats_and_prune(tmp_path):
@@ -339,21 +323,50 @@ def test_kernel_for_builds_once_then_loads_from_disk(tmp_path, monkeypatch):
         return orig(name, scale=scale, seed=seed)
 
     monkeypatch.setattr(registry, "load_benchmark", counting)
-    cache = wc.configure_workload_cache(tmp_path)
-    execution.kernel_for(BENCH, "tiny", 7)
+    cache = WorkloadCache(tmp_path)
+    execution.kernel_for(BENCH, "tiny", 7, disk=cache)
     assert builds == [BENCH] and cache.stores == 1
     _KERNEL_CACHE.clear()
-    execution.kernel_for(BENCH, "tiny", 7)  # warm: disk, not datagen
+    execution.kernel_for(BENCH, "tiny", 7, disk=cache)  # warm: disk, not datagen
     assert builds == [BENCH] and cache.hits == 1
 
 
-def test_executor_activates_cache_next_to_result_cache(tmp_path):
-    executor = make_executor(jobs=1, cache=ResultCache(tmp_path / "cache"))
-    assert executor.workload_cache is wc.active_workload_cache()
-    assert executor.workload_cache.root == tmp_path / "cache" / "workloads"
-    # uncached executors leave the active cache alone
+def _trace_files(root):
+    return sorted(p.name for p in root.rglob("*.trace"))
+
+
+def test_executors_on_different_roots_keep_their_own_traces(tmp_path):
+    first = make_executor(jobs=1, cache=ResultCache(tmp_path / "a"))
+    second = make_executor(jobs=1, cache=ResultCache(tmp_path / "b"))
+    assert first.workload_cache.root == tmp_path / "a" / "workloads"
+    assert second.workload_cache.root == tmp_path / "b" / "workloads"
     assert make_executor(jobs=1).workload_cache is None
-    assert wc.active_workload_cache() is executor.workload_cache
+    first.run([SPEC])  # built after ``second``: still stores under a/
+    assert _trace_files(tmp_path / "a" / "workloads") == [
+        f"{WorkloadCache.key_for(BENCH, 'tiny', 7)}.trace"
+    ]
+    assert _trace_files(tmp_path / "b") == []
+    second.run([RunSpec(benchmark=BENCH, scheduler="rr", model="dtbl", scale="tiny", seed=8)])
+    assert _trace_files(tmp_path / "b" / "workloads") == [
+        f"{WorkloadCache.key_for(BENCH, 'tiny', 8)}.trace"
+    ]
+    assert len(_trace_files(tmp_path / "a")) == 1
+
+
+def test_run_spec_after_a_cached_executor_touches_no_disk(tmp_path):
+    make_executor(jobs=1, cache=ResultCache(tmp_path)).run([SPEC])
+    before = sorted(tmp_path.rglob("*"))
+    run_spec(RunSpec(benchmark=BENCH, scheduler="rr", model="dtbl", scale="tiny", seed=8))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_broker_stores_traces_beside_its_result_cache(tmp_path):
+    """The broker's jobs carry its trace-store root to the worker."""
+    results = asyncio.run(_broker_run(ResultCache(tmp_path), [SPEC]))
+    assert set(results) == {SPEC}
+    assert _trace_files(tmp_path / "workloads") == [
+        f"{WorkloadCache.key_for(BENCH, 'tiny', 7)}.trace"
+    ]
 
 
 def test_warm_grid_runs_zero_datagen_steps(tmp_path, monkeypatch):
@@ -403,7 +416,7 @@ def test_warm_grid_runs_zero_datagen_steps(tmp_path, monkeypatch):
 def test_custom_workload_subclass_bypasses_disk_cache(tmp_path):
     """A subclass sharing a registry name must use its own trace."""
     base = load_benchmark(BENCH, scale="tiny", seed=7)
-    cache = wc.configure_workload_cache(tmp_path)
+    cache = WorkloadCache(tmp_path)
     cache.store(BENCH, "tiny", 7, base.kernel())
 
     class Custom(type(base)):
@@ -412,7 +425,7 @@ def test_custom_workload_subclass_bypasses_disk_cache(tmp_path):
     custom = Custom(base.input_name, scale="tiny", seed=7)
     seed_kernel_cache(custom)
     assert not custom.is_built  # registration alone builds nothing
-    assert kernel_for(BENCH, "tiny", 7) is custom.kernel()
+    assert kernel_for(BENCH, "tiny", 7, disk=cache) is custom.kernel()
     assert cache.hits == 0 and cache.misses == 0
 
 
@@ -464,9 +477,9 @@ def test_parallel_executor_resolves_only_pending_traces(tmp_path, monkeypatch):
     resolved = []
     original = execution.kernel_for
 
-    def recording(benchmark, scale, seed):
+    def recording(benchmark, scale, seed, disk=None):
         resolved.append((benchmark, scale, seed))
-        return original(benchmark, scale, seed)
+        return original(benchmark, scale, seed, disk=disk)
 
     monkeypatch.setattr(execution, "kernel_for", recording)
     pending = [
@@ -478,12 +491,6 @@ def test_parallel_executor_resolves_only_pending_traces(tmp_path, monkeypatch):
     assert executor.hits == 1 and set(results) == {SPEC, *pending}
     assert resolved == [(other, "tiny", 7)]  # parent side only; SPEC's trace untouched
     assert not isinstance(_KERNEL_CACHE[(BENCH, "tiny", 7)], KernelSpec)
-
-
-def test_run_spec_without_active_cache_touches_no_disk(tmp_path):
-    assert wc.active_workload_cache() is None
-    run_spec(SPEC)
-    assert list(tmp_path.iterdir()) == []
 
 
 # --- CLI --------------------------------------------------------------------
