@@ -14,9 +14,9 @@ from repro.core import make_scheduler
 from repro.dynpar import make_model
 from repro.gpu.config import CacheConfig
 from repro.gpu.engine import Engine
+from repro.harness.execution import simulate
 from repro.harness.registry import experiment_config, load_benchmark
 from repro.harness.report import render_table
-from repro.harness.runner import simulate
 
 from benchmarks.conftest import SCALE, once
 

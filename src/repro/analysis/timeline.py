@@ -1,7 +1,7 @@
 """Execution timeline capture: per-SMX occupancy over time.
 
 ``OccupancyTimeline`` is a :class:`~repro.telemetry.events.TelemetrySink`
-(pass it as ``Engine(..., telemetry=timeline)``, or as one leg of a
+(pass it as ``simulate(..., telemetry=timeline)``, or as one leg of a
 :class:`~repro.telemetry.events.TeeSink`) that records every
 :class:`~repro.telemetry.events.TBDispatched` /
 :class:`~repro.telemetry.events.TBCompleted` event. After the run it can

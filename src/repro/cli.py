@@ -38,7 +38,7 @@ from repro.core import SCHEDULER_ORDER
 from repro.dynpar import MODELS
 from repro.gpu.config import KEPLER_K20C
 from repro.harness.cache import ResultCache
-from repro.harness.execution import Executor, RunSpec, make_executor
+from repro.harness.execution import Executor, RunSpec, make_executor, simulate
 from repro.harness.workload_cache import WorkloadCache
 from repro.harness.registry import (
     benchmark_names,
@@ -53,7 +53,7 @@ from repro.harness.report import (
     render_l2_hit_rates,
     render_normalized_ipc,
 )
-from repro.harness.runner import run_grid, simulate
+from repro.harness.runner import run_grid
 from repro.workloads.base import SCALES
 
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -85,13 +85,11 @@ def _cache_dir_from_args(args: argparse.Namespace) -> str:
     return args.cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
-def _executor_from_args(
-    args: argparse.Namespace, *, collect_telemetry: bool = False
-) -> Executor:
+def _executor_from_args(args: argparse.Namespace) -> Executor:
     cache = None
     if not args.no_cache:
         cache = ResultCache(_cache_dir_from_args(args))
-    return make_executor(jobs=args.jobs, cache=cache, collect_telemetry=collect_telemetry)
+    return make_executor(jobs=args.jobs, cache=cache)
 
 
 def _parse_bytes(text: str) -> int:
@@ -271,20 +269,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Export one simulated run as Chrome/Perfetto trace-event JSON."""
-    from repro.telemetry import (
-        ChromeTraceSink,
-        MetricsSink,
-        TeeSink,
-        assert_valid_trace,
-    )
-
     from repro.core import canonical_scheduler_name
+    from repro.telemetry import ChromeTraceSink, assert_valid_trace
 
     workload = load_benchmark(args.benchmark, scale=args.scale, seed=args.seed)
     config = experiment_config()
     label = canonical_scheduler_name(args.scheduler)
     trace_sink = ChromeTraceSink(num_smx=config.num_smx, label=label)
-    metrics = MetricsSink(label=label)
     print(
         f"tracing {workload.full_name} ({args.scale}) "
         f"under {args.scheduler}/{args.model} ...",
@@ -295,16 +286,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         args.scheduler,
         args.model,
         config,
-        telemetry=TeeSink([trace_sink, metrics]),
+        telemetry=trace_sink,
     )
     trace = trace_sink.write(args.output)
     assert_valid_trace(trace)
-    summary = metrics.summary(stats)
     print(stats.summary())
     print(
-        f"steals={summary['work_steals']}  "
-        f"busy-cycle gini={summary['busy_cycles_gini']:.3f}  "
-        f"queue high water={summary['queue_entry_high_water']}"
+        f"steals={stats.work_steals}  "
+        f"busy-cycle gini={stats.busy_cycles_gini:.3f}  "
+        f"queue high water={stats.scheduler_queue_high_water}"
     )
     print(
         f"wrote {args.output} ({len(trace['traceEvents'])} events; "
@@ -400,7 +390,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         eta=args.eta,
         include_throttle=not args.no_throttle,
         candidates=args.candidates,
-        executor=_executor_from_args(args, collect_telemetry=True),
+        executor=_executor_from_args(args),
         telemetry=ProgressPrinter(),
     )
     print(render_leaderboard(result, top=args.top))

@@ -22,6 +22,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "make_executor",
             "run_spec",
             "seed_kernel_cache",
+            "simulate",
         ),
         "repro.harness.export": ("grid_records", "grid_to_csv", "grid_to_json", "write_grid"),
         "repro.harness.workload_cache": ("TRACE_VERSION", "WorkloadCache"),
@@ -33,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_grid",
             "run_latency_sweep",
             "run_seed_sweep",
-            "simulate",
         ),
     },
 )

@@ -8,13 +8,15 @@ of independent simulations. This module makes that set explicit:
   (benchmark, scale, seed, scheduler, model, full machine configuration,
   cycle budget). Equal RunSpecs denote byte-identical simulations, which
   is what makes deduplication and content-addressed caching sound.
-* An :class:`Executor` maps RunSpecs to :class:`SimStats`.
-  :class:`SerialExecutor` runs in-process; :class:`ParallelExecutor`
-  fans out over the worker fleet of :mod:`repro.harness.pool`, the same
-  pool ``repro serve`` runs on. Workers resolve the workload from the
-  spec (benchmark name + scale + seed), so nothing unpicklable — launch
-  trees with shared bodies — ever crosses the process boundary; only
-  small plain dicts do.
+* An :class:`Executor` maps RunSpecs to :class:`SimStats`, the one
+  thing a run produces, caches or returns. Every miss, in this process
+  or a worker, runs :func:`run_spec` → :func:`simulate`, the one place
+  an engine is built. :class:`SerialExecutor` runs in-process;
+  :class:`ParallelExecutor` fans out over the worker fleet of
+  :mod:`repro.harness.pool`, the same pool ``repro serve`` runs on.
+  Workers resolve the workload from the spec (benchmark name + scale +
+  seed), so nothing unpicklable — launch trees with shared bodies —
+  ever crosses the process boundary; only small plain dicts do.
 * Both executors deduplicate identical specs within a call and can share
   a :class:`repro.harness.cache.ResultCache`; a warm cache answers a
   whole grid without constructing a single engine. An executor with a
@@ -30,6 +32,7 @@ cache-invalidation rules.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import OrderedDict
@@ -333,46 +336,59 @@ def kernel_for(
     return spec
 
 
-def run_spec(
-    spec: RunSpec, telemetry: Optional[TelemetrySink] = None, disk: Optional[WorkloadCache] = None
+def simulate(
+    spec: KernelSpec,
+    scheduler: str = "rr",
+    model: str = "dtbl",
+    config: Optional[GPUConfig] = None,
+    *,
+    max_cycles: Optional[int] = DEFAULT_MAX_CYCLES,
+    telemetry: Optional[TelemetrySink] = None,
 ) -> SimStats:
-    """Simulate one RunSpec in this process (no result caching, no dedup);
-    its trace comes through :func:`kernel_for` with ``disk``.
+    """Run one kernel under one scheduler and launch model in this
+    process: every engine the package builds is built here.
 
-    The engine stack is imported here, on a cache miss, not with this
-    module: a run answered from the result cache never loads it.
+    ``config`` defaults to the standard experiment machine; ``telemetry``
+    attaches a :class:`~repro.telemetry.events.TelemetrySink` (without
+    one the engine gets the null sink, which costs nothing). The engine
+    stack is imported here, on a cache miss: a run answered from the
+    result cache never loads it.
     """
     from repro.core import make_scheduler
     from repro.dynpar import make_model
     from repro.gpu.engine import Engine
     from repro.telemetry.events import NULL_SINK
 
+    if config is None:
+        from repro.harness.registry import experiment_config
+
+        config = experiment_config()
     engine = Engine(
-        spec.gpu_config(),
-        make_scheduler(spec.scheduler),
-        make_model(spec.model),
-        [kernel_for(spec.benchmark, spec.scale, spec.seed, disk=disk)],
-        max_cycles=spec.max_cycles,
+        config,
+        make_scheduler(scheduler),
+        make_model(model),
+        [spec],
+        max_cycles=max_cycles,
         telemetry=NULL_SINK if telemetry is None else telemetry,
     )
     return engine.run()
 
 
-def run_spec_with_summary(
-    spec: RunSpec, disk: Optional[WorkloadCache] = None
-) -> tuple[SimStats, dict]:
-    """Simulate one RunSpec with a :class:`MetricsSink` attached and
-    return ``(stats, telemetry summary dict)``.
+def run_spec(spec: RunSpec, disk: Optional[WorkloadCache] = None) -> SimStats:
+    """Simulate one RunSpec in this process (no result caching, no dedup);
+    its trace comes through :func:`kernel_for` with ``disk``."""
+    return simulate(
+        kernel_for(spec.benchmark, spec.scale, spec.seed, disk=disk),
+        spec.scheduler,
+        spec.model,
+        spec.gpu_config(),
+        max_cycles=spec.max_cycles,
+    )
 
-    Telemetry is a pure observer: the stats are byte-identical to a
-    :func:`run_spec` run (the determinism tests pin this). The summary is
-    labeled with the spec's canonical scheduler name.
-    """
-    from repro.telemetry.metrics import MetricsSink
 
-    sink = MetricsSink(label=spec.scheduler)
-    stats = run_spec(spec, telemetry=sink, disk=disk)
-    return stats, sink.summary(stats)
+#: one trace store per root for the life of a pool worker, so a failing
+#: disk is reported once per worker, not once per job
+_worker_store = functools.cache(WorkloadCache)
 
 
 def _worker_run(payload: dict) -> dict:
@@ -382,11 +398,8 @@ def _worker_run(payload: dict) -> dict:
     its root, or None for no disk."""
     spec = RunSpec.from_dict(payload["spec"])
     root = payload.get("workloads")
-    disk = None if root is None else WorkloadCache(root)
-    if payload["collect_telemetry"]:
-        stats, summary = run_spec_with_summary(spec, disk)
-        return {"stats": stats.to_dict(), "telemetry": summary}
-    return {"stats": run_spec(spec, disk=disk).to_dict(), "telemetry": None}
+    disk = None if root is None else _worker_store(root)
+    return {"stats": run_spec(spec, disk=disk).to_dict()}
 
 
 # --- executors ----------------------------------------------------------------
@@ -400,29 +413,15 @@ class Executor:
     supplied by subclasses) and stores fresh results back. ``hits`` /
     ``misses`` count cache outcomes across the executor's lifetime.
 
-    With ``collect_telemetry=True`` every executed run carries a
-    :class:`~repro.telemetry.metrics.MetricsSink`; its summary dict is
-    kept in ``self.telemetry`` (query with :meth:`telemetry_for`) and
-    stored in cache records under an optional ``"telemetry"`` key. The
-    key is *not* part of :meth:`RunSpec.cache_key`, so records written
-    with and without telemetry address the same content: a cached stats
-    record stays valid either way, and a hit on a summary-free record
-    simply yields no summary (never a re-run).
+    A result record holds exactly ``engine_version``, ``spec`` and
+    ``stats``; any other key a record carries is ignored.
     """
 
-    def __init__(
-        self,
-        cache: Optional[ResultCache] = None,
-        *,
-        collect_telemetry: bool = False,
-    ) -> None:
+    def __init__(self, cache: Optional[ResultCache] = None) -> None:
         self.cache = cache
         # a result cache brings a workload cache along at
         # <root>/workloads/, so cache-miss runs at least skip datagen
         self.workload_cache = WorkloadCache.beside(cache.root) if cache is not None else None
-        self.collect_telemetry = collect_telemetry
-        #: telemetry summaries by spec (only populated when collecting)
-        self.telemetry: dict[RunSpec, dict] = {}
         self.hits = 0
         self.misses = 0
 
@@ -446,16 +445,11 @@ class Executor:
     def run_one(self, spec: RunSpec) -> SimStats:
         return self.run([spec])[spec]
 
-    def telemetry_for(self, spec: RunSpec) -> Optional[dict]:
-        """The telemetry summary of an executed/cached spec, if any."""
-        return self.telemetry.get(spec)
-
     def payload(self, spec: RunSpec) -> dict:
         """The pool job that runs ``spec`` as this executor would."""
         disk = self.workload_cache
         return {
             "spec": spec.to_dict(),
-            "collect_telemetry": self.collect_telemetry,
             "workloads": None if disk is None else str(disk.root),
         }
 
@@ -477,9 +471,6 @@ class Executor:
         except (TypeError, ValueError):
             self.misses += 1
             return None
-        summary = record.get("telemetry")
-        if isinstance(summary, dict):
-            self.telemetry[spec] = summary
         self.hits += 1
         return stats
 
@@ -491,9 +482,6 @@ class Executor:
             "spec": spec.to_dict(),
             "stats": stats.to_dict(),
         }
-        summary = self.telemetry.get(spec)
-        if summary is not None:
-            record["telemetry"] = summary
         self.cache.store(spec.cache_key(), record)
 
     # -- execution strategy ----------------------------------------------------
@@ -505,15 +493,7 @@ class SerialExecutor(Executor):
     """Runs every simulation in the calling process, one after another."""
 
     def _execute(self, specs: Sequence[RunSpec]) -> list[SimStats]:
-        out: list[SimStats] = []
-        for spec in specs:
-            if self.collect_telemetry:
-                stats, summary = run_spec_with_summary(spec, self.workload_cache)
-                self.telemetry[spec] = summary
-            else:
-                stats = run_spec(spec, disk=self.workload_cache)
-            out.append(stats)
-        return out
+        return [run_spec(spec, disk=self.workload_cache) for spec in specs]
 
 
 class ParallelExecutor(Executor):
@@ -527,14 +507,8 @@ class ParallelExecutor(Executor):
     inside a simulation, raises a ``RuntimeError`` naming the spec.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        cache: Optional[ResultCache] = None,
-        *,
-        collect_telemetry: bool = False,
-    ) -> None:
-        super().__init__(cache, collect_telemetry=collect_telemetry)
+    def __init__(self, jobs: int, cache: Optional[ResultCache] = None) -> None:
+        super().__init__(cache)
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
@@ -558,18 +532,10 @@ class ParallelExecutor(Executor):
             [(spec.label(), self.payload(spec)) for spec in specs],
             size=min(self.jobs, len(specs)),
         )
-        for spec, obj in zip(specs, outs):
-            if obj["telemetry"] is not None:
-                self.telemetry[spec] = obj["telemetry"]
         return [SimStats.from_dict(obj["stats"]) for obj in outs]
 
 
-def make_executor(
-    jobs: int = 1,
-    cache: Optional[ResultCache | str] = None,
-    *,
-    collect_telemetry: bool = False,
-) -> Executor:
+def make_executor(jobs: int = 1, cache: Optional[ResultCache | str] = None) -> Executor:
     """Executor factory: ``jobs<=1`` serial, else a ``jobs``-wide pool.
 
     ``cache`` may be a :class:`ResultCache` or a directory path (a cache
@@ -578,5 +544,5 @@ def make_executor(
     if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
         cache = ResultCache(cache)
     if jobs <= 1:
-        return SerialExecutor(cache, collect_telemetry=collect_telemetry)
-    return ParallelExecutor(jobs, cache, collect_telemetry=collect_telemetry)
+        return SerialExecutor(cache)
+    return ParallelExecutor(jobs, cache)

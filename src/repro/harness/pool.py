@@ -52,15 +52,14 @@ _WATCH_INTERVAL = 0.05
 
 
 #: what a job imports on its first cache miss, and a warm parent process
-#: has not: the engine stack (scheduler, launch models, telemetry sinks),
-#: the trace codec and the trace builders' input generators (with numpy)
+#: has not: the engine stack (scheduler, launch models, memory), the
+#: trace codec and the trace builders' input generators (with numpy)
 _JOB_MODULES = (
     "repro.core.composed",
     "repro.dynpar.cdp",
     "repro.dynpar.dtbl",
     "repro.gpu.engine",
     "repro.gpu.serialize",
-    "repro.telemetry.metrics",
     "repro.workloads.datagen",
 )
 
@@ -287,7 +286,7 @@ class WorkerFleet:
     ) -> dict:
         """Execute one payload on a checked-out worker.
 
-        Returns the worker-result dict (``{"stats": ..., "telemetry": ...}``).
+        Returns the worker-result dict (``{"stats": ...}``).
         On success or simulation error the worker goes back to the idle
         pool automatically; on timeout it is killed and replaced. On a
         crash the job is retried once on a fresh worker, after

@@ -1,9 +1,9 @@
 """Experiment runner: benchmark x scheduler x launch-model grids.
 
-``simulate`` runs one configuration in-process; everything larger
-(``run_grid`` for the Figures 7-9 matrix, ``run_seed_sweep``,
-``run_latency_sweep`` for Section V-D) is a thin composition over the
-:mod:`repro.harness.execution` layer: each sweep enumerates
+Every sweep here (``run_grid`` for the Figures 7-9 matrix,
+``run_seed_sweep``, ``run_latency_sweep`` for Section V-D) is a thin
+composition over the :mod:`repro.harness.execution` layer, whose
+``simulate`` runs one configuration in-process: each sweep enumerates
 :class:`~repro.harness.execution.RunSpec` objects and hands them to an
 executor, which deduplicates shared runs (the RR baseline simulates once
 per distinct spec, however many subjects compare against it), optionally
@@ -15,7 +15,7 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core import SCHEDULER_ORDER, canonical_scheduler_name
 from repro.gpu.config import GPUConfig
@@ -30,48 +30,11 @@ from repro.harness.execution import (
 from repro.harness.registry import experiment_config, iter_benchmarks
 from repro.workloads import Workload
 
-if TYPE_CHECKING:
-    from repro.gpu.kernel import KernelSpec
-    from repro.telemetry.events import TelemetrySink
-
 DEFAULT_MODELS = ("cdp", "dtbl")
 
 #: launch latencies (cycles) swept by Section V-D, DTBL hardware path to
 #: well past the measured CDP software path
 DEFAULT_LATENCIES = (250, 1000, 4000, 16000, 64000)
-
-
-def simulate(
-    spec: KernelSpec,
-    scheduler: str = "rr",
-    model: str = "dtbl",
-    config: Optional[GPUConfig] = None,
-    *,
-    max_cycles: Optional[int] = 500_000_000,
-    telemetry: Optional[TelemetrySink] = None,
-) -> SimStats:
-    """Run one kernel under one scheduler and launch model.
-
-    ``telemetry`` attaches a :class:`~repro.telemetry.events.TelemetrySink`
-    (e.g. a :class:`~repro.telemetry.chrome_trace.ChromeTraceSink`) to the
-    engine; without one the engine gets the null sink, which records
-    nothing and costs nothing.
-    """
-    from repro.core import make_scheduler
-    from repro.dynpar import make_model
-    from repro.gpu.engine import Engine
-    from repro.telemetry.events import NULL_SINK
-
-    config = config or experiment_config()
-    engine = Engine(
-        config,
-        make_scheduler(scheduler),
-        make_model(model),
-        [spec],
-        max_cycles=max_cycles,
-        telemetry=NULL_SINK if telemetry is None else telemetry,
-    )
-    return engine.run()
 
 
 def _resolve_executor(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.gpu.config import GPUConfig
 from repro.memory.cache import Cache, CacheStats
+from repro.memory.dram import DRAM
 
 #: miss sentinel for the single-probe (open-addressed dict) set walk:
 #: ``cache_set.pop(line, _MISS)`` resolves hit-test + LRU-unlink in one
@@ -41,8 +42,6 @@ class MemoryHierarchy:
     """
 
     def __init__(self, config: GPUConfig) -> None:
-        from repro.memory.dram import DRAM  # local import avoids cycle in docs builds
-
         self.config = config
         # one L1 per *cluster* (= per SMX when smxs_per_cluster == 1);
         # SMXs of the same cluster share it (paper Section IV-B, [25])

@@ -1,12 +1,10 @@
 """Search objectives: scalar scoring and Pareto dominance over results.
 
 An :class:`Objective` turns one simulation result into one number plus a
-direction. Built-ins read :class:`~repro.gpu.stats.SimStats` only —
-never the optional telemetry summary — so a score is identical whether
-the result was freshly simulated, loaded from a telemetry-bearing cache
-record, or loaded from a summary-free one (this is what keeps warm-cache
-reruns of a search deterministic). The summary dict is still passed
-through for custom objectives that want it.
+direction. It reads :class:`~repro.gpu.stats.SimStats` only, the one
+thing a run produces or a cache returns, so a score is identical whether
+the result was freshly simulated or loaded from the cache (this is what
+keeps warm-cache reruns of a search deterministic).
 
 Multi-objective searches rank their leaderboard by one *primary*
 objective and report the :func:`pareto_frontier` over the full objective
@@ -16,7 +14,7 @@ set: the candidates no other candidate beats on every axis at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.gpu.stats import SimStats
 
@@ -29,15 +27,15 @@ class Objective:
     #: "max" (higher is better) or "min" (lower is better)
     direction: str
     describe: str
-    extract: Callable[[SimStats, Optional[dict]], float]
+    extract: Callable[[SimStats], float]
 
     def __post_init__(self) -> None:
         if self.direction not in ("max", "min"):
             raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
 
-    def score(self, stats: SimStats, telemetry: Optional[dict] = None) -> float:
+    def score(self, stats: SimStats) -> float:
         """The raw metric value for one run (direction not applied)."""
-        return float(self.extract(stats, telemetry))
+        return float(self.extract(stats))
 
     def sort_key(self, value: float) -> float:
         """Monotone map under which *larger is always better*."""
@@ -58,7 +56,7 @@ class Objective:
         return num / den if den else 0.0
 
 
-def _steal_rate(stats: SimStats, _summary: Optional[dict]) -> float:
+def _steal_rate(stats: SimStats) -> float:
     return stats.work_steals / stats.tbs_dispatched if stats.tbs_dispatched else 0.0
 
 
@@ -66,20 +64,20 @@ def _steal_rate(stats: SimStats, _summary: Optional[dict]) -> float:
 OBJECTIVES: dict[str, Objective] = {
     obj.name: obj
     for obj in (
-        Objective("ipc", "max", "instructions per cycle", lambda s, t: s.ipc),
-        Objective("l1-hit-rate", "max", "L1 hit rate", lambda s, t: s.l1_hit_rate),
-        Objective("l2-hit-rate", "max", "L2 hit rate", lambda s, t: s.l2_hit_rate),
+        Objective("ipc", "max", "instructions per cycle", lambda s: s.ipc),
+        Objective("l1-hit-rate", "max", "L1 hit rate", lambda s: s.l1_hit_rate),
+        Objective("l2-hit-rate", "max", "L2 hit rate", lambda s: s.l2_hit_rate),
         Objective(
             "child-wait", "min", "mean dynamic-TB queueing delay (cycles)",
-            lambda s, t: s.child_mean_wait,
+            lambda s: s.child_mean_wait,
         ),
         Objective(
             "gini", "min", "Gini coefficient of per-SMX busy cycles",
-            lambda s, t: s.busy_cycles_gini,
+            lambda s: s.busy_cycles_gini,
         ),
         Objective(
             "utilization", "max", "mean SMX issue-port busy fraction",
-            lambda s, t: s.smx_utilization,
+            lambda s: s.smx_utilization,
         ),
         Objective("steal-rate", "min", "work steals per dispatched TB", _steal_rate),
     )

@@ -197,8 +197,7 @@ def tune(
     reported in ``TuneResult.dropped``.
 
     Pass ``jobs``/``cache`` to build an executor, or ``executor`` to
-    share one; evaluation telemetry summaries ride along when the
-    executor collects them, but never influence ranking.
+    share one.
     """
     benchmarks = list(benchmarks)
     if not benchmarks:
@@ -240,7 +239,7 @@ def tune(
     survivors = names[:n0]
 
     if executor is None:
-        executor = make_executor(jobs=jobs, cache=cache, collect_telemetry=True)
+        executor = make_executor(jobs=jobs, cache=cache)
 
     evaluations = 0
     eliminated: list[CandidateResult] = []
@@ -288,19 +287,12 @@ def tune(
         metrics: dict[str, dict[str, float]] = {}
         per_benchmark: dict[str, dict[str, float]] = {}
         for name in survivors:
-            rows = {
-                bench: (results[spec], executor.telemetry_for(spec))
-                for bench, spec in (
-                    (b, specs[(name, b)]) for b in benchmarks
-                )
-            }
+            rows = {bench: results[specs[(name, bench)]] for bench in benchmarks}
             metrics[name] = {
-                obj.name: _mean([obj.score(stats, summary) for stats, summary in rows.values()])
+                obj.name: _mean([obj.score(stats) for stats in rows.values()])
                 for obj in objective_list
             }
-            per_benchmark[name] = {
-                bench: primary.score(stats, summary) for bench, (stats, summary) in rows.items()
-            }
+            per_benchmark[name] = {bench: primary.score(stats) for bench, stats in rows.items()}
 
         ranking = sorted(
             survivors,

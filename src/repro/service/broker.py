@@ -75,7 +75,6 @@ class Broker:
         *,
         queue_limit: int = 64,
         default_deadline: Optional[float] = None,
-        collect_telemetry: bool = True,
         registry: Optional[MetricsRegistry] = None,
         telemetry: TelemetrySink = NULL_SINK,
     ) -> None:
@@ -84,7 +83,6 @@ class Broker:
         self.fleet = fleet
         self.queue_limit = queue_limit
         self.default_deadline = default_deadline
-        self.collect_telemetry = collect_telemetry
         self.registry = registry if registry is not None else MetricsRegistry()
         #: sink receiving every JobEvent (progress logging hook)
         self.telemetry = telemetry
@@ -92,7 +90,7 @@ class Broker:
         # the service the exact record validation + zero-work warm path the
         # CLI executors use, against the same on-disk store, and payload()
         # sends each job to a worker with the trace store beside it
-        self._exec = SerialExecutor(cache, collect_telemetry=collect_telemetry)
+        self._exec = SerialExecutor(cache)
         self.jobs: "dict[str, Job]" = {}
         self._heap: list[tuple[float, int, Job]] = []
         self._queued = 0
@@ -142,7 +140,6 @@ class Broker:
             self._emit(job.record(QUEUED, "admitted"))
             job.source = "cache"
             job.stats_obj = stats_to_obj(stats)
-            job.telemetry = self._exec.telemetry_for(spec)
             metrics.counter("service_cache_hits").inc()
             self._finish(job, DONE, "served from result cache")
             return job
@@ -245,13 +242,9 @@ class Broker:
             out = await self.fleet.run_on(
                 worker, payload, timeout=job.deadline, label=spec.label(), on_retry=retrying
             )
-            stats = stats_from_obj(out["stats"])
-            if out.get("telemetry") is not None:
-                self._exec.telemetry[spec] = out["telemetry"]
-            self._exec._cache_put(spec, stats)
+            self._exec._cache_put(spec, stats_from_obj(out["stats"]))
             for target in (job, *job.followers):
                 target.stats_obj = out["stats"]
-                target.telemetry = out.get("telemetry")
             self.registry.counter("service_jobs_executed").inc()
             duration = time.time() - job.started_at
             self._finish(job, DONE, f"completed in {duration:.3f}s")

@@ -123,8 +123,6 @@ class Job:
         self.error: Optional[str] = None
         #: JSON-safe SimStats (``stats_to_obj``) once done
         self.stats_obj: Optional[dict] = None
-        #: telemetry summary dict once done (when the broker collects it)
-        self.telemetry: Optional[dict] = None
         self.submitted_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -222,7 +220,6 @@ class Job:
             "coalesced_into": self.primary.job_id if self.primary else None,
             "followers": [f.job_id for f in self.followers],
             "stats": self.stats_obj,
-            "telemetry": self.telemetry,
         }
         if include_events:
             out["events"] = [e.to_dict() for e in self.events]

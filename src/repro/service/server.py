@@ -6,7 +6,7 @@ toolchain is frozen), one request per connection, JSON bodies. Routes::
 
     POST   /v1/jobs               submit a spec        -> job (202, or 200 if already done)
     GET    /v1/jobs               list jobs (summaries)
-    GET    /v1/jobs/<id>          job status + SimStats + telemetry summary
+    GET    /v1/jobs/<id>          job status + SimStats
     DELETE /v1/jobs/<id>          cancel a queued/coalesced job
     GET    /v1/jobs/<id>/events   live progress as Server-Sent Events
     GET    /v1/catalog            benchmarks/schedulers/grammar (catalog_dict)
@@ -337,7 +337,6 @@ class ServiceThread:
         queue_limit: int = 64,
         cache_dir: Optional[str | os.PathLike] = None,
         default_deadline: Optional[float] = None,
-        collect_telemetry: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -346,7 +345,6 @@ class ServiceThread:
             queue_limit=queue_limit,
             cache=ResultCache(cache_dir) if cache_dir is not None else None,
             default_deadline=default_deadline,
-            collect_telemetry=collect_telemetry,
             host=host,
             port=port,
         )

@@ -4,10 +4,10 @@
 production schedulers' instrumentation: a metric is addressed by name
 plus a set of ``key=value`` labels (``tbs_dispatched{smx=3, priority=1}``),
 created lazily on first touch. :class:`MetricsSink` populates a registry
-from the event bus, and :meth:`MetricsSink.summary` condenses a run into
-the steal/load-imbalance report the LaPerm evaluation cares about: the
-Gini coefficient of per-SMX busy cycles, the steal rate, and queue
-pressure high-water marks.
+from the event bus, per SMX, priority level and cluster. A run's
+condensed figures (steals, busy-cycle Gini, queue high water) are
+:class:`~repro.gpu.stats.SimStats` fields; the sink is for breakdowns
+the stats do not keep.
 """
 
 from __future__ import annotations
@@ -243,16 +243,8 @@ class MetricsSink(TelemetrySink):
     runs.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        label: Optional[str] = None,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: free-form run label (canonical scheduler name in the harness);
-        #: surfaces in :meth:`summary` so reports are self-describing
-        self.label = label
 
     def emit(self, event: TelemetryEvent) -> None:
         reg = self.registry
@@ -284,32 +276,3 @@ class MetricsSink(TelemetrySink):
             reg.gauge("l2_hit_rate").set(event.l2_hit_rate)
             reg.gauge("queued_tbs").set(event.queued_tbs)
             reg.gauge("resident_tbs").set(event.resident_tbs)
-
-    # ----- condensed reporting ---------------------------------------------
-    def summary(self, stats=None) -> dict:
-        """Steal/imbalance digest of the run (JSON-safe).
-
-        ``stats`` (a :class:`~repro.gpu.stats.SimStats`) contributes the
-        per-SMX busy-cycle distribution; event-derived figures come from
-        the registry. Every field is present even when zero, so consumers
-        can rely on the shape.
-        """
-        reg = self.registry
-        dispatched = reg.total("tbs_dispatched")
-        steals = reg.total("work_stolen")
-        out = {
-            "tbs_dispatched": int(dispatched),
-            "work_steals": int(steals),
-            "steal_rate": steals / dispatched if dispatched else 0.0,
-            "queue_overflows": int(reg.total("queue_overflows")),
-            "child_launches": int(reg.total("child_launches")),
-            "queued_tbs_high_water": reg.gauge("queued_tbs").max,
-            "busy_cycles_gini": 0.0,
-            "queue_entry_high_water": 0,
-        }
-        if stats is not None:
-            out["busy_cycles_gini"] = gini(stats.per_smx_busy_cycles)
-            out["queue_entry_high_water"] = stats.scheduler_queue_high_water
-        if self.label is not None:
-            out["scheduler"] = self.label
-        return out

@@ -117,13 +117,20 @@ class TestTraceCommand:
     def test_trace_writes_valid_trace(self, capsys, tmp_path):
         import json
 
+        from repro.harness.execution import RunSpec, run_spec
         from repro.harness.registry import experiment_config
         from repro.telemetry import validate_trace
 
         path = str(tmp_path / "t.json")
         assert main(["trace", "bfs-citation", "--scale", "tiny", "-o", path]) == 0
         out = capsys.readouterr().out
-        assert "steals=" in out and "wrote" in out
+        assert "wrote" in out
+        # the printed figures are the stats of the same run, untraced
+        stats = run_spec(RunSpec.create("bfs-citation", "adaptive-bind", "dtbl", scale="tiny"))
+        assert (
+            f"steals={stats.work_steals}  busy-cycle gini={stats.busy_cycles_gini:.3f}  "
+            f"queue high water={stats.scheduler_queue_high_water}"
+        ) in out.splitlines()
         trace = json.loads(open(path).read())
         assert validate_trace(trace) == []
         slice_tids = {e["tid"] for e in trace["traceEvents"] if e["ph"] == "X"}

@@ -248,6 +248,31 @@ class TestExecutors:
         assert executor.misses == 1
         assert engine_runs["n"] == 2
 
+    def test_record_with_a_telemetry_key_still_hits(self, tmp_path, engine_runs):
+        spec = RunSpec.create("amr", "rr", "dtbl", scale="tiny", config=TINY_CONFIG)
+        cache = ResultCache(tmp_path)
+        stats = make_executor(cache=cache).run_one(spec)
+        record = cache.load(spec.cache_key())
+        assert sorted(record) == ["engine_version", "spec", "stats"]
+        # earlier versions could add a "telemetry" summary beside the
+        # stats; such a record answers as a hit with the same stats
+        record["telemetry"] = {
+            "tbs_dispatched": stats.tbs_dispatched,
+            "work_steals": stats.work_steals,
+            "steal_rate": 0.0,
+            "queue_overflows": 0,
+            "child_launches": stats.launches,
+            "queued_tbs_high_water": 0.0,
+            "busy_cycles_gini": stats.busy_cycles_gini,
+            "queue_entry_high_water": stats.scheduler_queue_high_water,
+            "scheduler": "rr",
+        }
+        cache.store(spec.cache_key(), record)
+        executor = make_executor(cache=cache)
+        assert executor.run_one(spec).to_dict() == stats.to_dict()
+        assert executor.hits == 1 and executor.misses == 0
+        assert engine_runs["n"] == 1
+
     def test_make_executor_selects_strategy(self, tmp_path):
         assert isinstance(make_executor(), SerialExecutor)
         assert isinstance(make_executor(jobs=4), ParallelExecutor)

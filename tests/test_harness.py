@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import analyze_footprint
 from repro.gpu.config import GPUConfig
+from repro.harness.execution import simulate
 from repro.harness.registry import (
     BENCHMARKS,
     benchmark_names,
@@ -20,7 +21,7 @@ from repro.harness.report import (
     render_normalized_ipc,
     render_table,
 )
-from repro.harness.runner import GridResult, run_grid, simulate
+from repro.harness.runner import GridResult, run_grid
 from tests.conftest import tiny_workload
 
 

@@ -206,6 +206,29 @@ def test_fleet_workers_start_with_numpy():
     assert out == {"numpy": True, "repro.gpu.engine": True}
 
 
+def test_cold_job_imports_nothing_the_fleet_did_not(tmp_path):
+    # a fleet imports pool._JOB_MODULES before it forks; a cold job (no
+    # result, no trace on disk) must find everything it runs loaded
+    out = run_fresh(
+        f"""
+        import importlib, json, sys
+        import repro.harness.registry
+        from repro.harness import execution, pool
+
+        for name in pool._JOB_MODULES:
+            importlib.import_module(name)
+        executor = execution.make_executor(cache={str(tmp_path)!r})
+        before = set(sys.modules)
+        for scheduler in ("rr", "adaptive-bind+throttle"):
+            for model in ("dtbl", "cdp"):
+                spec = execution.RunSpec.create("amr", scheduler, model, scale="tiny")
+                assert execution._worker_run(executor.payload(spec))["stats"]["cycles"] > 0
+        print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("repro"))))
+        """
+    )
+    assert out == []
+
+
 #: every module whose public names resolve on first use
 LAZY_MODULES = (
     "repro",

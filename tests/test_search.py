@@ -187,7 +187,7 @@ class TestObjectives:
         from repro.search import Objective
 
         with pytest.raises(ValueError, match="direction"):
-            Objective("x", "sideways", "", lambda s, t: 0.0)
+            Objective("x", "sideways", "", lambda s: 0.0)
 
 
 class TestPareto:
@@ -380,7 +380,7 @@ class TestTune:
         assert events[-1].time == result.evaluations
 
     def test_shared_executor(self, tmp_path, engine_runs):
-        executor = make_executor(jobs=1, cache=str(tmp_path / "c"), collect_telemetry=True)
+        executor = make_executor(jobs=1, cache=str(tmp_path / "c"))
         tiny_tune(executor=executor)
         ran = engine_runs["n"]
         assert ran > 0

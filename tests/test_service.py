@@ -111,7 +111,7 @@ class TestJobModel:
 
 
 def run_payload(s):
-    return {"spec": s.to_dict(), "collect_telemetry": False}
+    return {"spec": s.to_dict()}
 
 
 _REAL_WORKER_RUN = execution._worker_run
@@ -153,7 +153,7 @@ class TestWorkerFleet:
             await fleet.start()
             try:
                 worker = await fleet.checkout()
-                bad = {"spec": {"nonsense": True}, "collect_telemetry": False}
+                bad = {"spec": {"nonsense": True}}
                 with pytest.raises(RuntimeError):
                     await fleet.run_on(worker, bad)
                 # same fleet, next job fine: the worker survived the error
@@ -489,7 +489,7 @@ class TestBrokerOrdering:
         async def scenario():
             fleet = WorkerFleet(1)
             await fleet.start()
-            broker = Broker(fleet, ResultCache(tmp_path), collect_telemetry=False)
+            broker = Broker(fleet, ResultCache(tmp_path))
             await broker.start()
             broker.pause()
             # admitted expensive-first; the heap must reorder by cost
@@ -510,7 +510,7 @@ class TestBrokerOrdering:
         async def scenario():
             fleet = WorkerFleet(1)
             await fleet.start()
-            broker = Broker(fleet, ResultCache(tmp_path), collect_telemetry=False)
+            broker = Broker(fleet, ResultCache(tmp_path))
             await broker.start()
             first = broker.submit(spec(seed=403))
             while not first.finished:
@@ -536,7 +536,7 @@ class TestBrokerOrdering:
         async def scenario():
             fleet = WorkerFleet(1)
             await fleet.start()
-            broker = Broker(fleet, ResultCache(tmp_path / "cache"), collect_telemetry=False)
+            broker = Broker(fleet, ResultCache(tmp_path / "cache"))
             await broker.start()
             job = broker.submit(spec(seed=406))
             await broker.drain()
@@ -554,7 +554,7 @@ class TestBrokerOrdering:
         async def scenario():
             fleet = WorkerFleet(1)
             await fleet.start()
-            broker = Broker(fleet, ResultCache(tmp_path), collect_telemetry=False)
+            broker = Broker(fleet, ResultCache(tmp_path))
             await broker.start()
             await broker.shutdown()
             with pytest.raises((AdmissionError, RuntimeError)):

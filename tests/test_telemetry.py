@@ -9,8 +9,8 @@ import pytest
 from repro.core import make_scheduler
 from repro.dynpar import make_model
 from repro.gpu.engine import Engine
+from repro.harness.execution import simulate
 from repro.harness.registry import experiment_config, load_benchmark
-from repro.harness.runner import simulate
 from repro.telemetry import (
     EVENT_TYPES,
     NULL_SINK,
@@ -299,16 +299,16 @@ class TestStealImbalance:
         assert adaptive.busy_cycles_gini < bind.busy_cycles_gini
         assert bind.work_steals == 0
 
-    def test_metrics_summary_shape(self):
+    def test_metrics_registry_agrees_with_stats(self):
         metrics = MetricsSink()
         stats = run_benchmark("bfs-graph500", "adaptive-bind", telemetry=metrics)
-        summary = metrics.summary(stats)
-        assert summary["work_steals"] == stats.work_steals >= 1
-        assert summary["tbs_dispatched"] == stats.tbs_dispatched
-        assert 0.0 < summary["steal_rate"] <= 1.0
-        assert summary["busy_cycles_gini"] == pytest.approx(stats.busy_cycles_gini)
-        assert summary["queue_entry_high_water"] == stats.scheduler_queue_high_water > 0
-        assert json.loads(json.dumps(summary)) == summary
+        reg = metrics.registry
+        assert reg.total("work_stolen") == stats.work_steals >= 1
+        assert reg.total("tbs_dispatched") == stats.tbs_dispatched
+        assert reg.total("child_launches") == stats.launches
+        assert reg.total("queue_overflows") == stats.scheduler_overflow_events
+        snapshot = reg.snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
 
 
 # --------------------------------------------------------------------------
@@ -406,46 +406,6 @@ class TestTraceValidator:
     def test_assert_raises_with_first_problem(self):
         with pytest.raises(TraceValidationError, match="ph"):
             assert_valid_trace(self.envelope({"ts": 0}))
-
-
-# --------------------------------------------------------------------------
-# harness integration: summaries ride along with cached results
-# --------------------------------------------------------------------------
-
-
-class TestExecutorTelemetry:
-    def test_summary_attached_and_cached(self, tmp_path):
-        from repro.harness.execution import RunSpec, make_executor
-
-        spec = RunSpec.create("bfs-citation", "adaptive-bind", "dtbl", scale="tiny")
-        ex = make_executor(cache=str(tmp_path), collect_telemetry=True)
-        stats = ex.run_one(spec)
-        summary = ex.telemetry_for(spec)
-        assert summary is not None and summary["work_steals"] == stats.work_steals
-
-        # a fresh executor answers both stats and summary from the cache
-        warm = make_executor(cache=str(tmp_path), collect_telemetry=True)
-        assert warm.run_one(spec).cycles == stats.cycles
-        assert warm.hits == 1
-        assert warm.telemetry_for(spec) == summary
-
-    def test_summary_does_not_change_cache_key_or_stats(self, tmp_path):
-        from repro.harness.execution import RunSpec, make_executor
-        from repro.gpu.serialize import stats_to_obj
-
-        spec = RunSpec.create("bfs-citation", "rr", "dtbl", scale="tiny")
-        plain = make_executor(cache=str(tmp_path / "a"))
-        collecting = make_executor(cache=str(tmp_path / "b"), collect_telemetry=True)
-        s1, s2 = plain.run_one(spec), collecting.run_one(spec)
-        assert stats_to_obj(s1) == stats_to_obj(s2)
-        assert spec.cache_key() == RunSpec.create(
-            "bfs-citation", "rr", "dtbl", scale="tiny"
-        ).cache_key()
-        # a record written without telemetry still hits; just no summary
-        reader = make_executor(cache=str(tmp_path / "a"), collect_telemetry=True)
-        reader.run_one(spec)
-        assert reader.hits == 1
-        assert reader.telemetry_for(spec) is None
 
 
 class TestPrometheusExposition:

@@ -86,7 +86,7 @@ def test_roundtrip_preserves_simulated_stats(tmp_path):
     assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
 
     def stats_for(spec):
-        from repro.harness.runner import simulate
+        from repro.harness.execution import simulate
 
         return stats_to_obj(simulate(spec, "adaptive-bind", "dtbl"))
 
@@ -219,7 +219,7 @@ class _FullDisk(_FullDiskForTraces):
 async def _broker_run(cache, specs):
     fleet = WorkerFleet(1)
     await fleet.start()
-    broker = Broker(fleet, cache, collect_telemetry=False)
+    broker = Broker(fleet, cache)
     await broker.start()
     jobs = [broker.submit(spec) for spec in specs]
     await broker.drain()
@@ -256,6 +256,20 @@ def test_full_disk_keeps_computed_results(tmp_path, monkeypatch, capsys, path):
     assert err.count("warning: result not cached") == 1
     assert str(cache.path_for(specs[0].cache_key())) in err
     assert f"errno {errno.ENOSPC}" in err
+
+
+def test_a_service_worker_warns_once_for_its_failed_trace_stores(tmp_path, monkeypatch, capfd):
+    # each job has its own seed, so each builds a trace and tries to store it
+    specs = [
+        RunSpec(benchmark=BENCH, scheduler="rr", model="dtbl", scale="tiny", seed=seed)
+        for seed in (21, 22, 23)
+    ]
+    _KERNEL_CACHE.clear()
+    real_fdopen = os.fdopen
+    # patched before the fleet forks, so the worker's writes fail too
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(real_fdopen(fd, mode)))
+    asyncio.run(_broker_run(ResultCache(tmp_path), specs))
+    assert capfd.readouterr().err.count("warning: workload trace not cached") == 1
 
 
 def test_damaged_records_are_rewritten_through_the_pool(tmp_path):
