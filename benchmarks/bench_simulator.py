@@ -101,8 +101,8 @@ CDP_ROW = "adaptive-bind@sssp-cage15/small/cdp"
 #: cell pays it: datagen and trace build, the trace store into an empty
 #: workload cache, and the first engine run of that trace
 COLD_ROW = "cold:adaptive-bind@clr-graph500/small/dtbl"
-#: the cold row whose trace is nearly all range accesses, which the trace
-#: stores as lane runs rather than one address per lane
+#: the cold row whose trace is nearly all range accesses, which the
+#: builder lowers arithmetically rather than through the coalescer
 COLD_RUNS_ROW = "cold:adaptive-bind@amr/small/dtbl"
 COLD_PREFIX = "cold:"
 

@@ -55,7 +55,7 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def analyze_footprint(spec: KernelSpec, line_bytes: int = 128) -> FootprintResult:
+def analyze_footprint(spec: KernelSpec) -> FootprintResult:
     """Compute the Fig 2 ratios for one benchmark's kernel spec.
 
     Walks the launch tree: *every* launching TB counts as a direct parent
@@ -69,7 +69,7 @@ def analyze_footprint(spec: KernelSpec, line_bytes: int = 128) -> FootprintResul
     def footprint(body: TBBody) -> set[int]:
         key = id(body)
         if key not in footprints:
-            footprints[key] = body.touched_lines(line_bytes)
+            footprints[key] = body.touched_lines()
         return footprints[key]
 
     pc_ratios: list[float] = []

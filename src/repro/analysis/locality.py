@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.gpu.trace import TBBody
+from repro.gpu.trace import OP_LOAD, OP_STORE, TBBody
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,23 @@ class InterTBReuse:
         return self.inter_tb / total if total else 0.0
 
 
-def inter_tb_reuse(bodies: Sequence[TBBody], line_bytes: int = 128) -> InterTBReuse:
+def inter_tb_reuse(bodies: Sequence[TBBody]) -> InterTBReuse:
     """Classify every reference by where its previous touch happened.
 
-    The inter-TB share is the reuse a TB scheduler can convert into cache
-    hits (by placing the reusing TBs close in time/space) or destroy.
+    A reference is one coalesced line of one LOAD/STORE. The inter-TB
+    share is the reuse a TB scheduler can convert into cache hits (by
+    placing the reusing TBs close in time/space) or destroy.
     """
     last_owner: dict[int, int] = {}
     intra = inter = cold = 0
     for tb_idx, body in enumerate(bodies):
-        for _, lanes in body.accesses():
-            for line in {a // line_bytes for a in lanes if a >= 0}:
+        arena, bounds = body.arena, body.warp_bounds
+        ops, args, offs, lines = arena.ops, arena.args, arena.offs, arena.lines
+        for pc in range(bounds[0], bounds[-1]):
+            if ops[pc] != OP_LOAD and ops[pc] != OP_STORE:
+                continue
+            off = offs[pc]
+            for line in lines[off : off + args[pc]]:
                 owner = last_owner.get(line)
                 if owner is None:
                     cold += 1

@@ -10,13 +10,19 @@ Timing parameters (cache / DRAM latencies, launch latencies) are not given
 in the paper; the defaults follow the commonly used GPGPU-Sim Kepler
 configuration and the CDP/DTBL launch-latency measurements cited by the
 paper ([15], [16]). Every knob is a plain dataclass field so experiments
-can sweep it.
+can sweep it, except the line size, which the trace format fixes at
+``LINE_BYTES``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+
+
+#: the one cache-line size: Table I's 128 B, which traces are lowered at
+#: when they are built (repro.gpu.trace) and which no machine may change
+LINE_BYTES = 128
 
 
 def canonical_json(obj) -> str:
@@ -30,7 +36,7 @@ class CacheConfig:
     """Geometry and timing of one cache level."""
 
     size_bytes: int
-    line_bytes: int = 128
+    line_bytes: int = LINE_BYTES
     associativity: int = 8
     hit_latency: int = 0  # extra cycles on top of the level below's latency
 
@@ -89,7 +95,9 @@ class GPUConfig:
     # --- Table I: memory system -----------------------------------------
     l1: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=32 * 1024, associativity=4))
     l2: CacheConfig = field(default_factory=lambda: CacheConfig(size_bytes=1536 * 1024, associativity=16))
-    line_bytes: int = 128
+    # always LINE_BYTES; the field stays so that config fingerprints, and
+    # with them every result-cache address, do not move
+    line_bytes: int = LINE_BYTES
 
     # latencies, in SMX clock cycles, for a load that is satisfied at
     # the named level (GPGPU-Sim Kepler-era defaults)
@@ -129,6 +137,11 @@ class GPUConfig:
             raise ValueError("num_smx must be a multiple of smxs_per_cluster")
         if self.smxs_per_l2_cluster < 1:
             raise ValueError("smxs_per_l2_cluster must be positive")
+        if self.line_bytes != LINE_BYTES:
+            raise ValueError(
+                f"GPUConfig.line_bytes must be {LINE_BYTES}, the line size traces "
+                f"are lowered at, not {self.line_bytes}"
+            )
         if self.l1.line_bytes != self.line_bytes or self.l2.line_bytes != self.line_bytes:
             raise ValueError("L1/L2 line size must match GPUConfig.line_bytes")
         if self.warp_scheduler not in ("gto", "lrr"):

@@ -6,21 +6,20 @@ complete launch tree included — as one binary record and loads it back,
 preserving body sharing (a `TBBody` referenced by several launches
 round-trips to a single object).
 
-Format (``FORMAT_VERSION`` 4): a magic and version prefix, then one zlib
+Format (``FORMAT_VERSION`` 5): a magic and version prefix, then one zlib
 stream holding a small JSON header (name, resources, line size, launch
 table, roots) and the columns of the trace's `TraceArena`, body by body
-— warps per body, instructions per warp, op codes, arguments, the
-coalesced line pool, and the per-lane address pool with its lane counts
-and lane steps (a range access is stored as a run: its first address
-and stride). Storing a trace is one gather per column and one
-compression pass; loading one makes the decoded columns one arena that
-every decoded body views, so a loaded trace replays with no coalescing
-and no per-body copies. Bodies and launches are referenced by table index, so
+— warps per body, instructions per warp, op codes, arguments and the
+coalesced 128-byte line pool. Storing a trace is one gather per column
+and one compression pass; loading one makes the decoded columns one
+arena that every decoded body views, so a loaded trace replays with no
+coalescing and no per-body copies. Bodies and launches are referenced by table index, so
 arbitrarily deep launch trees serialize without recursion. Decoding
 validates every length, op code and index and never evaluates the
 record (no pickle, marshal or eval). Format 1 (gzip JSON), format 2
-(per-instruction records) and format 3 (every lane address listed)
-files are rejected with a message naming their format.
+(per-instruction records), format 3 (every lane address listed) and
+format 4 (a per-lane address pool) files are rejected with a message
+naming their format.
 
 It also names the plain-object round trips of `GPUConfig` and `SimStats`
 (`config_to_obj` / `config_from_obj`, `stats_to_obj` / `stats_from_obj`,
@@ -62,12 +61,17 @@ if TYPE_CHECKING:
     from numpy import ndarray
 
 #: Layout version of the binary trace record. 1 was gzip-compressed JSON,
-#: 2 one record per instruction (addresses only, coalesced at load), 3 the
-#: columns of format 4 without lane steps (every lane address listed).
-FORMAT_VERSION = 4
+#: 2 one record per instruction (addresses only, coalesced at load), 3 and
+#: 4 the columns of format 5 plus every access's per-lane byte addresses
+#: (4 stored a range access as a run: its first address and stride).
+FORMAT_VERSION = 5
 
 #: what the formats this version no longer reads held
-_RETIRED_FORMATS = {2: "instruction records", 3: "every lane address listed"}
+_RETIRED_FORMATS = {
+    2: "instruction records",
+    3: "every lane address listed",
+    4: "a per-lane address pool",
+}
 
 
 def config_to_obj(config: GPUConfig) -> dict:
@@ -143,12 +147,6 @@ def _collect(spec: KernelSpec):
 #   args         COMPUTE: cycles; LOAD/STORE: coalesced line count;
 #                LAUNCH: index into the body's launch list    (one per instr)
 #   lines        every body's coalesced line pool, body after body
-#   lane_counts  lanes per LOAD/STORE, in trace order
-#   lane_steps   per LOAD/STORE: 0 when its lanes are listed in ``lanes``;
-#                s > 0 for a run, whose first address alone is in ``lanes``
-#                and whose lane k is at first + k*s
-#   lanes        per LOAD/STORE, in trace order: its lane addresses, or a
-#                run's first address
 #   launch_refs  each body's launch list as launch-table indices
 #
 # These are the columns of a TraceArena (repro.gpu.trace), each body's
@@ -165,10 +163,7 @@ _HEADER_LEN = struct.Struct("<Q")
 _GZIP_MAGIC = b"\x1f\x8b"
 _ITEM = array("q").itemsize
 _NATIVE_LE = sys.byteorder == "little"
-_COLUMNS = (
-    "body_warps", "warp_instrs", "ops", "args", "lines",
-    "lane_counts", "lane_steps", "lanes", "launch_refs",
-)
+_COLUMNS = ("body_warps", "warp_instrs", "ops", "args", "lines", "launch_refs")
 
 
 def _le(values) -> bytes:
@@ -204,8 +199,8 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
     bodies, body_ids, launches, launch_ids = _collect(spec)
     arena_ids: dict[int, int] = {}
     arenas: list[TraceArena] = []
-    # per body: its arena, then its instruction, line, access and lane
-    # bounds in that arena's columns
+    # per body: its arena, then its instruction and line bounds in that
+    # arena's columns
     spans = []
     body_warps = []
     warp_instrs = array("q")
@@ -216,26 +211,18 @@ def spec_to_bytes(spec: KernelSpec) -> bytes:
         if arena_index is None:
             arena_index = arena_ids[id(arena)] = len(arenas)
             arenas.append(arena)
-        spans.append((
-            arena_index, bounds[0], bounds[-1], body.line_lo, body.line_hi,
-            body.access_lo, body.access_hi, body.lane_lo, body.lane_hi,
-        ))
+        spans.append((arena_index, bounds[0], bounds[-1], body.line_lo, body.line_hi))
         body_warps.append(len(bounds) - 1)
         warp_instrs.extend(map(sub, bounds[1:], bounds))
         if body.launch_table:
             launch_refs.extend([launch_ids[id(s)] for s in body.launch_table])
-    arena_of, instr_lo, instr_hi, line_lo, line_hi, access_lo, access_hi, lane_lo, lane_hi = (
-        np.array(spans, dtype=np.int64).T
-    )
+    arena_of, instr_lo, instr_hi, line_lo, line_hi = np.array(spans, dtype=np.int64).T
     data = [
         _le(body_warps),
         _le(warp_instrs),
         _gather(arenas, "ops", arena_of, instr_lo, instr_hi),
         _gather(arenas, "args", arena_of, instr_lo, instr_hi),
         _gather(arenas, "lines", arena_of, line_lo, line_hi),
-        _gather(arenas, "lane_counts", arena_of, access_lo, access_hi),
-        _gather(arenas, "lane_steps", arena_of, access_lo, access_hi),
-        _gather(arenas, "lanes", arena_of, lane_lo, lane_hi),
         _le(launch_refs),
     ]
     header = {
@@ -309,8 +296,8 @@ def _bounds(values: ndarray) -> ndarray:
 def _check_columns(columns: list[array], n_launches: int):
     """Validate the columns against each other; return the arena's line
     offsets (each instruction's start in the line pool), the warps'
-    instruction bounds and, per body, its bounds in the warp, line,
-    access, lane and launch-ref columns.
+    instruction bounds and, per body, its bounds in the warp, line and
+    launch-ref columns.
 
     Every op code, count and index is checked, so a damaged record raises
     instead of replaying a wrong trace. Only this validation and the
@@ -319,10 +306,8 @@ def _check_columns(columns: list[array], n_launches: int):
     """
     import numpy as np
 
-    bw, wi, op, arg, _, lc, ls, lane, refs = (np.frombuffer(c, dtype=np.int64) for c in columns)
-    n_bodies, n_warps, n_instrs, n_args, n_lines, n_accesses, n_steps, n_lanes, n_refs = (
-        len(c) for c in columns
-    )
+    bw, wi, op, arg, _, refs = (np.frombuffer(c, dtype=np.int64) for c in columns)
+    n_bodies, n_warps, n_instrs, n_args, n_lines, n_refs = (len(c) for c in columns)
     if n_args != n_instrs:
         raise _corrupt("args disagree with ops")
     if bw.size and bw.min() < 1 or bw.sum() != n_warps:
@@ -338,28 +323,11 @@ def _check_columns(columns: list[array], n_launches: int):
     is_launch = op == OP_LAUNCH
     if np.any(arg[op == OP_COMPUTE] < 1) or np.any(arg[is_access] < 0):
         raise _corrupt("negative cycle or line count")
+    if np.any(arg[is_access] > WARP_SIZE):
+        raise _corrupt(f"an access spans more than {WARP_SIZE} lines")
     access_lines = np.where(is_access, arg, 0)
     if access_lines.sum() != n_lines:
         raise _corrupt("line counts disagree with the line pool")
-    if int(is_access.sum()) != n_accesses:
-        raise _corrupt("accesses disagree with the lane counts")
-    if n_steps != n_accesses:
-        raise _corrupt("lane steps disagree with the lane counts")
-    if lc.size and lc.min() < 0:
-        raise _corrupt("negative lane count")
-    if ls.size and ls.min() < 0:
-        raise _corrupt("negative lane step")
-    is_run = ls > 0
-    lane_bounds = _bounds(np.where(is_run, 1, lc))
-    if lane_bounds[-1] != n_lanes:
-        raise _corrupt("lane counts disagree with the lane pool")
-    run_lanes, run_step, run_first = lc[is_run], ls[is_run], lane[lane_bounds[:-1][is_run]]
-    if np.any(run_lanes < 1) or np.any(run_lanes > WARP_SIZE):
-        raise _corrupt(f"a lane run needs 1 to {WARP_SIZE} lanes")
-    # the last lane, first + (lanes - 1) * step, must be an int64 too
-    room = (np.iinfo(np.int64).max - np.maximum(run_first, 0)) // np.maximum(run_lanes - 1, 1)
-    if np.any(run_first < 0) or np.any(run_step > room):
-        raise _corrupt("a lane run outside the address space")
     if int(is_launch.sum()) != n_refs:
         raise _corrupt("launches disagree with the launch references")
     if refs.size and (refs.min() < 0 or refs.max() >= n_launches):
@@ -369,21 +337,17 @@ def _check_columns(columns: list[array], n_launches: int):
     body_warp_bounds = _bounds(bw)
     body_instrs = warp_bounds[body_warp_bounds]
     line_bounds = _bounds(access_lines)
-    access_bounds = _bounds(is_access.astype(np.int64))
     ref_bounds = _bounds(is_launch.astype(np.int64))
     # a LAUNCH's argument is its place in its own body's launch list
     body_of_instr = np.repeat(np.arange(n_bodies), np.diff(body_instrs))
     launch_index = ref_bounds[:-1] - ref_bounds[body_instrs[:-1]][body_of_instr]
     if np.any(arg[is_launch] != launch_index[is_launch]):
         raise _corrupt("launch index out of order")
-    body_accesses = access_bounds[body_instrs]
     return (
         array("q", line_bounds[:-1].tobytes()),
         warp_bounds.tolist(),
         body_warp_bounds.tolist(),
         line_bounds[body_instrs].tolist(),
-        body_accesses.tolist(),
-        lane_bounds[body_accesses].tolist(),
         ref_bounds[body_instrs].tolist(),
     )
 
@@ -436,7 +400,7 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
         columns.append(column)
     if offset != len(payload):
         raise ValueError("corrupt trace record: trailing bytes after the columns")
-    _, _, ops, args, lines, lane_counts, lane_steps, lanes, launch_refs = columns
+    _, _, ops, args, lines, launch_refs = columns
     n_bodies = counts[0]
     if header.get("line_bytes") != LINE_BYTES:
         raise ValueError("corrupt trace record: bad line size")
@@ -464,12 +428,9 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
             )
         )
 
-    offs, warps, body_warps_at, body_lines, body_accesses, body_lanes, body_refs = _check_columns(
-        columns, len(launch_specs)
-    )
+    offs, warps, body_warps_at, body_lines, body_refs = _check_columns(columns, len(launch_specs))
     arena = TraceArena()
     arena.ops, arena.args, arena.offs, arena.lines = ops, args, offs, lines
-    arena.lane_counts, arena.lane_steps, arena.lanes = lane_counts, lane_steps, lanes
     refs = [launch_specs[r] for r in launch_refs.tolist()]
     view = TBBody.view
     bodies = [
@@ -477,8 +438,6 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
             arena,
             tuple(warps[body_warps_at[b] : body_warps_at[b + 1] + 1]),
             (body_lines[b], body_lines[b + 1]),
-            (body_accesses[b], body_accesses[b + 1]),
-            (body_lanes[b], body_lanes[b + 1]),
             tuple(refs[body_refs[b] : body_refs[b + 1]]),
         )
         for b in range(n_bodies)

@@ -27,7 +27,7 @@ from repro.telemetry.events import WarpStall
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.engine import Engine
 
-# hot-path constants: plain ints, because the compiled instruction
+# hot-path constants: plain ints, because the lowered instruction
 # columns (array('q')) hand back ordinary ints — module-level bindings
 # are one dict lookup instead of two (module attribute, then enum
 # member) inside the issue loop
@@ -99,7 +99,6 @@ class SMX:
     def __init__(self, smx_id: int, config: GPUConfig) -> None:
         self.smx_id = smx_id
         self.config = config
-        self._line_bytes = config.line_bytes
         self.free_threads = config.max_threads_per_smx
         self.free_tb_slots = config.max_tbs_per_smx
         # dynamic residency cap, adjusted by contention-aware TB throttling
@@ -161,9 +160,7 @@ class SMX:
         tb.state = TBState.RUNNING
         tb.smx_id = self.smx_id
         tb.dispatched_at = now
-        # the body as built, or (another line size) its re-lowering,
-        # cached on the TBBody for every other TB replaying it
-        body = tb.body.compiled(self._line_bytes)
+        body = tb.body
         tb.active_warps = body.num_warps
         self.resident_tbs.add(tb)
         start = now + start_delay

@@ -23,12 +23,11 @@ as it is appended: it writes the flat columns the SMX issue loop
 replays at ``LINE_BYTES``-byte lines, so a trace is coalesced once,
 when it is built, and never at place time. Ranges of elements are
 lowered arithmetically; scattered accesses go through the coalescer
-once. The builder also keeps every memory access's per-lane byte
-addresses in one flat pool, which the static analyses, the trace record
-and re-lowering for another line size
-(:func:`repro.gpu.compiled.compile_body`) read. A scattered access lists
-its lanes there; a range access keeps a *run*, its first address and
-its stride (``lane_steps``), and :meth:`TBBody.accesses` expands it.
+once. The line size is a property of the trace format, not of the
+machine (:class:`~repro.gpu.config.GPUConfig` accepts no other): a
+trace keeps each access only as its coalesced lines, never as per-lane
+byte addresses, and every reader (the engine, the trace record, the
+static analyses) works on those lines.
 
 A whole trace lives in one :class:`TraceArena`: one set of those
 columns, laid out as in the trace record. A :class:`TBBody` appends its
@@ -45,11 +44,12 @@ through a :class:`WarpTrace`.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
+from repro.gpu.config import LINE_BYTES
 from repro.memory.coalescer import coalesce
 
 
@@ -67,8 +67,6 @@ OP_LOAD: int = int(Op.LOAD)
 OP_STORE: int = int(Op.STORE)
 OP_LAUNCH: int = int(Op.LAUNCH)
 
-#: line size the builder lowers to (Kepler's 128-byte L1/L2 lines)
-LINE_BYTES = 128
 WARP_SIZE = 32
 
 
@@ -89,31 +87,22 @@ class TraceArena:
         where the instruction's coalesced lines start in ``lines``: the
         arena's running line count (a COMPUTE or LAUNCH spans no lines),
     ``lines``
-        coalesced line addresses (byte address // ``line_bytes``),
-    ``lane_counts``/``lane_steps``/``lanes``
-        the per-lane address pool, as in :class:`WarpTrace`.
+        coalesced line addresses (byte address // ``LINE_BYTES``).
 
     The SMX issue loop indexes these columns directly. Columns are only
     ever appended to, so a body's bounds stay valid.
     """
 
-    __slots__ = ("line_bytes", "ops", "args", "offs", "lines", "lane_counts", "lane_steps", "lanes")
+    __slots__ = ("ops", "args", "offs", "lines")
 
-    def __init__(self, line_bytes: int = LINE_BYTES) -> None:
-        self.line_bytes = line_bytes
+    def __init__(self) -> None:
         self.ops = array("q")
         self.args = array("q")
         self.offs = array("q")
         self.lines = array("q")
-        self.lane_counts = array("q")
-        self.lane_steps = array("q")
-        self.lanes = array("q")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TraceArena(instrs={len(self.ops)}, lines={len(self.lines)}, "
-            f"line_bytes={self.line_bytes})"
-        )
+        return f"TraceArena(instrs={len(self.ops)}, lines={len(self.lines)})"
 
 
 @dataclass(slots=True)
@@ -153,51 +142,44 @@ class WarpTrace:
 
     ``ops``/``args``/``offs``/``lines``/``launches`` are this warp's
     :class:`TraceArena` columns at ``LINE_BYTES`` (offsets and launch
-    indices local to the warp); ``lane_counts`` holds the lane count of
-    each LOAD/STORE and ``lanes`` their per-lane byte addresses, in trace
-    order. ``lane_steps`` holds each access's stride: 0 when ``lanes``
-    lists its addresses, ``s > 0`` when ``lanes`` holds only its first
-    address and lane ``k`` is at ``first + k*s`` (a run). The array-level
-    methods take any object with ``addrs(indices)`` and
-    ``addr_range(start, stop)`` (:class:`repro.workloads.base.Array`) and
-    issue one instruction per ``WARP_SIZE`` elements.
+    indices local to the warp). An access has at most ``WARP_SIZE``
+    lanes. The array-level methods take any object with
+    ``addrs(indices)`` and ``addr_range(start, stop)``
+    (:class:`repro.workloads.base.Array`) and issue one instruction per
+    ``WARP_SIZE`` elements.
 
     A :class:`TBBody` copies the trace's columns into its arena when it
     is made; what is appended later does not reach the body.
     """
 
-    __slots__ = ("ops", "args", "offs", "lines", "lane_counts", "lane_steps", "lanes", "launches")
+    __slots__ = ("ops", "args", "offs", "lines", "launches")
 
     def __init__(self) -> None:
         self.ops = array("q")
         self.args = array("q")
         self.offs = array("q")
         self.lines = array("q")
-        self.lane_counts = array("q")
-        self.lane_steps = array("q")
-        self.lanes = array("q")
         self.launches: list[LaunchSpec] = []
 
     # ----- lane-level ----------------------------------------------------------
     def access(self, op: int, addresses: Sequence[int]) -> "WarpTrace":
         """One LOAD/STORE over ``addresses`` (one byte address per lane,
         negative for an inactive lane), coalesced here, once."""
+        if len(addresses) > WARP_SIZE:
+            raise ValueError(f"a warp access has at most {WARP_SIZE} lanes, not {len(addresses)}")
         lines = coalesce(addresses, LINE_BYTES)
         self.ops.append(op)
         self.args.append(len(lines))
         self.offs.append(len(self.lines))
         self.lines.extend(lines)
-        self.lane_counts.append(len(addresses))
-        self.lane_steps.append(0)
-        self.lanes.extend(addresses)
         return self
 
     def access_range(self, op: int, addresses: range) -> "WarpTrace":
         """LOAD/STOREs over an ascending, non-negative ``range`` of byte
         addresses, one instruction per ``WARP_SIZE`` lanes.
 
-        Each instruction keeps its lanes as a run (first address and
-        step), and :func:`_run_lines` coalesces it arithmetically.
+        :func:`_run_lines` coalesces each instruction's lanes
+        arithmetically.
         """
         if addresses.step < 0 or addresses.start < 0:
             raise ValueError(f"access_range needs an ascending, non-negative range: {addresses}")
@@ -209,14 +191,11 @@ class WarpTrace:
         width = WARP_SIZE * step
         for begin in range(addresses.start, final + 1, width):
             last = min(begin + width - step, final)
-            span = _run_lines(begin, last, step, LINE_BYTES)
+            span = _run_lines(begin, last, step)
             ops.append(op)
             args.append(len(span))
             offs.append(len(lines))
             lines.extend(span)
-            self.lane_counts.append((last - begin) // step + 1)
-            self.lane_steps.append(step)
-            self.lanes.append(begin)
         return self
 
     def append(self, instr: Instr) -> "WarpTrace":
@@ -275,19 +254,19 @@ class WarpTrace:
         return self
 
 
-def _run_lines(first: int, last: int, step: int, line_bytes: int) -> Sequence[int]:
+def _run_lines(first: int, last: int, step: int) -> Sequence[int]:
     """Coalesced lines of the lanes ``first, first + step, ..., last``
     (non-negative, ``step > 0``), ascending like :func:`coalesce`'s.
 
     A step of at most one line touches every line between the two ends;
     a longer one puts each lane on a line of its own.
     """
-    first_line, last_line = first // line_bytes, last // line_bytes
+    first_line, last_line = first // LINE_BYTES, last // LINE_BYTES
     if first_line == last_line:
         return (first_line,)
-    if step <= line_bytes:
+    if step <= LINE_BYTES:
         return range(first_line, last_line + 1)
-    return [a // line_bytes for a in range(first, last + 1, step)]
+    return [a // LINE_BYTES for a in range(first, last + 1, step)]
 
 
 def _rebase_launches(ops: array, args: array, base: int) -> array:
@@ -303,24 +282,12 @@ class TBBody:
     ``arena`` (a fresh private :class:`TraceArena` when none is given),
     and the body is a view of them: ``warp_bounds`` holds the warps'
     instruction bounds (warp ``w`` is ``warp_bounds[w]`` up to
-    ``warp_bounds[w + 1]``), ``line_lo``/``line_hi``,
-    ``access_lo``/``access_hi`` and ``lane_lo``/``lane_hi`` its bounds in
-    the line pool, the per-access lane columns and the lane pool, and
-    ``launch_table`` the launch specs its LAUNCH arguments index.
+    ``warp_bounds[w + 1]``), ``line_lo``/``line_hi`` its bounds in the
+    line pool, and ``launch_table`` the launch specs its LAUNCH
+    arguments index.
     """
 
-    __slots__ = (
-        "arena",
-        "warp_bounds",
-        "line_lo",
-        "line_hi",
-        "access_lo",
-        "access_hi",
-        "lane_lo",
-        "lane_hi",
-        "launch_table",
-        "_relowered",
-    )
+    __slots__ = ("arena", "warp_bounds", "line_lo", "line_hi", "launch_table")
 
     def __init__(
         self,
@@ -338,8 +305,6 @@ class TBBody:
         ops, args, offs, lines = arena.ops, arena.args, arena.offs, arena.lines
         self.arena = arena
         self.line_lo = len(lines)
-        self.access_lo = len(arena.lane_counts)
-        self.lane_lo = len(arena.lanes)
         bounds = [len(ops)]
         launches: list[LaunchSpec] = []
         for t in traces:
@@ -356,17 +321,11 @@ class TBBody:
             else:
                 offs += t.offs
             lines += t.lines
-            arena.lane_counts += t.lane_counts
-            arena.lane_steps += t.lane_steps
-            arena.lanes += t.lanes
             launches += t.launches
             bounds.append(len(ops))
         self.warp_bounds = tuple(bounds)
         self.line_hi = len(lines)
-        self.access_hi = len(arena.lane_counts)
-        self.lane_hi = len(arena.lanes)
         self.launch_table = tuple(launches)
-        self._relowered = None
 
     @classmethod
     def view(
@@ -374,38 +333,16 @@ class TBBody:
         arena: TraceArena,
         warp_bounds: tuple[int, ...],
         lines: tuple[int, int],
-        accesses: tuple[int, int],
-        lanes: tuple[int, int],
         launch_table: tuple["LaunchSpec", ...],
     ) -> "TBBody":
         """A body over columns already in ``arena`` (the trace-record
-        decoder, re-lowering): ``lines``/``accesses``/``lanes`` are its
-        ``(lo, hi)`` bounds in the line pool, the per-access lane columns
-        and the lane pool."""
+        decoder): ``lines`` is its ``(lo, hi)`` bounds in the line pool."""
         body = cls.__new__(cls)
         body.arena = arena
         body.warp_bounds = warp_bounds
         body.line_lo, body.line_hi = lines
-        body.access_lo, body.access_hi = accesses
-        body.lane_lo, body.lane_hi = lanes
         body.launch_table = launch_table
-        body._relowered = None
         return body
-
-    def compiled(self, line_bytes: int) -> "TBBody":
-        """This body lowered at ``line_bytes``: the body itself at its
-        arena's line size; otherwise a view into a private arena,
-        re-lowered from the lane pool once and cached (machine
-        configurations in one process virtually always agree on the line
-        size)."""
-        if line_bytes == self.arena.line_bytes:
-            return self
-        relowered = self._relowered
-        if relowered is None or relowered.arena.line_bytes != line_bytes:
-            from repro.gpu import compiled
-
-            relowered = self._relowered = compiled.compile_body(self, line_bytes)
-        return relowered
 
     @property
     def num_warps(self) -> int:
@@ -421,35 +358,15 @@ class TBBody:
         """All launch specs embedded in this body, in trace order."""
         return list(self.launch_table)
 
-    def accesses(self) -> Iterator[tuple[int, array]]:
-        """``(op, per-lane byte addresses)`` of each LOAD/STORE, in trace
-        order, with every run expanded."""
-        arena = self.arena
-        counts, steps, lanes = arena.lane_counts, arena.lane_steps, arena.lanes
-        access, pos = self.access_lo, self.lane_lo
-        for op in arena.ops[self.warp_bounds[0] : self.warp_bounds[-1]]:
-            if op == OP_LOAD or op == OP_STORE:
-                n, step = counts[access], steps[access]
-                access += 1
-                if step:
-                    first = lanes[pos]
-                    yield op, array("q", range(first, first + n * step, step))
-                    pos += 1
-                else:
-                    yield op, lanes[pos : pos + n]
-                    pos += n
-
-    def touched_lines(self, line_bytes: int = LINE_BYTES) -> set[int]:
+    def touched_lines(self) -> set[int]:
         """Cache lines referenced by this body's loads and stores."""
-        if line_bytes == self.arena.line_bytes:
-            return set(self.arena.lines[self.line_lo : self.line_hi])
-        return {a // line_bytes for _, lanes in self.accesses() for a in lanes if a >= 0}
+        return set(self.arena.lines[self.line_lo : self.line_hi])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TBBody(warps={self.num_warps}, "
             f"instrs={self.warp_bounds[-1] - self.warp_bounds[0]}, "
-            f"lines={self.line_hi - self.line_lo}, line_bytes={self.arena.line_bytes})"
+            f"lines={self.line_hi - self.line_lo})"
         )
 
 

@@ -320,8 +320,8 @@ def kernel_for(
 
     Resolution order: a resolved trace in the in-memory LRU; a pre-built
     workload registered by :func:`seed_kernel_cache` (its own
-    ``kernel()`` object, so traces the caller already compiled stay
-    compiled); the on-disk workload cache ``disk``, if given; then a real
+    ``kernel()`` object, so the caller's trace is the one replayed); the
+    on-disk workload cache ``disk``, if given; then a real
     build (datagen + trace generation), stored back to both layers.
     """
     from repro.gpu.kernel import KernelSpec

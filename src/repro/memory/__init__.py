@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.memory.cache": ("Cache", "CacheStats"),
-        "repro.memory.coalescer": ("coalesce", "coalescing_degree"),
+        "repro.memory.coalescer": ("coalesce",),
         "repro.memory.dram": ("DRAM", "DRAMStats"),
         "repro.memory.hierarchy": ("MemoryHierarchy",),
     },

@@ -8,7 +8,7 @@ aligned 128B segments.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 
 def coalesce(addresses: Iterable[int], line_bytes: int = 128) -> list[int]:
@@ -31,14 +31,3 @@ def coalesce(addresses: Iterable[int], line_bytes: int = 128) -> list[int]:
             return [first]
     lines = {addr // line_bytes for addr in addresses if addr >= 0}
     return sorted(lines)
-
-
-def coalescing_degree(addresses: Sequence[int], line_bytes: int = 128) -> float:
-    """Average active lanes served per transaction (32.0 = fully coalesced).
-
-    Returns 0.0 when no lane is active.
-    """
-    active = [a for a in addresses if a >= 0]
-    if not active:
-        return 0.0
-    return len(active) / len(coalesce(active, line_bytes))

@@ -96,3 +96,16 @@ def warp_columns(body) -> list[tuple[array, array, array]]:
 def body_lines(body) -> array:
     """The coalesced line pool of ``body`` alone."""
     return body.arena.lines[body.line_lo : body.line_hi]
+
+
+def access_lines(body):
+    """``(op, lines)`` of each LOAD/STORE of ``body``, in trace order:
+    the coalesced 128-byte lines the access spans, out of its arena."""
+    from repro.gpu.trace import OP_LOAD, OP_STORE
+
+    arena, bounds = body.arena, body.warp_bounds
+    ops, args, offs, lines = arena.ops, arena.args, arena.offs, arena.lines
+    for pc in range(bounds[0], bounds[-1]):
+        op = ops[pc]
+        if op == OP_LOAD or op == OP_STORE:
+            yield op, lines[offs[pc] : offs[pc] + args[pc]]

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.coalescer import coalesce, coalescing_degree
+from repro.memory.coalescer import coalesce
+from tests.conftest import access_lines
 
 
 class TestCoalesce:
@@ -33,30 +34,17 @@ class TestCoalesce:
         assert coalesce(()) == []
 
     def test_zero_lane_access_lowers_to_zero_line_span(self):
-        from repro.gpu.trace import TBBody, load
+        from repro.gpu.trace import OP_LOAD, TBBody, load
 
-        arena = TBBody(warps=[[load([])]]).compiled(128).arena
-        assert list(arena.args) == [0]
-        assert len(arena.lines) == 0
+        body = TBBody(warps=[[load([])]])
+        assert [(op, list(lines)) for op, lines in access_lines(body)] == [(OP_LOAD, [])]
+        assert list(body.arena.args) == [0]
 
     def test_results_sorted(self):
         assert coalesce([512, 0, 256]) == [0, 2, 4]
 
     def test_custom_line_size(self):
         assert coalesce([0, 100], line_bytes=64) == [0, 1]
-
-
-class TestCoalescingDegree:
-    def test_perfect(self):
-        addrs = [4 * lane for lane in range(32)]
-        assert coalescing_degree(addrs) == 32.0
-
-    def test_worst_case(self):
-        addrs = [lane * 4096 for lane in range(32)]
-        assert coalescing_degree(addrs) == 1.0
-
-    def test_no_active_lanes(self):
-        assert coalescing_degree([-1, -1]) == 0.0
 
 
 @settings(max_examples=200, deadline=None)

@@ -52,6 +52,23 @@ class TestGPUConfig:
         with pytest.raises(ValueError):
             GPUConfig(l1=CacheConfig(size_bytes=8 * 1024, line_bytes=64))
 
+    def test_a_line_size_other_than_128_is_refused(self):
+        """Traces are lowered at 128-byte lines, so a machine with matching
+        64-byte caches is still refused, by name."""
+        with pytest.raises(ValueError, match="line_bytes must be 128.*not 64"):
+            GPUConfig(
+                line_bytes=64,
+                l1=CacheConfig(size_bytes=32 * 1024, line_bytes=64, associativity=4),
+                l2=CacheConfig(size_bytes=1536 * 1024, line_bytes=64, associativity=16),
+            )
+
+    def test_line_size_field_keeps_the_fingerprint(self):
+        # literal: the field stays, so every result-cache address stays too
+        from repro.gpu.serialize import config_fingerprint
+
+        assert config_fingerprint(GPUConfig()) == "b625a980bdb803ed"
+        assert GPUConfig().to_dict()["line_bytes"] == 128
+
     def test_unknown_warp_scheduler_rejected(self):
         with pytest.raises(ValueError):
             GPUConfig(warp_scheduler="magic")

@@ -8,7 +8,7 @@ tiny workload, bit-for-bit, across every performance refactor:
   optimizations of PR 4),
 * ``l2-bind`` and ``adaptive-bind+throttle`` were generated by the
   event-driven engine before the trace-compilation layer (flat
-  ``array('q')`` instruction columns; see ``repro/gpu/compiled.py``)
+  ``array('q')`` instruction columns; see ``repro/gpu/trace.py``)
   replaced per-``Instr`` interpretation,
 * the machine-variant pins in ``tests/golden_variants.json`` (keys
   carry a fourth ``|field=value`` component: a partitioned L2 and the

@@ -5,6 +5,7 @@ import pytest
 from repro.gpu.trace import Op, walk_bodies
 from repro.workloads.bfs import BFS
 from repro.workloads.graph_common import CHILD_TB_THREADS, GraphDynWorkload
+from tests.conftest import access_lines
 
 
 @pytest.fixture(scope="module")
@@ -54,42 +55,47 @@ class TestExpansionDiscipline:
                 assert total_neighbor_capacity >= 1
 
 
+def array_lines(array) -> range:
+    """The 128-byte lines an array covers (``AddressSpace.alloc`` starts
+    every array on a line of its own)."""
+    return range(array.base // 128, -(-array.end // 128))
+
+
 class TestTraceShape:
     def test_parent_reads_row_offsets_first(self, bfs):
         first_parent = bfs.kernel().bodies[0]
         assert first_parent.arena.ops[first_parent.warp_bounds[0]] == Op.LOAD
-        _, lanes = next(first_parent.accesses())
-        lo, hi = bfs.row.base, bfs.row.end
-        assert all(lo <= a < hi for a in lanes)
+        _, lines = next(access_lines(first_parent))
+        assert lines and all(line in array_lines(bfs.row) for line in lines)
 
     def test_children_read_descriptor_then_columns(self, bfs):
         for body in walk_bodies(bfs.kernel().bodies):
             for spec in body.launches():
                 child = spec.bodies[0]
                 assert child.arena.ops[child.warp_bounds[0]] == Op.LOAD
-                _, lanes = next(child.accesses())
-                assert all(bfs.desc.base <= a < bfs.desc.end for a in lanes)
+                _, lines = next(access_lines(child))
+                assert lines and all(line in array_lines(bfs.desc) for line in lines)
 
     def test_parent_child_share_column_lines(self, bfs):
         """The mechanism behind Fig 2: the inspection read covers the
         columns the child re-reads."""
-        col_lo, col_hi = bfs.col.base, bfs.col.end
+        cols = array_lines(bfs.col)
         for body in bfs.kernel().bodies:
             for spec in body.launches():
                 parent_cols = {
-                    a // 128
-                    for op, lanes in body.accesses()
+                    line
+                    for op, lines in access_lines(body)
                     if op == Op.LOAD
-                    for a in lanes
-                    if col_lo <= a < col_hi
+                    for line in lines
+                    if line in cols
                 }
                 child_cols = {
-                    a // 128
+                    line
                     for b in spec.bodies
-                    for op, lanes in b.accesses()
+                    for op, lines in access_lines(b)
                     if op == Op.LOAD
-                    for a in lanes
-                    if col_lo <= a < col_hi
+                    for line in lines
+                    if line in cols
                 }
                 if child_cols:
                     overlap = len(parent_cols & child_cols) / len(child_cols)

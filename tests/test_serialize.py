@@ -35,7 +35,7 @@ from repro.gpu.trace import (
     walk_bodies,
 )
 from repro.harness.registry import experiment_config, load_benchmark
-from tests.conftest import body_lines, tiny_workload, warp_columns
+from tests.conftest import access_lines, body_lines, tiny_workload, warp_columns
 from tests.test_trace_digests import SEED, digest_cases
 
 #: sha256 of each pinned trace's decompressed record (see record_digest)
@@ -47,32 +47,18 @@ def _launch_shape(spec: LaunchSpec) -> tuple:
 
 
 def traces_equal(a: KernelSpec, b: KernelSpec) -> bool:
-    """Same lowered columns, lane pools and launch shapes, body by body."""
+    """Same lowered columns and launch shapes, body by body."""
     wa, wb = walk_bodies(a.bodies), walk_bodies(b.bodies)
     if len(wa) != len(wb):
         return False
     for body_a, body_b in zip(wa, wb):
-        if (body_a.arena.line_bytes, warp_columns(body_a), body_lines(body_a)) != (
-            body_b.arena.line_bytes, warp_columns(body_b), body_lines(body_b)
-        ):
-            return False
-        if lane_pool(body_a) != lane_pool(body_b):
+        if (warp_columns(body_a), body_lines(body_a)) != (warp_columns(body_b), body_lines(body_b)):
             return False
         if [_launch_shape(s) for s in body_a.launch_table] != [
             _launch_shape(s) for s in body_b.launch_table
         ]:
             return False
     return True
-
-
-def lane_pool(body: TBBody) -> tuple[array, array, array]:
-    """``body``'s lane counts, lane steps and lanes, out of its arena."""
-    arena = body.arena
-    return (
-        arena.lane_counts[body.access_lo : body.access_hi],
-        arena.lane_steps[body.access_lo : body.access_hi],
-        arena.lanes[body.lane_lo : body.lane_hi],
-    )
 
 
 def sample_spec():
@@ -261,67 +247,50 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="format 3.*re-snapshot"):
             spec_from_bytes(bytes(data))
 
+    def test_format_4_record_names_the_format(self):
+        data = bytearray(spec_to_bytes(sample_spec()))
+        struct.pack_into("<I", data, 8, 4)
+        with pytest.raises(ValueError, match=r"format 4 \(a per-lane address pool\).*re-snapshot"):
+            spec_from_bytes(bytes(data))
+
     def test_current_version(self):
+        assert FORMAT_VERSION == 5
         assert spec_to_bytes(sample_spec())[8:12] == struct.pack("<I", FORMAT_VERSION)
 
+    def test_record_holds_no_lane_columns(self):
+        header, _ = header_of(spec_to_bytes(sample_spec()))
+        assert len(header["counts"]) == 6  # warps, instrs, ops, args, lines, launch refs
+        assert header["line_bytes"] == 128
 
-#: position of each lane column among the record's columns
-LANE_COLUMNS = {"lane_counts": 5, "lane_steps": 6, "lanes": 7}
 
-
-def run_spec() -> KernelSpec:
-    """A one-body spec whose lane pool holds a listed access, then two runs."""
+def range_spec() -> KernelSpec:
+    """A one-body spec with a listed access, then a range access of two
+    instructions (32 lanes, then 8), each lowered to its line span."""
     trace = WarpTrace().access(OP_LOAD, [512, 8]).access_range(OP_STORE, range(0, 40 * 8, 8))
     return KernelSpec(name="runs", bodies=[TBBody(warps=[trace])], resources=ResourceReq(threads=32))
 
 
-def edit_lane_column(data: bytes, column: str, index: int, value: int) -> bytes:
-    """``data`` with entry ``index`` of one lane column set to ``value``."""
-    header, offset = header_of(data)
-    at = offset + 8 * (sum(header["counts"][: LANE_COLUMNS[column]]) + index)
-
-    def edit(body: bytes) -> bytes:
-        return body[:at] + struct.pack("<q", value) + body[at + 8:]
-
-    return repack(data, edit)
-
-
-class TestLaneRuns:
-    def test_runs_round_trip(self):
-        spec = run_spec()
-        counts, steps, lanes = lane_pool(spec.bodies[0])
-        assert list(counts) == [2, 32, 8]
-        assert list(steps) == [0, 8, 8]
-        assert list(lanes) == [512, 8, 0, 256]
+class TestLineColumns:
+    def test_range_access_round_trips_as_its_lines(self):
+        spec = range_spec()
+        assert [(op, list(lines)) for op, lines in access_lines(spec.bodies[0])] == [
+            (OP_LOAD, [0, 4]), (OP_STORE, [0, 1]), (OP_STORE, [2])
+        ]
         rebuilt = spec_from_bytes(spec_to_bytes(spec))
         assert traces_equal(spec, rebuilt)
-        assert [list(a) for _, a in rebuilt.bodies[0].accesses()] == [
-            [512, 8], list(range(0, 256, 8)), list(range(256, 320, 8))
-        ]
 
-    def test_negative_step_is_rejected(self):
-        data = edit_lane_column(spec_to_bytes(run_spec()), "lane_steps", 1, -8)
-        with pytest.raises(ValueError, match="negative lane step"):
-            spec_from_bytes(data)
+    def test_access_wider_than_a_warp_is_rejected(self):
+        """No access spans more lines than a warp has lanes."""
+        data = spec_to_bytes(range_spec())
+        header, offset = header_of(data)
+        n_bodies, n_warps, n_instrs = header["counts"][:3]
+        args_at = offset + 8 * (n_bodies + n_warps + n_instrs)
 
-    @pytest.mark.parametrize("lanes", [0, 33, 1 << 40])
-    def test_run_without_lanes_or_wider_than_a_warp_is_rejected(self, lanes):
-        data = edit_lane_column(spec_to_bytes(run_spec()), "lane_counts", 2, lanes)
-        with pytest.raises(ValueError, match="lane run needs 1 to 32 lanes"):
-            spec_from_bytes(data)
+        def wide(body: bytes) -> bytes:
+            return body[:args_at] + struct.pack("<q", 33) + body[args_at + 8:]
 
-    def test_pool_length_must_match_the_runs(self):
-        # a run read as a listed access claims 32 pool entries, not one
-        data = edit_lane_column(spec_to_bytes(run_spec()), "lane_steps", 1, 0)
-        with pytest.raises(ValueError, match="lane counts disagree with the lane pool"):
-            spec_from_bytes(data)
-
-    @pytest.mark.parametrize("first,step", [(-8, 8), (0, 1 << 62)])
-    def test_run_outside_the_address_space_is_rejected(self, first, step):
-        data = edit_lane_column(spec_to_bytes(run_spec()), "lanes", 2, first)
-        data = edit_lane_column(data, "lane_steps", 1, step)
-        with pytest.raises(ValueError, match="lane run outside the address space"):
-            spec_from_bytes(data)
+        with pytest.raises(ValueError, match="an access spans more than 32 lines"):
+            spec_from_bytes(repack(data, wide))
 
 
 def record_digest(spec: KernelSpec) -> str:

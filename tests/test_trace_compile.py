@@ -6,9 +6,8 @@ columns the SMX issue loop indexes directly. The lowering must be purely
 structural: for every instruction the columns must encode exactly what
 interpreting it would produce — op code, compute latency, coalesced line
 list, launch target. This suite pins that property against hand-written
-:class:`Instr` lists, against :func:`repro.gpu.compiled.compile_body`
-(which coalesces every access from the per-lane pool) over every body of
-real (tiny) workloads, and at other line sizes.
+:class:`Instr` lists, whose accesses :func:`coalesce` lowers at 128-byte
+lines, the only line size a trace has.
 """
 
 import random
@@ -16,8 +15,11 @@ from array import array
 
 import pytest
 
-from repro.gpu.compiled import OP_COMPUTE, OP_LAUNCH, OP_LOAD, OP_STORE, compile_body
 from repro.gpu.trace import (
+    OP_COMPUTE,
+    OP_LAUNCH,
+    OP_LOAD,
+    OP_STORE,
     Instr,
     LaunchSpec,
     Op,
@@ -35,36 +37,33 @@ from repro.harness.execution import kernel_for
 from repro.harness.registry import benchmark_names
 from repro.memory.coalescer import coalesce
 from repro.workloads.base import AddressSpace
-from tests.conftest import body_lines, warp_columns
+from tests.conftest import access_lines, body_lines, warp_columns
 
 LINE_BYTES = 128
 
 
-def assert_interprets(body: TBBody, warps: list[list[Instr]], line_bytes: int = LINE_BYTES) -> None:
+def assert_interprets(body: TBBody, warps: list[list[Instr]]) -> None:
     """Every column entry must match interpreting the original Instr."""
-    compiled = body.compiled(line_bytes)
-    assert compiled.num_warps == body.num_warps == len(warps)
-    assert compiled.arena.line_bytes == line_bytes
-    pool = body_lines(compiled)
-    for warp, (ops, args, offs) in zip(warps, warp_columns(compiled)):
+    assert body.num_warps == len(warps)
+    pool = body_lines(body)
+    for warp, (ops, args, offs) in zip(warps, warp_columns(body)):
         assert len(ops) == len(args) == len(offs) == len(warp)
         for i, instr in enumerate(warp):
             assert ops[i] == int(instr.op)
             if ops[i] == OP_COMPUTE:
                 assert args[i] == instr.cycles
             elif ops[i] == OP_LAUNCH:
-                assert compiled.launch_table[args[i]] is instr.launch
+                assert body.launch_table[args[i]] is instr.launch
             else:
                 assert ops[i] in (OP_LOAD, OP_STORE)
                 lines = list(pool[offs[i] : offs[i] + args[i]])
-                assert lines == coalesce(list(instr.addresses), line_bytes)
+                assert lines == coalesce(list(instr.addresses), LINE_BYTES)
 
 
 def assert_same_columns(a: TBBody, b: TBBody) -> None:
-    """Two bodies lower alike: the same line size, per-warp columns (line
-    offsets relative to each body's own lines), line pool and launches,
-    wherever in their arenas they sit."""
-    assert a.arena.line_bytes == b.arena.line_bytes
+    """Two bodies lower alike: the same per-warp columns (line offsets
+    relative to each body's own lines), line pool and launches, wherever
+    in their arenas they sit."""
     assert warp_columns(a) == warp_columns(b)
     assert body_lines(a) == body_lines(b)
     assert len(a.launch_table) == len(b.launch_table)
@@ -93,28 +92,22 @@ def random_warps(rng: random.Random) -> list[list[Instr]]:
     return warps
 
 
-@pytest.mark.parametrize("bench_name", ["bfs-citation", "amr", "join-gaussian"])
-def test_real_workload_bodies_compile_equivalently(bench_name):
-    spec = kernel_for(bench_name, "tiny", 7)
-    bodies = walk_bodies(spec.bodies)
+@pytest.mark.parametrize("bench_name", benchmark_names())
+def test_real_workload_bodies_lower_to_coalesced_spans(bench_name):
+    """Every access of a real trace spans what :func:`coalesce` returns:
+    distinct lines in ascending order, at most one per lane."""
+    bodies = walk_bodies(kernel_for(bench_name, "tiny", 7).bodies)
     assert bodies, "workload produced no bodies"
     for body in bodies:
-        assert_same_columns(body.compiled(LINE_BYTES), compile_body(body, LINE_BYTES))
+        for _, lines in access_lines(body):
+            assert len(lines) <= 32
+            assert all(a < b for a, b in zip(lines, lines[1:]))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_random_bodies_compile_equivalently(seed):
     warps = random_warps(random.Random(seed))
-    body = TBBody(warps=warps)
-    assert_interprets(body, warps)
-    assert_same_columns(body.compiled(LINE_BYTES), compile_body(body, LINE_BYTES))
-
-
-def test_random_bodies_compile_equivalently_at_other_line_sizes():
-    rng = random.Random(99)
-    for line_bytes in (32, 64, 256):
-        warps = random_warps(rng)
-        assert_interprets(TBBody(warps=warps), warps, line_bytes)
+    assert_interprets(TBBody(warps=warps), warps)
 
 
 @pytest.mark.parametrize("elem_bytes", [1, 4, 8, 64, 128, 256])
@@ -127,18 +120,6 @@ def test_range_lowering_matches_the_coalescer(elem_bytes, start, count):
     addrs = arr.addrs(list(range(start, start + count)))
     expected = [load(addrs[i : i + 32]) for i in range(0, count, 32)]
     assert_interprets(built, [expected])
-
-
-def test_compiled_is_interned_per_body_and_line_size():
-    warps = random_warps(random.Random(1))
-    body = TBBody(warps=warps)
-    assert body.compiled(LINE_BYTES) is body  # the body itself, as built
-    other = body.compiled(64)
-    assert other is not body and other.arena.line_bytes == 64
-    assert other.arena is not body.arena  # re-lowered into a private arena
-    assert body.compiled(64) is other  # cached
-    assert other.compiled(64) is other
-    assert_interprets(body, warps, 64)
 
 
 def test_native_line_size_never_relowers(monkeypatch):
@@ -159,11 +140,29 @@ def test_native_line_size_never_relowers(monkeypatch):
     assert calls == []
 
 
+def test_compile_body_returns_the_body_at_128_byte_lines_only():
+    from repro.gpu.compiled import compile_body
+
+    body = TBBody(warps=[[load([0, 4])]])
+    assert compile_body(body, LINE_BYTES) is body
+    with pytest.raises(ValueError, match="128-byte lines only"):
+        compile_body(body, 64)
+
+
 def test_zero_lane_access_lowers_to_an_empty_span():
     body = TBBody(warps=[[load([]), compute(2), store([-1, -1])]])
     assert list(body.arena.args) == [0, 2, 0]
     assert len(body.arena.lines) == 0
-    assert list(body.arena.lane_counts) == [0, 2]
+    assert [list(lines) for _, lines in access_lines(body)] == [[], []]
+
+
+def test_an_access_wider_than_a_warp_is_refused():
+    addresses = list(range(0, 33 * 4, 4))
+    with pytest.raises(ValueError, match="at most 32 lanes, not 33"):
+        WarpTrace().access(OP_LOAD, addresses)
+    with pytest.raises(ValueError, match="at most 32 lanes"):
+        TBBody(warps=[[load(addresses)]])
+    assert list(WarpTrace().access(OP_LOAD, addresses[:32]).args) == [1]
 
 
 def test_launch_table_preserves_duplicates_in_trace_order():
@@ -193,22 +192,11 @@ def test_later_warps_index_the_body_pools():
     assert [s.name for s in body.launches()] == ["a", "b"]
 
 
-def test_shared_body_shares_one_compiled_object():
-    child = TBBody(warps=[[compute(3)]])
-    parent_a = TBBody(warps=[[launch(LaunchSpec(bodies=[child]))]])
-    parent_b = TBBody(warps=[[launch(LaunchSpec(bodies=[child]))]])
-    assert parent_a is not parent_b
-    assert child.compiled(64) is child.compiled(64)
-    # reachable from both parents, still one compiled instance
-    seen = {id(b.compiled(64)) for b in walk_bodies([parent_a, parent_b]) if b is child}
-    assert len(seen) == 1
-
-
-# --- lane runs ---------------------------------------------------------------
+# --- range lowering ----------------------------------------------------------
 #
-# A range access stores each instruction's lanes as a run (first address and
-# step); the same addresses given as a list are stored lane by lane. Every
-# reader must see the two alike.
+# A range access is lowered arithmetically (one line span per instruction);
+# the same addresses given as a list go through the coalescer. Every reader
+# must see the two alike.
 
 
 def listed_and_run_bodies(addresses: range) -> tuple[TBBody, TBBody]:
@@ -237,17 +225,10 @@ def test_a_run_reads_like_its_listed_lanes(step, start, count):
     addresses = range(start, start + count * step, step)
     listed, run = listed_and_run_bodies(addresses)
     instrs = -(-count // 32)
-    assert list(run.arena.lane_steps) == [0] + [step] * instrs + [step] * instrs
-    assert len(run.arena.lanes) == 2 + 2 * instrs  # the gather's lanes, then one per run
-    assert [(op, list(a)) for op, a in run.accesses()] == [
-        (op, list(a)) for op, a in listed.accesses()
-    ]
-    for line_bytes in (32, 64, 128, 256):
-        assert_same_columns(run.compiled(line_bytes), listed.compiled(line_bytes))
-        assert run.touched_lines(line_bytes) == listed.touched_lines(line_bytes)
-        assert inter_tb_reuse([run, listed, run], line_bytes) == inter_tb_reuse(
-            [listed, run, listed], line_bytes
-        )
+    assert len(list(access_lines(run))) == 1 + 2 * instrs  # the gather, then the ranges
+    assert_same_columns(run, listed)
+    assert run.touched_lines() == listed.touched_lines()
+    assert inter_tb_reuse([run, listed, run]) == inter_tb_reuse([listed, run, listed])
 
 
 def test_access_range_rejects_descending_and_negative_ranges():
@@ -264,23 +245,21 @@ def test_access_range_rejects_descending_and_negative_ranges():
 
 
 def assert_tiles_one_arena(bodies: list[TBBody]) -> None:
-    """Every body views the same arena, and their instruction, line,
-    access and lane ranges tile its columns with no gap or overlap."""
+    """Every body views the same arena, and their instruction and line
+    ranges tile its columns with no gap or overlap."""
     (arena,) = {id(b.arena): b.arena for b in bodies}.values()
     for body in bodies:
         assert not any(isinstance(getattr(body, slot), array) for slot in TBBody.__slots__)
     spans = [
-        (b.warp_bounds[0], b.warp_bounds[-1], b.line_lo, b.line_hi, b.access_lo, b.access_hi,
-         b.lane_lo, b.lane_hi)
+        (b.warp_bounds[0], b.warp_bounds[-1], b.line_lo, b.line_hi)
         for b in {id(b): b for b in bodies}.values()
     ]
-    ends = (0, 0, 0, 0)
+    ends = (0, 0)
     for span in sorted(spans):
         assert span[0::2] == ends
         ends = span[1::2]
-    assert ends == (len(arena.ops), len(arena.lines), len(arena.lane_counts), len(arena.lanes))
+    assert ends == (len(arena.ops), len(arena.lines))
     assert len(arena.args) == len(arena.offs) == len(arena.ops)
-    assert len(arena.lane_steps) == len(arena.lane_counts)
 
 
 @pytest.mark.parametrize("name", benchmark_names())
@@ -316,5 +295,4 @@ def test_bodies_append_to_a_given_arena():
     assert second.warp_bounds == (2, 3, 4) and (second.line_lo, second.line_hi) == (1, 4)
     # line offsets index the arena's pool directly, as the SMX reads them
     assert list(arena.offs) == [0, 1, 1, 3]
-    assert [list(a) for _, a in second.accesses()] == [[128, 256], [512]]
-    assert_same_columns(second, compile_body(second, LINE_BYTES))
+    assert [list(lines) for _, lines in access_lines(second)] == [[1, 2], [4]]

@@ -1,13 +1,12 @@
-"""Trace pins: a sha256 over every body's lowering and per-lane addresses.
+"""Trace pins: a sha256 over every body's lowering.
 
 The golden-stats pins hold only what the engine makes of a trace, and
 clr-*, bht, pre and regx-random have none, so these digests are the
 guard on what each workload builder emits. For every body, in
 ``walk_bodies`` order, the digest covers the op of each instruction,
 COMPUTE cycles, LOAD/STORE line spans (at 128-byte lines, with offsets
-relative to the body's own lines), the shape of each launch, and the
-per-lane byte addresses of every memory access. It reads the in-memory
-trace, so it does not depend on the record format or on how bodies
+relative to the body's own lines) and the shape of each launch. It
+reads the in-memory trace, so it does not depend on the record format or on how bodies
 share an arena.
 
 Regenerate after an intentional change to a workload or to datagen::
@@ -32,7 +31,6 @@ from repro.harness.registry import benchmark_names, load_benchmark
 from tests.conftest import body_lines, warp_columns
 
 DIGEST_PATH = Path(__file__).resolve().parent / "trace_digests.json"
-LINE_BYTES = 128
 SEED = 7
 #: the inputs pinned at ``small`` besides every benchmark at ``tiny``
 SMALL = ("bfs-citation", "sssp-cage15", "clr-graph500", "amr")
@@ -49,29 +47,15 @@ def _le(values) -> bytes:
     return column.tobytes()
 
 
-def lane_columns(body) -> tuple[array, array]:
-    """(lanes per memory instruction, every lane address), in trace order,
-    rebuilt from :meth:`TBBody.accesses` so that a run counts all its lanes."""
-    counts, lanes = array("q"), array("q")
-    for _, access in body.accesses():
-        counts.append(len(access))
-        lanes += access
-    return counts, lanes
-
-
 def trace_digest(spec) -> str:
     digest = hashlib.sha256()
     for body in walk_bodies(spec.bodies):
-        compiled = body.compiled(LINE_BYTES)
-        digest.update(struct.pack("<q", compiled.num_warps))
-        for ops, args, offs in warp_columns(compiled):
+        digest.update(struct.pack("<q", body.num_warps))
+        for ops, args, offs in warp_columns(body):
             digest.update(struct.pack("<q", len(ops)))
             digest.update(_le(ops) + _le(args) + _le(offs))
-        lines = body_lines(compiled)
+        lines = body_lines(body)
         digest.update(struct.pack("<q", len(lines)) + _le(lines))
-        counts, lanes = lane_columns(body)
-        digest.update(struct.pack("<qq", len(counts), len(lanes)))
-        digest.update(_le(counts) + _le(lanes))
         for launch in body.launches():
             shape = [
                 launch.threads_per_tb,

@@ -20,6 +20,7 @@ import pytest
 import repro.harness.registry as registry
 from repro.gpu import serialize
 from repro.gpu.kernel import KernelSpec
+from repro.gpu.trace import walk_bodies
 from repro.harness import execution
 from repro.harness import workload_cache as wc
 from repro.harness.cache import ResultCache
@@ -477,8 +478,8 @@ def test_prebuilt_workload_resolves_to_its_own_kernel(tmp_path, cached):
     executor = make_executor(jobs=1, cache=ResultCache(tmp_path) if cached else None)
     run_grid([workload], schedulers=("rr",), models=("dtbl",), scale="tiny", executor=executor)
     assert kernel_for(BENCH, "tiny", 7) is kernel
-    # the grid replayed the caller's bodies as built: nothing was lowered again
-    assert all(body._relowered is None for body in kernel.bodies)
+    # the grid replayed the caller's bodies as built: one arena, the caller's
+    assert {id(body.arena) for body in walk_bodies(kernel.bodies)} == {id(kernel.bodies[0].arena)}
 
 
 def test_parallel_executor_resolves_only_pending_traces(tmp_path, monkeypatch):

@@ -2,18 +2,20 @@
 structures its algorithm says it touches, with the sharing pattern that
 drives its Fig 2 signature."""
 
-from repro.gpu.trace import Op, walk_bodies
-from tests.conftest import tiny_workload
+from repro.gpu.trace import LINE_BYTES, Op, walk_bodies
+from tests.conftest import access_lines, tiny_workload
 
 
 def touched(body, array, op=None):
     """Cache lines of ``array`` referenced by ``body`` (optionally only by
-    loads or stores)."""
-    lo, hi = array.base, array.end
+    loads or stores). Every array starts on a line of its own
+    (``AddressSpace.alloc`` aligns to 128 bytes), so its lines are the
+    ones its byte range covers."""
+    lo, hi = array.base // LINE_BYTES, -(-array.end // LINE_BYTES)
     lines = set()
-    for access_op, lanes in body.accesses():
+    for access_op, access in access_lines(body):
         if op is None or access_op == op:
-            lines.update(a // 128 for a in lanes if lo <= a < hi)
+            lines.update(line for line in access if lo <= line < hi)
     return lines
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.gpu.trace import Op, TBBody, walk_bodies
 from repro.workloads import APPLICATIONS, make_workload
-from tests.conftest import TINY_PAIRS, tiny_workload
+from tests.conftest import TINY_PAIRS, access_lines, tiny_workload
 
 
 class TestFactory:
@@ -46,16 +46,17 @@ class TestStructure:
 
     def test_addresses_within_allocated_space(self, any_tiny_workload):
         w = any_tiny_workload
-        top = w.space.total_bytes
+        top = -(-w.space.total_bytes // 128)  # lines the address space covers
         for body in walk_bodies(w.kernel().bodies):
-            for _, lanes in body.accesses():
-                if lanes:
-                    assert max(lanes) < top
-                    assert min(lanes) >= 0
+            for _, lines in access_lines(body):
+                if lines:
+                    assert max(lines) < top
+                    assert min(lines) >= 0
 
     def test_warp_width_respected(self, any_tiny_workload):
+        """A warp access has at most 32 lanes, so it spans at most 32 lines."""
         for body in walk_bodies(any_tiny_workload.kernel().bodies):
-            assert all(0 < len(lanes) <= 32 for _, lanes in body.accesses())
+            assert all(0 < len(lines) <= 32 for _, lines in access_lines(body))
 
     def test_resources_sane(self, any_tiny_workload):
         res = any_tiny_workload.kernel().resources
@@ -213,11 +214,9 @@ class TestSharedHelpers:
         wt = WarpTrace()
         wt.load_range(arr, 0, 70)
         assert list(wt.ops) == [Op.LOAD] * 3
-        assert list(wt.lane_counts) == [32, 32, 6]
-        assert list(wt.lane_steps) == [arr.elem_bytes] * 3
-        assert list(wt.lanes) == arr.addrs(range(0, 70, 32))
-        lanes = [a for _, access in TBBody([wt]).accesses() for a in access]
-        assert lanes == arr.addrs(range(70))
+        # 32 + 32 + 6 four-byte lanes from a 128-byte aligned base
+        spans = [list(lines) for _, lines in access_lines(TBBody([wt]))]
+        assert spans == [[arr.base // 128], [arr.base // 128 + 1], [arr.base // 128 + 2]]
 
     def test_chunked(self):
         from repro.workloads.base import chunked
