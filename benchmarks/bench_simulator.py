@@ -123,6 +123,38 @@ LOAD_PREFIX = "load:"
 #: workload cache
 STORE_ROW = "store:bfs-citation/small"
 STORE_PREFIX = "store:"
+#: a row prefixed ``mem:`` records memory, not time: the exact bytes of one
+#: built trace's arena columns, and the peak resident set (VmHWM) of a
+#: fresh interpreter that builds that trace and replays one cell of it
+#: (``MEM_CELL``), as a replay process holds it. It is one process per
+#: run, whatever ``--rounds`` says, and no gate reads it
+MEM_ROW = "mem:bfs-citation/small"
+MEM_PREFIX = "mem:"
+MEM_CELL = ("adaptive-bind", "dtbl")
+_MEM_SCRIPT = """
+import json, sys
+from repro.core import make_scheduler
+from repro.dynpar import make_model
+from repro.gpu.engine import Engine
+from repro.gpu.trace import walk_bodies
+from repro.harness.registry import experiment_config, load_benchmark
+
+benchmark, scale, scheduler, model = sys.argv[1:]
+workload = load_benchmark(benchmark, scale=scale)
+spec = workload.kernel()
+arenas = {id(body.arena): body.arena for body in walk_bodies(spec.bodies)}.values()
+arena_bytes = sum(
+    len(column) * column.itemsize
+    for arena in arenas
+    for column in (arena.ops, arena.args, arena.offs, arena.lines)
+)
+engine = Engine(experiment_config(), make_scheduler(scheduler), make_model(model), [spec])
+cycles = engine.run().cycles
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+row = {"arena_bytes": arena_bytes, "vmhwm_mb": round(hwm_kb / 1024, 1), "cycles": cycles}
+print(json.dumps(row))
+"""
 #: the record digest the format pins per trace (tests/test_serialize.py)
 RECORD_DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "record_digests.json"
 
@@ -242,6 +274,32 @@ def _measure_store(row: str, rounds: int) -> dict:
     return {"best_ms": round(best * 1000, 3), "record_mb": round(len(record) / 1e6, 3)}
 
 
+def _measure_mem(row: str) -> dict:
+    """Arena column bytes and peak RSS of a fresh process that builds
+    ``row``'s trace and replays ``MEM_CELL`` on it (Linux: reads VmHWM)."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    benchmark, scale = row.removeprefix(MEM_PREFIX).split("/")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _MEM_SCRIPT, benchmark, scale, *MEM_CELL],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_mem_row_counts_the_arena():
+    row = _measure_mem(f"{MEM_PREFIX}bfs-citation/tiny")
+    assert row["arena_bytes"] > 0 and row["vmhwm_mb"] > 0 and row["cycles"] > 0
+
+
 def test_store_row_writes_the_pinned_record():
     assert _measure_store(f"{STORE_PREFIX}bfs-citation/tiny", rounds=1)["record_mb"] > 0
 
@@ -258,9 +316,12 @@ def test_start_rows_load_no_numpy():
 def _speedup(new: dict, old: dict) -> float:
     """How many times faster ``new`` ran than ``old``: the throughput
     ratio, or the wall-time ratio for a ``start:``, ``load:`` or ``store:``
-    row (no throughput)."""
+    row (no throughput); for a ``mem:`` row, how many times smaller its
+    peak resident set is."""
     if "cycles_per_sec" in new:
         return new["cycles_per_sec"] / old["cycles_per_sec"]
+    if "vmhwm_mb" in new:
+        return old["vmhwm_mb"] / new["vmhwm_mb"]
     return old["best_ms"] / new["best_ms"]
 
 
@@ -440,8 +501,9 @@ def main(argv=None) -> int:
         # top of LaPerm) so the throttle/admission path can't regress
         # silently, the CDP row for the KMU backlog and DRAM queue, the
         # cold rows for build, trace store and first run, the walk row
-        # for the L1/L2/DRAM walk alone, the load row for trace decoding and
-        # the store row for trace encoding
+        # for the L1/L2/DRAM walk alone, the load row for trace decoding,
+        # the store row for trace encoding and the mem row for the memory
+        # a built trace holds through a replay
         default=[
             "rr",
             "tb-pri",
@@ -454,6 +516,7 @@ def main(argv=None) -> int:
             WALK_ROW,
             LOAD_ROW,
             STORE_ROW,
+            MEM_ROW,
             *START_ROWS,
         ],
         help="rows to measure: a scheduler (bfs-citation tiny/dtbl), "
@@ -462,6 +525,8 @@ def main(argv=None) -> int:
         "walk:scheduler@benchmark/scale/model (one run's memory walk, replayed), "
         "load:benchmark/scale (one trace record decoded), "
         "store:benchmark/scale (one built trace encoded), "
+        "mem:benchmark/scale (arena bytes and peak RSS of a fresh process that "
+        "builds the trace and replays one cell), "
         f"or one of {', '.join(START_ROWS)} (a fresh interpreter, start to exit)",
     )
     parser.add_argument(
@@ -478,7 +543,7 @@ def main(argv=None) -> int:
     rows = {
         row: parse_row(row)
         for row in args.schedulers
-        if not row.startswith((START_PREFIX, LOAD_PREFIX, STORE_PREFIX))
+        if not row.startswith((START_PREFIX, LOAD_PREFIX, STORE_PREFIX, MEM_PREFIX))
     }
     t0 = time.perf_counter()
     specs = {
@@ -494,8 +559,10 @@ def main(argv=None) -> int:
         "times build + trace store + first run on a fresh workload cache; a "
         "walk: row times a replay of one run's memory walk calls; a load: row "
         "times decoding one stored trace record; a store: row times encoding "
-        "one built trace; a start: row times a fresh "
-        "interpreter running its command, start to exit",
+        "one built trace; a mem: row records the arena bytes and peak RSS of a "
+        "fresh process that builds the trace and replays one adaptive-bind/dtbl "
+        "cell; a start: row times a fresh interpreter running its command, "
+        "start to exit",
         "rounds": args.rounds,
         "python": platform.python_version(),
         "host": _provenance(),
@@ -514,6 +581,8 @@ def main(argv=None) -> int:
             row = _measure_load(sched, args.rounds)
         elif sched.startswith(STORE_PREFIX):
             row = _measure_store(sched, args.rounds)
+        elif sched.startswith(MEM_PREFIX):
+            row = _measure_mem(sched)
         else:
             scheduler, (benchmark, scale, model) = rows[sched]
             if sched.startswith(COLD_PREFIX):
@@ -523,6 +592,13 @@ def main(argv=None) -> int:
             else:
                 row = _measure_scheduler(scheduler, specs[benchmark, scale], args.rounds, model)
         report["schedulers"][sched] = row
+        if "vmhwm_mb" in row:
+            print(
+                f"{sched:>14}: {row['arena_bytes']:,} arena bytes, "
+                f"{row['vmhwm_mb']} MB peak RSS (one process)",
+                file=sys.stderr,
+            )
+            continue
         if "cycles_per_sec" in row:
             rate = f"{row['cycles_per_sec']:>12,.1f} cycles/sec"
         elif "record_mb" in row:

@@ -591,7 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
     cache_stats_p = cache_sub.add_parser("stats", help="record count, bytes, engine versions")
     cache_prune_p = cache_sub.add_parser(
-        "prune", help="delete oldest records until each cache fits a byte cap"
+        "prune",
+        help="delete traces of a retired format, then oldest records until each "
+        "cache fits a byte cap",
     )
     cache_prune_p.add_argument(
         "--max-bytes", required=True, metavar="SIZE",

@@ -13,13 +13,17 @@ table, roots) and the columns of the trace's `TraceArena`, body by body
 coalesced 128-byte line pool. Storing a trace is one gather per column
 and one compression pass; loading one makes the decoded columns one
 arena that every decoded body views, so a loaded trace replays with no
-coalescing and no per-body copies. Bodies and launches are referenced by table index, so
-arbitrarily deep launch trees serialize without recursion. Decoding
-validates every length, op code and index and never evaluates the
-record (no pickle, marshal or eval). Format 1 (gzip JSON), format 2
-(per-instruction records), format 3 (every lane address listed) and
-format 4 (a per-lane address pool) files are rejected with a message
-naming their format.
+coalescing and no per-body copies. The record stores every column as
+int64; the arena holds each at its own width (op codes as signed bytes,
+the rest as 32-bit ints), so the encoder widens and the decoder narrows,
+refusing any value that does not fit. Bodies and launches are referenced
+by table index, so arbitrarily deep launch trees serialize without
+recursion. Decoding validates every length, op code and index and never
+evaluates the record (no pickle, marshal or eval). Format 1 (gzip JSON),
+format 2 (per-instruction records), format 3 (every lane address listed)
+and format 4 (a per-lane address pool) files are rejected with a message
+naming their format (:func:`is_retired_record` reads that name from a
+file's prefix alone).
 
 It also names the plain-object round trips of `GPUConfig` and `SimStats`
 (`config_to_obj` / `config_from_obj`, `stats_to_obj` / `stats_from_obj`,
@@ -35,11 +39,10 @@ import hashlib
 import json
 import os
 import struct
-import sys
 import zlib
 from array import array
 from operator import sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.gpu.config import GPUConfig, canonical_json
 from repro.gpu.kernel import KernelSpec, ResourceReq
@@ -68,6 +71,7 @@ FORMAT_VERSION = 5
 
 #: what the formats this version no longer reads held
 _RETIRED_FORMATS = {
+    1: "gzip JSON",
     2: "instruction records",
     3: "every lane address listed",
     4: "a per-lane address pool",
@@ -150,10 +154,10 @@ def _collect(spec: KernelSpec):
 #   launch_refs  each body's launch list as launch-table indices
 #
 # These are the columns of a TraceArena (repro.gpu.trace), each body's
-# slice in table order: storing a trace gathers the slices and compresses
-# once, and loading one makes the decoded columns the arena every body
-# views, without coalescing. Line offsets are not stored; the decoder
-# recomputes them from the line counts. Bodies and launches are referenced
+# slice in table order, widened to int64: storing a trace gathers the
+# slices and compresses once, and loading one narrows the decoded columns
+# into the arena every body views, without coalescing. Line offsets are
+# not stored; the decoder recomputes them from the line counts. Bodies and launches are referenced
 # by table index, so shared bodies and launch specs round-trip to single
 # objects and launch-tree depth never recurses in the decoder.
 
@@ -161,8 +165,8 @@ _MAGIC = b"REPROTRC"
 _PREFIX = struct.Struct("<8sI")
 _HEADER_LEN = struct.Struct("<Q")
 _GZIP_MAGIC = b"\x1f\x8b"
-_ITEM = array("q").itemsize
-_NATIVE_LE = sys.byteorder == "little"
+#: every record column is little-endian int64, whatever the arena's width
+_ITEM = 8
 _COLUMNS = ("body_warps", "warp_instrs", "ops", "args", "lines", "launch_refs")
 
 
@@ -177,13 +181,17 @@ def _gather(arenas: list[TraceArena], column: str, arena_of, lo, hi) -> bytes:
     """Every body's ``[lo, hi)`` slice of its arena's ``column``, joined in
     body order, as little-endian int64 bytes.
 
-    One fancy-indexing gather per column: a built trace's bodies do not
-    tile their arena in table order, so the slices cannot be copied as one
-    run, but they need not be copied one by one either.
+    Each column is read at its own width. One fancy-indexing gather per
+    column: a built trace's bodies do not tile their arena in table order,
+    so the slices cannot be copied as one run, but they need not be copied
+    one by one either.
     """
     import numpy as np
 
-    sources = [np.frombuffer(getattr(arena, column), dtype=np.int64) for arena in arenas]
+    sources = []
+    for arena in arenas:
+        values = getattr(arena, column)
+        sources.append(np.frombuffer(values, dtype=values.typecode))
     source = sources[0] if len(sources) == 1 else np.concatenate(sources)
     start = lo + _bounds(np.array([len(src) for src in sources]))[arena_of]
     lengths = hi - lo
@@ -269,15 +277,27 @@ def _int_fields(values, count: int, what: str) -> list:
     return values
 
 
-def _column(payload: memoryview, offset: int, count: int, what: str) -> tuple[array, int]:
+def _column(payload: memoryview, offset: int, count: int, what: str) -> tuple[ndarray, int]:
+    """The ``count`` int64 values at ``offset`` (a view, not a copy), and
+    where the next column starts."""
+    import numpy as np
+
     end = offset + count * _ITEM
     if count < 0 or end > len(payload):
         raise ValueError(f"corrupt trace record: {what} column truncated")
-    column = array("q")
-    column.frombytes(payload[offset:end])
-    if not _NATIVE_LE:
-        column.byteswap()
-    return column, end
+    return np.frombuffer(payload, dtype="<i8", count=count, offset=offset), end
+
+
+def _narrow(column: array, values: ndarray, what: str) -> None:
+    """Append ``values`` to the arena ``column`` at its own width; a value
+    it cannot hold raises instead of wrapping."""
+    import numpy as np
+
+    if values.size:
+        limits = np.iinfo(column.typecode)
+        if values.min() < limits.min or values.max() > limits.max:
+            raise _corrupt(f"{what} out of range")
+    column.frombytes(memoryview(values.astype(column.typecode)).cast("B"))
 
 
 def _corrupt(message: str) -> ValueError:
@@ -293,20 +313,20 @@ def _bounds(values: ndarray) -> ndarray:
     return out
 
 
-def _check_columns(columns: list[array], n_launches: int):
+def _check_columns(columns: list[ndarray], n_launches: int):
     """Validate the columns against each other; return the arena's line
     offsets (each instruction's start in the line pool), the warps'
     instruction bounds and, per body, its bounds in the warp, line and
     launch-ref columns.
 
     Every op code, count and index is checked, so a damaged record raises
-    instead of replaying a wrong trace. Only this validation and the
-    encoder use numpy, and each imports it itself: the JSON helpers above
-    serve warm paths, which never import it.
+    instead of replaying a wrong trace. Only the record's decoder and
+    encoder use numpy, and each helper imports it itself: the JSON
+    helpers above serve warm paths, which never import it.
     """
     import numpy as np
 
-    bw, wi, op, arg, _, refs = (np.frombuffer(c, dtype=np.int64) for c in columns)
+    bw, wi, op, arg, _, refs = columns
     n_bodies, n_warps, n_instrs, n_args, n_lines, n_refs = (len(c) for c in columns)
     if n_args != n_instrs:
         raise _corrupt("args disagree with ops")
@@ -344,7 +364,7 @@ def _check_columns(columns: list[array], n_launches: int):
     if np.any(arg[is_launch] != launch_index[is_launch]):
         raise _corrupt("launch index out of order")
     return (
-        array("q", line_bounds[:-1].tobytes()),
+        line_bounds[:-1],
         warp_bounds.tolist(),
         body_warp_bounds.tolist(),
         line_bounds[body_instrs].tolist(),
@@ -362,21 +382,17 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
     re-coalesced.
     """
     data = memoryview(data)
-    if data[:2] == _GZIP_MAGIC:
+    retired = _retired_format(data)
+    if retired is not None:
         raise ValueError(
-            "trace file is format 1 (gzip JSON), which this version no longer "
-            f"reads; re-snapshot it to write format {FORMAT_VERSION}"
+            f"trace file is format {retired} ({_RETIRED_FORMATS[retired]}), which this "
+            f"version no longer reads; re-snapshot it to write format {FORMAT_VERSION}"
         )
     if len(data) < _PREFIX.size:
         raise ValueError("not a repro trace record (too short)")
     magic, version = _PREFIX.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError("not a repro trace record (bad magic)")
-    if version in _RETIRED_FORMATS:
-        raise ValueError(
-            f"trace file is format {version} ({_RETIRED_FORMATS[version]}), which this "
-            f"version no longer reads; re-snapshot it to write format {FORMAT_VERSION}"
-        )
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version}")
     decompressor = zlib.decompressobj()
@@ -430,7 +446,10 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
 
     offs, warps, body_warps_at, body_lines, body_refs = _check_columns(columns, len(launch_specs))
     arena = TraceArena()
-    arena.ops, arena.args, arena.offs, arena.lines = ops, args, offs, lines
+    _narrow(arena.ops, ops, "op code")
+    _narrow(arena.args, args, "instruction argument")
+    _narrow(arena.offs, offs, "line offset")
+    _narrow(arena.lines, lines, "line address")
     refs = [launch_specs[r] for r in launch_refs.tolist()]
     view = TBBody.view
     bodies = [
@@ -459,6 +478,25 @@ def spec_from_bytes(data: bytes) -> KernelSpec:
             threads=threads, regs_per_thread=regs_per_thread, smem_bytes=smem_bytes
         ),
     )
+
+
+def _retired_format(data) -> Optional[int]:
+    """The retired format a record's first bytes name (format 1 by its
+    gzip magic), or None: a current, newer or foreign record names none."""
+    if data[:2] == _GZIP_MAGIC:
+        return 1
+    if len(data) >= _PREFIX.size:
+        magic, version = _PREFIX.unpack_from(data)
+        if magic == _MAGIC and version in _RETIRED_FORMATS:
+            return version
+    return None
+
+
+def is_retired_record(path: str | os.PathLike) -> bool:
+    """Whether the file at ``path`` is a record of a format this version
+    refuses by name. Reads only the record's prefix."""
+    with open(path, "rb") as handle:
+        return _retired_format(handle.read(_PREFIX.size)) is not None
 
 
 def save_spec(spec: KernelSpec, path: str | os.PathLike) -> None:

@@ -28,9 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.engine import Engine
 
 # hot-path constants: plain ints, because the lowered instruction
-# columns (array('q')) hand back ordinary ints — module-level bindings
-# are one dict lookup instead of two (module attribute, then enum
-# member) inside the issue loop
+# columns (array('b') and array('i')) hand back ordinary ints —
+# module-level bindings are one dict lookup instead of two (module
+# attribute, then enum member) inside the issue loop
 _OP_COMPUTE = int(Op.COMPUTE)
 _OP_LOAD = int(Op.LOAD)
 _OP_STORE = int(Op.STORE)

@@ -30,10 +30,11 @@ byte addresses, and every reader (the engine, the trace record, the
 static analyses) works on those lines.
 
 A whole trace lives in one :class:`TraceArena`: one set of those
-columns, laid out as in the trace record. A :class:`TBBody` appends its
-warps' columns to the arena when it is made and is from then on a view
-of them (its bounds and its launch list), so a trace of many small
-thread blocks costs a few objects per body, not a few per warp column.
+columns, laid out as in the trace record (op codes as signed bytes, the
+rest as 32-bit ints). A :class:`TBBody` appends its warps' columns to
+the arena when it is made and is from then on a view of them (its
+bounds and its launch list), so a trace of many small thread blocks
+costs a few objects per body, not a few per warp column.
 
 :class:`Instr` and the :func:`compute`/:func:`load`/:func:`store`/
 :func:`launch` helpers describe single hand-written instructions (tests,
@@ -60,8 +61,8 @@ class Op(IntEnum):
     LAUNCH = 3
 
 
-# plain-int op codes: array('q') hands back ordinary ints, so the issue
-# loop and the builder compare against these instead of IntEnum members
+# plain-int op codes: the arena's columns hand back ordinary ints, so the
+# issue loop and the builder compare against these instead of IntEnum members
 OP_COMPUTE: int = int(Op.COMPUTE)
 OP_LOAD: int = int(Op.LOAD)
 OP_STORE: int = int(Op.STORE)
@@ -75,8 +76,8 @@ class TraceArena:
 
     Every :class:`TBBody` of a trace appends its warps here, body after
     body and warp after warp, and keeps only its bounds in these
-    ``array('q')`` columns, laid out as in the trace record
-    (:mod:`repro.gpu.serialize`, which stores all of them but ``offs``):
+    columns, laid out as in the trace record (:mod:`repro.gpu.serialize`,
+    which stores all of them but ``offs``):
 
     ``ops``
         the op code (``OP_*``) of each instruction,
@@ -89,17 +90,21 @@ class TraceArena:
     ``lines``
         coalesced line addresses (byte address // ``LINE_BYTES``).
 
-    The SMX issue loop indexes these columns directly. Columns are only
-    ever appended to, so a body's bounds stay valid.
+    ``ops`` is an ``array('b')`` and the others are ``array('i')``: an op
+    code fits a signed byte, and a cycle or line count, a line offset or
+    a line address fits a 32-bit int. A value that does not fit raises
+    ``OverflowError`` as it is appended, so a column never wraps. The
+    SMX issue loop indexes these columns directly. Columns are only ever
+    appended to, so a body's bounds stay valid.
     """
 
     __slots__ = ("ops", "args", "offs", "lines")
 
     def __init__(self) -> None:
-        self.ops = array("q")
-        self.args = array("q")
-        self.offs = array("q")
-        self.lines = array("q")
+        self.ops = array("b")
+        self.args = array("i")
+        self.offs = array("i")
+        self.lines = array("i")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceArena(instrs={len(self.ops)}, lines={len(self.lines)})"
@@ -149,16 +154,18 @@ class WarpTrace:
     ``WARP_SIZE`` elements.
 
     A :class:`TBBody` copies the trace's columns into its arena when it
-    is made; what is appended later does not reach the body.
+    is made; what is appended later does not reach the body. An
+    instruction whose line address or cycle count does not fit its
+    column raises ``OverflowError`` before it is recorded.
     """
 
     __slots__ = ("ops", "args", "offs", "lines", "launches")
 
     def __init__(self) -> None:
-        self.ops = array("q")
-        self.args = array("q")
-        self.offs = array("q")
-        self.lines = array("q")
+        self.ops = array("b")
+        self.args = array("i")
+        self.offs = array("i")
+        self.lines = array("i")
         self.launches: list[LaunchSpec] = []
 
     # ----- lane-level ----------------------------------------------------------
@@ -168,10 +175,11 @@ class WarpTrace:
         if len(addresses) > WARP_SIZE:
             raise ValueError(f"a warp access has at most {WARP_SIZE} lanes, not {len(addresses)}")
         lines = coalesce(addresses, LINE_BYTES)
+        off = len(self.lines)
+        self.lines.extend(lines)
         self.ops.append(op)
         self.args.append(len(lines))
-        self.offs.append(len(self.lines))
-        self.lines.extend(lines)
+        self.offs.append(off)
         return self
 
     def access_range(self, op: int, addresses: range) -> "WarpTrace":
@@ -192,10 +200,11 @@ class WarpTrace:
         for begin in range(addresses.start, final + 1, width):
             last = min(begin + width - step, final)
             span = _run_lines(begin, last, step)
+            off = len(lines)
+            lines.extend(span)
             ops.append(op)
             args.append(len(span))
-            offs.append(len(lines))
-            lines.extend(span)
+            offs.append(off)
         return self
 
     def append(self, instr: Instr) -> "WarpTrace":
@@ -241,8 +250,8 @@ class WarpTrace:
     # ----- compute / control ---------------------------------------------------
     def compute(self, cycles: int) -> "WarpTrace":
         if cycles > 0:
-            self.ops.append(OP_COMPUTE)
             self.args.append(cycles)
+            self.ops.append(OP_COMPUTE)
             self.offs.append(len(self.lines))
         return self
 
@@ -271,7 +280,7 @@ def _run_lines(first: int, last: int, step: int) -> Sequence[int]:
 
 def _rebase_launches(ops: array, args: array, base: int) -> array:
     """A warp's launch indices moved ``base`` entries into the body's list."""
-    return array("q", [a + base if op == OP_LAUNCH else a for op, a in zip(ops, args)])
+    return array("i", [a + base if op == OP_LAUNCH else a for op, a in zip(ops, args)])
 
 
 class TBBody:

@@ -160,8 +160,14 @@ class ContentStore:
             "total_bytes": sum(entry[3] for entry in entries),
         }
 
+    def _retired(self, path: Path) -> bool:
+        """Whether the record at ``path`` is of a format the codec no
+        longer reads (a store whose codec retires none says no)."""
+        return False
+
     def prune(self, max_bytes: int) -> tuple[int, int]:
-        """Delete oldest records until the store fits in ``max_bytes``.
+        """Delete every record of a retired format (:meth:`_retired`), then
+        oldest records until the store fits in ``max_bytes``.
 
         Eviction order is modification time (then file name, so equal
         timestamps break deterministically); returns ``(records removed,
@@ -172,10 +178,14 @@ class ContentStore:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         entries = self._entries()
         total = sum(entry[3] for entry in entries)
+        retired, live = [], []
+        for entry in entries:
+            (retired if self._retired(entry[2]) else live).append(entry)
         removed = 0
         freed = 0
-        for _, _, path, size in sorted(entries):
-            if total - freed <= max_bytes:
+        # retired records go first, whatever their age or the cap
+        for i, (_, _, path, size) in enumerate(retired + sorted(live)):
+            if i >= len(retired) and total - freed <= max_bytes:
                 break
             try:
                 path.unlink()

@@ -12,8 +12,9 @@ grid`` / ``tune`` run never executes a datagen step at all.
 (sharded files, atomic writes, corrupt-is-a-miss reads, warn-once store
 failures, stats and prune) whose records are the binary trace records
 of :mod:`repro.gpu.serialize` (``spec_to_bytes`` / ``load_spec``: a
-zlib stream of the lowered ``array('q')`` columns every
-:class:`~repro.gpu.trace.TBBody` holds). They preserve body sharing: a
+zlib stream of the lowered columns of the
+:class:`~repro.gpu.trace.TraceArena` every
+:class:`~repro.gpu.trace.TBBody` views). They preserve body sharing: a
 body referenced by several launches round-trips to a single object, and
 a loaded trace replays as stored, with no coalescing. The codec is
 imported by the first key, load or store, so a run that never touches a
@@ -30,7 +31,8 @@ the trace store beside its result cache and passes it down to
 Like the result cache, invalidation is by going cold, never wrong:
 :data:`TRACE_VERSION` enters every key, so bump it whenever workload
 generation or trace semantics change and old records are simply never
-looked up again.
+looked up again. A record of a retired trace format can never be read
+again either, so ``repro cache prune`` deletes those whatever the cap.
 """
 
 from __future__ import annotations
@@ -106,6 +108,16 @@ class WorkloadCache(ContentStore):
         from repro.gpu.serialize import load_spec
 
         return load_spec(path)
+
+    def _retired(self, path: Path) -> bool:
+        """A record the decoder refuses by its format's name: its key can
+        never be looked up again. A newer format's record is kept."""
+        from repro.gpu.serialize import is_retired_record
+
+        try:
+            return is_retired_record(path)
+        except OSError:
+            return False  # gone already, or unreadable: left to the cap
 
 
 def disable_workload_cache() -> None:

@@ -46,8 +46,9 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: relative simulated work per workload scale; the rung ladder the
 #: autotuner climbs (docs/search.md) is the same tiny < small < paper
 #: ordering, so ``RunSpec.with_rung``-derived probes sort ahead of their
-#: full-fidelity parents automatically
-SCALE_COST = {"tiny": 1.0, "small": 8.0, "paper": 64.0}
+#: full-fidelity parents automatically. A ``paper`` run measured 2-2.5x
+#: the time of a ``small`` one, so it is priced at the upper end
+SCALE_COST = {"tiny": 1.0, "small": 8.0, "paper": 20.0}
 
 
 def estimate_cost(spec: RunSpec) -> float:

@@ -47,6 +47,7 @@ class GraphDynWorkload(Workload):
         self.n = params["n"]
         self.mean_degree = params["mean_degree"]
         self.threshold = params["threshold"]
+        #: the input graph, held only while :meth:`build` runs
         self.graph: CSRGraph | None = None
         self.row: Array | None = None
         self.col: Array | None = None
@@ -204,6 +205,10 @@ class GraphDynWorkload(Workload):
             for w_start in range(0, len(tb_verts), WARP):
                 warps.append(self._parent_warp(tb_verts[w_start : w_start + WARP]))
             bodies.append(TBBody(warps=warps, arena=self.arena))
+        # nothing reads the graph (or the int lists it caches) once the
+        # trace is built, and a replay holds its workload to the end;
+        # ``_expanded``, ``space`` and the array descriptors stay
+        self.graph = None
         return KernelSpec(
             name=self.full_name,
             bodies=bodies,

@@ -15,6 +15,12 @@ def bfs():
     return w
 
 
+@pytest.fixture(scope="module")
+def graph(bfs):
+    """The input ``bfs`` was built from (a built workload holds no graph)."""
+    return bfs._make_graph()
+
+
 def launch_depths(bodies, depth=1):
     for body in bodies:
         for spec in body.launches():
@@ -26,15 +32,15 @@ class TestExpansionDiscipline:
     def test_every_claimed_vertex_has_one_descriptor(self, bfs):
         assert bfs._next_desc == len(bfs._expanded)
 
-    def test_only_big_vertices_expanded(self, bfs):
-        g = bfs.graph
+    def test_only_big_vertices_expanded(self, bfs, graph):
+        g = graph
         for v in bfs._expanded:
             assert g.degree(v) >= bfs.threshold
 
-    def test_all_big_vertices_reachable_or_owned(self, bfs):
+    def test_all_big_vertices_reachable_or_owned(self, bfs, graph):
         """Every high-degree vertex is expanded exactly once: by its own
         parent TB or by a nested claim (generation-depth cap aside)."""
-        g = bfs.graph
+        g = graph
         big = {v for v in range(g.num_vertices) if g.degree(v) >= bfs.threshold}
         # the claim set can only miss vertices beyond the nesting cap
         assert bfs._expanded <= big
@@ -45,14 +51,19 @@ class TestExpansionDiscipline:
         assert depths
         assert max(depths) <= GraphDynWorkload.MAX_NEST_DEPTH
 
-    def test_child_spec_shape(self, bfs):
-        g = bfs.graph
+    def test_child_spec_shape(self, bfs, graph):
+        g = graph
         for body in walk_bodies(bfs.kernel().bodies):
             for spec in body.launches():
                 assert spec.threads_per_tb == CHILD_TB_THREADS
                 total_neighbor_capacity = len(spec.bodies) * CHILD_TB_THREADS
                 # group sized to the vertex degree, one TB per 32 neighbours
                 assert total_neighbor_capacity >= 1
+                assert total_neighbor_capacity < max(g.degrees) + CHILD_TB_THREADS
+
+    def test_built_workload_holds_no_graph(self, bfs):
+        assert bfs.is_built and bfs.graph is None
+        assert bfs._expanded and bfs.row is not None and bfs.col is not None
 
 
 def array_lines(array) -> range:

@@ -27,6 +27,7 @@ from repro.gpu.trace import (
     LaunchSpec,
     Op,
     TBBody,
+    TraceArena,
     WarpTrace,
     compute,
     launch,
@@ -34,7 +35,7 @@ from repro.gpu.trace import (
     store,
     walk_bodies,
 )
-from repro.harness.registry import experiment_config, load_benchmark
+from repro.harness.registry import benchmark_names, experiment_config, load_benchmark
 from tests.conftest import access_lines, body_lines, tiny_workload, warp_columns
 from tests.test_trace_digests import SEED, digest_cases
 
@@ -98,7 +99,7 @@ class TestRoundTrip:
         rebuilt = spec_from_bytes(spec_to_bytes(sample_spec()))
         for body in walk_bodies(rebuilt.bodies):
             for ops, _, _ in warp_columns(body):
-                assert isinstance(ops, array) and ops.typecode == "q"
+                assert isinstance(ops, array) and ops.typecode == TraceArena().ops.typecode
                 assert all(Op(op) is not None for op in ops)
 
     def test_shared_launch_specs_preserved(self):
@@ -268,6 +269,60 @@ def range_spec() -> KernelSpec:
     instructions (32 lanes, then 8), each lowered to its line span."""
     trace = WarpTrace().access(OP_LOAD, [512, 8]).access_range(OP_STORE, range(0, 40 * 8, 8))
     return KernelSpec(name="runs", bodies=[TBBody(warps=[trace])], resources=ResourceReq(threads=32))
+
+
+def column_typecodes(spec: KernelSpec) -> set[tuple[str, ...]]:
+    """The typecodes of every arena ``spec``'s bodies view."""
+    return {
+        (arena.ops.typecode, arena.args.typecode, arena.offs.typecode, arena.lines.typecode)
+        for arena in (body.arena for body in walk_bodies(spec.bodies))
+    }
+
+
+class TestNarrowColumns:
+    """The arena holds op codes as signed bytes and the other columns as
+    32-bit ints, while the record keeps every column as int64."""
+
+    def test_arena_typecodes(self):
+        arena = TraceArena()
+        assert (arena.ops.itemsize, arena.args.itemsize, arena.offs.itemsize) == (1, 4, 4)
+        assert arena.lines.itemsize == 4
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_built_and_decoded_traces_share_typecodes(self, name):
+        spec = load_benchmark(name, scale="tiny", seed=SEED).kernel()
+        built = column_typecodes(spec)
+        assert len(built) == 1
+        assert column_typecodes(spec_from_bytes(spec_to_bytes(spec))) == built
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: t.access(OP_LOAD, [0, 2**31 * 128]),
+            lambda t: t.access_range(OP_STORE, range(2**31 * 128, 2**31 * 128 + 64, 8)),
+            lambda t: t.compute(2**31),
+        ],
+        ids=["listed-access", "range-access", "compute"],
+    )
+    def test_value_too_wide_raises_at_build(self, build):
+        trace = WarpTrace().compute(1)
+        with pytest.raises(OverflowError):
+            build(trace)
+        # the instruction was never recorded, so nothing wrapped
+        assert list(trace.ops) == [Op.COMPUTE] and list(trace.args) == [1]
+        assert all(0 <= line < 2**31 for line in trace.lines)
+
+    def test_line_too_wide_for_the_arena_is_refused(self):
+        data = spec_to_bytes(range_spec())
+        header, offset = header_of(data)
+        n_bodies, n_warps, n_instrs = header["counts"][:3]
+        lines_at = offset + 8 * (n_bodies + n_warps + 2 * n_instrs)
+
+        def wide(body: bytes) -> bytes:
+            return body[:lines_at] + struct.pack("<q", 2**31) + body[lines_at + 8:]
+
+        with pytest.raises(ValueError, match="line address out of range"):
+            spec_from_bytes(repack(data, wide))
 
 
 class TestLineColumns:

@@ -30,7 +30,7 @@ from repro.service import (
     WorkerFleet,
     estimate_cost,
 )
-from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, Job
+from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, SCALE_COST, Job
 from tests.fault_injection import (
     SLOW_LOG_ENV,
     kill_first_busy_worker,
@@ -56,6 +56,11 @@ class TestJobModel:
         small = estimate_cost(RunSpec("amr", "rr", "dtbl", scale="small"))
         paper = estimate_cost(RunSpec("amr", "rr", "dtbl", scale="paper"))
         assert tiny < small < paper
+
+    def test_scale_costs_climb_the_rung_ladder(self):
+        assert sorted(SCALE_COST, key=SCALE_COST.get) == ["tiny", "small", "paper"]
+        # a paper run measured 2-2.5x a small one
+        assert SCALE_COST["paper"] / SCALE_COST["small"] == 2.5
 
     def test_cost_scales_with_cycle_budget(self):
         base = estimate_cost(spec())

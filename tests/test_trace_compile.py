@@ -1,7 +1,7 @@
 """Lowered-trace equivalence: the builder's columns vs coalescing each access.
 
 :class:`~repro.gpu.trace.WarpTrace` lowers a trace as it is built (ranges
-arithmetically, gathers through the coalescer) into the ``array('q')``
+arithmetically, gathers through the coalescer) into the ``array``
 columns the SMX issue loop indexes directly. The lowering must be purely
 structural: for every instruction the columns must encode exactly what
 interpreting it would produce — op code, compute latency, coalesced line

@@ -324,6 +324,30 @@ def test_disk_stats_and_prune(tmp_path):
         cache.prune(-1)
 
 
+def test_prune_deletes_retired_formats_whatever_the_cap(tmp_path):
+    """A format-4 record can never be read again, so prune deletes it
+    even under a cap that keeps every current record; a record of a
+    format newer than this version's stays."""
+    cache = WorkloadCache(tmp_path)
+    cache.store(BENCH, "tiny", 7, load_benchmark(BENCH, scale="tiny", seed=7).kernel())
+    (current,) = cache.record_paths()
+    record = current.read_bytes()
+
+    def beside(key: str, version: int):
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(record[:8] + struct.pack("<I", version) + record[12:])
+        return path
+
+    old = beside("ab" * 32, 4)
+    newer = beside("cd" * 32, serialize.FORMAT_VERSION + 1)
+    old_size = old.stat().st_size
+    assert cache.prune(10**9) == (1, old_size)
+    assert cache.record_paths() == sorted([current, newer])
+    assert current.read_bytes() == record
+    assert cache.load(BENCH, "tiny", 7) is not None
+
+
 # --- integration: kernel_for / executors / grids ------------------------------
 
 
